@@ -10,8 +10,9 @@ codeword containing z zeros occupies 2n - z bits.
 The list never has to be materialized: the position of a codeword in it
 (its 1-based index) is computable from the trits alone, and the inverse
 mapping recovers the trits from an index. Both directions run in O(n^2)
-integer operations. Alphabets of one or two letters fall outside the scheme
-and are marked :class:`Degenerate`.
+integer operations; :func:`rank_rows` runs the same arithmetic over many
+codewords at once as numpy passes. Alphabets of one or two letters fall
+outside the scheme and are marked :class:`Degenerate`.
 
 Everything here is exact integer arithmetic, no floats. All returned values
 are immutable; the module is safe for unrestricted concurrent use.
@@ -22,11 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .bitio import BitReader
 
 # 3^n grows past 2^63 around n = 40; the cap also bounds signatures to
 # 2n = 80 bits, which keeps every consumer comfortable with plain ints.
 MAX_SET_NUMBER = 40
+# Largest set whose indices (up to 3^n) fit an int64: 3^39 < 2^63 < 3^40.
+MAX_ARRAY_SET_NUMBER = 39
 
 _TRIT_BITS = {"0": "0", "1": "10", "2": "11"}
 
@@ -231,6 +236,62 @@ def rank(n: int, trits: str) -> int:
             elif t != "1":
                 raise ValueError(f"invalid trit {t!r}")
     return idx + 1
+
+
+# Per-n step tables for rank_rows, built once and reused; see _rank_steps.
+_steps: dict[int, np.ndarray] = {}
+
+
+def _rank_steps(n: int) -> np.ndarray:
+    """Index increments of :func:`rank`, one row per trit position.
+
+    Row p, entry 3 * zeros_left + t, is what :func:`rank` adds to the index
+    when trit t sits at position p with ``zeros_left`` zeros still to place
+    (including any at p): nothing for a 0, the strings placing a 0 there for
+    a 1, and those plus the strings placing a 1 there for a 2.
+    """
+    cached = _steps.get(n)
+    if cached is not None:
+        return cached
+    counts, _, _ = _ntables(n)
+    steps = np.zeros((n, 3 * (n + 1)), dtype=np.int64)
+    for p in range(n):
+        rest = counts[n - 1 - p]
+        # zeros_left = n - p forces a 0 at p, so its entries stay 0
+        for zeros_left in range(n - p):
+            below = rest[zeros_left - 1] if zeros_left else 0
+            steps[p, 3 * zeros_left + 1] = below
+            steps[p, 3 * zeros_left + 2] = below + rest[zeros_left]
+    steps.setflags(write=False)
+    _steps[n] = steps
+    return steps
+
+
+def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
+    """1-based list positions of the codewords held in the rows of ``trits``.
+
+    ``trits`` is a (k, n) integer array of trit values 0, 1 and 2, one
+    codeword per row. This is :func:`rank` run as n vector passes, one per
+    trit position, each a single lookup in a fixed table: no search and no
+    per-codeword Python work. Results are exact int64 values for n up to
+    :data:`MAX_ARRAY_SET_NUMBER`.
+    """
+    if not 1 <= n <= MAX_ARRAY_SET_NUMBER:
+        raise ValueError(f"code set number must be in 1..{MAX_ARRAY_SET_NUMBER}, got {n}")
+    if trits.ndim != 2 or trits.shape[1] != n:
+        raise ValueError(f"expected rows of {n} trits, got shape {trits.shape}")
+    _, _, before = _ntables(n)
+    steps = _rank_steps(n)
+    cols = trits.T.copy()  # one contiguous row per trit position
+    is_zero = cols == 0
+    zeros_left = is_zero.sum(axis=0, dtype=np.intp)
+    idx = np.asarray(before, dtype=np.int64)[zeros_left] + 1
+    for p in range(n):
+        key = zeros_left * 3
+        key += cols[p]
+        idx += steps[p][key]
+        zeros_left -= is_zero[p]
+    return idx
 
 
 def unrank(n: int, index: int) -> str:

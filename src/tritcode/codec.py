@@ -3,9 +3,15 @@
 Letters are plain unsigned ints (an L-bit slice of the input; the container
 layer enforces the width). Pass one counts letter occurrences and ranks the
 alphabet by descending count; pass two swaps each letter for the codeword
-whose list index equals the letter's rank. Decoding walks the bit stream
-reading one codeword at a time and maps its computed list index back to a
-letter, so no code tree or codeword table search is involved.
+whose list index equals the letter's rank.
+
+Decoding needs no code tree and no codeword table search. Every 0 bit ends
+a trit, so the trits of a bit window fall out of its zero positions: a 0
+after r ones closes r // 2 trits 2 and then a 1 (r odd) or a 0 (r even).
+Grouped n at a time, the trits give each codeword's list index by
+:func:`~tritcode.codebook.rank_rows`, n vector passes over the block, and
+the index picks the letter. Windows of a fixed number of bits, each
+starting on a codeword boundary, bound the scratch memory.
 
 One- and two-letter alphabets bypass the ternary scheme: with two letters
 each letter is its rank bit, with one letter every occurrence is a '0' bit
@@ -18,17 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import BitReader, pack01, unpack01
+from .bitio import pack01, unpack01
 from .codebook import (
     CodeSet,
     Degenerate,
     code_set_for_alphabet,
     generate_codes,
     group_params,
-    rank,
-    read_trits,
+    rank_rows,
 )
-from .errors import CorruptedDataError
+from .errors import CorruptedDataError, TruncatedDataError
+
+# Bits the decoder scans at a time. A window must hold more than the longest
+# codeword (2n bits, at most 42 for a 32-bit alphabet) so that each one
+# yields at least one codeword; its size caps the scan's scratch arrays
+# whatever the payload size.
+_WINDOW_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,17 @@ def payload_size(model: Model) -> int:
     return int(np.dot(counts, lengths))
 
 
+@dataclass(frozen=True)
+class DecodeStats:
+    """What one decode did, as counted by the decoder itself."""
+
+    codewords: int      # codewords decoded, one per letter
+    bits_consumed: int  # payload bits those codewords occupy
+    padding_bits: int   # zero bits after the last codeword
+    rank_passes: int    # vector rank passes, n for each window
+    windows: int        # bit windows scanned; 0 for degenerate alphabets
+
+
 def decode_packed(payload: bytes, alphabet, letter_count: int,
                   bit_length: int | None = None) -> np.ndarray:
     """Decode ``letter_count`` letters from a packed payload.
@@ -159,58 +181,102 @@ def decode_packed(payload: bytes, alphabet, letter_count: int,
     bits left after the last codeword are treated as byte padding: there may
     be at most seven and they must all be zero.
     """
-    reader = BitReader(payload, bit_length)
-    letters = decode_stream(reader, alphabet, letter_count)
-    check_padding(reader)
-    return letters
+    return decode_with_stats(payload, alphabet, letter_count, bit_length)[0]
 
 
-def decode_stream(reader: BitReader, alphabet, letter_count: int) -> np.ndarray:
-    """Decode from an open reader, leaving it just past the last codeword."""
+def decode_with_stats(payload: bytes, alphabet, letter_count: int,
+                      bit_length: int | None = None) -> tuple[np.ndarray, DecodeStats]:
+    """:func:`decode_packed`, also returning the decoder's own counts.
+
+    Errors come in stream order: an index beyond the alphabet (reported with
+    its 1-based letter position), the stream ending before the last
+    codeword, then eight or more trailing bits or a nonzero padding bit.
+    Memory is bounded by the payload, not by ``letter_count``.
+    """
+    if bit_length is None:
+        bit_length = len(payload) * 8
+    elif bit_length > len(payload) * 8:
+        raise ValueError("bit_length exceeds buffer size")
     m = len(alphabet)
     if m == 0:
         raise ValueError("alphabet must not be empty")
+    if letter_count < 0:
+        raise ValueError("letter count must be non-negative")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=bit_length)
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
-        ranks0 = _decode_degenerate(reader, m, letter_count)
+        if letter_count > bit_length:
+            raise TruncatedDataError("bit stream exhausted")
+        ranks0 = bits[:letter_count]
+        if m == 1 and ranks0.any():
+            raise CorruptedDataError("single-letter stream contains a 1 bit")
+        used, passes, windows = letter_count, 0, 0
     else:
-        ranks0 = _decode_ranks(reader, cs.n, m, letter_count) - 1
-    alphabet_arr = np.asarray(alphabet, dtype=np.int64)
-    return alphabet_arr[ranks0]
-
-
-def _decode_degenerate(reader: BitReader, m: int, count: int) -> np.ndarray:
-    bits = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        bits[i] = reader.read_bit()
-    if m == 1 and count and bits.max() != 0:
-        raise CorruptedDataError("single-letter stream contains a 1 bit")
-    return bits
-
-
-def _decode_ranks(reader: BitReader, n: int, m: int, count: int) -> np.ndarray:
-    read = read_trits
-    to_index = rank
-    indices = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        idx = to_index(n, read(reader, n))
-        if idx > m:
-            raise CorruptedDataError(
-                f"codeword index {idx} exceeds alphabet power {m} "
-                f"(letter {i + 1} of {count})"
-            )
-        indices[i] = idx
-    return indices
-
-
-def check_padding(reader: BitReader) -> None:
-    if reader.remaining >= 8:
+        ranks0, used, passes, windows = _decode_ranks(bits, cs.n, m, letter_count)
+    letters = np.asarray(alphabet, dtype=np.int64)[ranks0]
+    trailing = bit_length - used
+    if trailing >= 8:
         raise CorruptedDataError(
-            f"{reader.remaining} bits of trailing data after the last codeword"
+            f"{trailing} bits of trailing data after the last codeword"
         )
-    while reader.remaining:
-        if reader.read_bit():
-            raise CorruptedDataError("nonzero padding bit after the last codeword")
+    if bits[used:].any():
+        raise CorruptedDataError("nonzero padding bit after the last codeword")
+    return letters, DecodeStats(codewords=len(ranks0), bits_consumed=used,
+                                padding_bits=trailing, rank_passes=passes,
+                                windows=windows)
+
+
+def _decode_ranks(bits: np.ndarray, n: int, m: int,
+                  count: int) -> tuple[np.ndarray, int, int, int]:
+    """0-based ranks of ``count`` codewords of set ``n`` at the head of
+    ``bits``; returns them with the bits used, rank passes and windows."""
+    nbits = bits.size
+    # every codeword takes at least n bits, so a count the payload cannot
+    # carry never reaches the allocation
+    ranks0 = np.empty(min(count, nbits // n), dtype=np.int64)
+    pos = done = windows = 0
+    while done < count:
+        left = count - done
+        end = min(nbits, pos + min(_WINDOW_BITS, 2 * n * left))
+        trits = _scan_trits(bits[pos:end])
+        k = min(trits.size // n, left)
+        block = trits[:k * n].reshape(k, n)
+        idx = rank_rows(n, block)
+        windows += 1
+        bad = np.flatnonzero(idx > m)
+        if bad.size:
+            i = int(bad[0])
+            raise CorruptedDataError(
+                f"codeword index {int(idx[i])} exceeds alphabet power {m} "
+                f"(letter {done + i + 1} of {count})"
+            )
+        if k < left and end == nbits:
+            raise TruncatedDataError("bit stream exhausted")
+        ranks0[done:done + k] = idx - 1
+        done += k
+        pos += 2 * k * n - int(np.count_nonzero(block == 0))
+    return ranks0, pos, n * windows, windows
+
+
+def _scan_trits(window: np.ndarray) -> np.ndarray:
+    """Every complete trit of a bit window that starts on a trit boundary.
+
+    A trailing run of ones yields its complete ``11`` pairs as trits 2; an
+    odd one left over is the unfinished start of the next trit.
+    """
+    zeros = np.flatnonzero(window == 0).astype(np.int32)
+    if zeros.size == 0:
+        return np.full(window.size // 2, 2, dtype=np.int8)
+    ones = np.empty_like(zeros)  # length of the run of ones before each 0
+    ones[0] = zeros[0]
+    np.subtract(zeros[1:], zeros[:-1], out=ones[1:])
+    ones[1:] -= 1
+    closing = np.cumsum((ones >> 1) + 1, dtype=np.int32)  # 1-based, per 0-ended trit
+    tail = window.size - 1 - int(zeros[-1])
+    trits = np.full(int(closing[-1]) + tail // 2, 2, dtype=np.int8)
+    closing -= 1
+    trits[closing] = ones & 1
+    return trits
 
 
 def decode(bits: str, alphabet, letter_count: int) -> list[int]:

@@ -14,7 +14,8 @@ Flag bit 0 marks a compressed alphabet. Raw alphabets store the m letters
 in rank order, ceil(L/8) bytes each, little-endian. Compressed alphabets
 store a 4-byte length followed by a nested container holding the raw
 letter bytes recompressed at L = 8; compression is only used when it is
-strictly smaller, since small alphabets usually expand.
+strictly smaller, since small alphabets usually expand. Nesting is one
+level deep: the nested container stores its own alphabet raw.
 
 Storing the original bit length (not a letter count) lets decompression
 strip the zero bits that padded the final partial letter, so inputs of any
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .bitio import BitReader
 from .errors import CorruptedDataError, FormatError
 
 MAGIC = b"\x42\x33"
@@ -160,9 +160,16 @@ def compress(data: bytes, letter_bits: int = 8, *,
                      alphabet_area, payload])
 
 
+def _read_raw_alphabet(blob: bytes, offset: int, m: int,
+                       header: Header) -> tuple[bytes, int]:
+    size = m * _letter_width_bytes(header.letter_bits)
+    if len(blob) < offset + size:
+        raise FormatError("truncated alphabet", offset=offset)
+    return blob[offset:offset + size], offset + size
+
+
 def _read_alphabet(blob: bytes, offset: int, m: int,
                    header: Header) -> tuple[np.ndarray, int]:
-    width = _letter_width_bytes(header.letter_bits)
     if header.alphabet_packed:
         if len(blob) < offset + 4:
             raise FormatError("truncated alphabet length", offset=offset)
@@ -170,48 +177,85 @@ def _read_alphabet(blob: bytes, offset: int, m: int,
         offset += 4
         if len(blob) < offset + nested_len:
             raise FormatError("truncated packed alphabet", offset=offset)
-        area = decompress(blob[offset:offset + nested_len])
+        area = _decompress_nested(blob[offset:offset + nested_len], offset)
         offset += nested_len
-        if len(area) != m * width:
+        if len(area) != m * _letter_width_bytes(header.letter_bits):
             raise FormatError("packed alphabet has the wrong size", offset=offset)
     else:
-        size = m * width
-        if len(blob) < offset + size:
-            raise FormatError("truncated alphabet", offset=offset)
-        area = blob[offset:offset + size]
-        offset += size
+        area, offset = _read_raw_alphabet(blob, offset, m, header)
+    return _check_alphabet(area, m, header, offset), offset
+
+
+def _decompress_nested(nested: bytes, start: int) -> bytes:
+    """Restore the letter bytes of a packed alphabet found at ``start``.
+
+    The nested container must store its own alphabet raw, so this never
+    descends a second level however the input is built.
+    """
+    header, m, offset = _parse_counts(nested)
+    if header.alphabet_packed:
+        raise FormatError("packed alphabet nested inside a packed alphabet",
+                          offset=start + 2)
+    if m == 0:
+        return b""
+    area, offset = _read_raw_alphabet(nested, offset, m, header)
+    letters = _check_alphabet(area, m, header, offset)
+    return _decode_payload(nested[offset:], header, letters)
+
+
+def _check_alphabet(area: bytes, m: int, header: Header,
+                    offset: int) -> np.ndarray:
     letters = _unpack_alphabet(area, m, header.letter_bits)
     if header.letter_bits < 32 and letters.size and int(letters.max()) >> header.letter_bits:
         raise FormatError(f"alphabet letter wider than {header.letter_bits} bits",
                           offset=offset)
     if len(np.unique(letters)) != m:
         raise FormatError("alphabet contains duplicate letters", offset=offset)
-    return letters, offset
+    return letters
 
 
-def _parse_structure(blob: bytes) -> tuple[Header, int, np.ndarray | None, int]:
-    """Validate everything up to the payload; returns (header, m, letters,
-    payload offset). ``letters`` is None for the empty-input container."""
+def _parse_counts(blob: bytes) -> tuple[Header, int, int]:
+    """Validate the header and alphabet power; returns (header, m, offset
+    of the alphabet block)."""
     header = parse_header(blob)
     if len(blob) < HEADER_SIZE + 4:
         raise FormatError("container too short for the alphabet power",
                           offset=HEADER_SIZE)
     (m,) = struct.unpack_from("<I", blob, HEADER_SIZE)
-    offset = HEADER_SIZE + 4
     L = header.letter_bits
     nbits = header.original_bit_length
     if m == 0:
         if nbits:
             raise FormatError("empty alphabet with a nonzero bit length",
                               offset=HEADER_SIZE)
-        return header, 0, None, offset
-    if nbits == 0:
+    elif nbits == 0:
         raise FormatError("nonempty alphabet with a zero bit length",
                           offset=HEADER_SIZE)
-    if L < 32 and m > 1 << L:
+    elif L < 32 and m > 1 << L:
         raise FormatError(f"alphabet power {m} exceeds 2^{L}", offset=HEADER_SIZE)
+    return header, m, HEADER_SIZE + 4
+
+
+def _parse_structure(blob: bytes) -> tuple[Header, int, np.ndarray | None, int]:
+    """Validate everything up to the payload; returns (header, m, letters,
+    payload offset). ``letters`` is None for the empty-input container."""
+    header, m, offset = _parse_counts(blob)
+    if m == 0:
+        return header, 0, None, offset
     letters, offset = _read_alphabet(blob, offset, m, header)
     return header, m, letters, offset
+
+
+def _letter_count(header: Header) -> int:
+    return -(-header.original_bit_length // header.letter_bits)
+
+
+def _decode_payload(payload: bytes, header: Header, letters: np.ndarray) -> bytes:
+    decoded = codec.decode_packed(payload, letters, _letter_count(header))
+    try:
+        return join_letters(decoded, header.letter_bits, header.original_bit_length)
+    except ValueError as exc:
+        raise CorruptedDataError(str(exc)) from exc
 
 
 def decompress(blob: bytes) -> bytes:
@@ -219,14 +263,7 @@ def decompress(blob: bytes) -> bytes:
     header, m, letters, offset = _parse_structure(blob)
     if m == 0:
         return b""
-    L = header.letter_bits
-    nbits = header.original_bit_length
-    letter_count = -(-nbits // L)
-    decoded = codec.decode_packed(blob[offset:], letters, letter_count)
-    try:
-        return join_letters(decoded, L, nbits)
-    except ValueError as exc:
-        raise CorruptedDataError(str(exc)) from exc
+    return _decode_payload(blob[offset:], header, letters)
 
 
 @dataclass(frozen=True)
@@ -252,18 +289,15 @@ def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
     structure is validated.
     """
     header, m, letters, offset = _parse_structure(blob)
-    L = header.letter_bits
-    letter_count = -(-header.original_bit_length // L)
+    letter_count = _letter_count(header)
     payload_bytes = len(blob) - offset
     cs = codec.code_set_for_alphabet(m) if m else codec.Degenerate(0)
     n = 0 if isinstance(cs, codec.Degenerate) else cs.n
     payload_bits = padding = None
     if decode_payload and m:
-        reader = BitReader(blob[offset:])
-        codec.decode_stream(reader, letters, letter_count)
-        payload_bits = reader.position
-        padding = payload_bytes * 8 - payload_bits
-        codec.check_padding(reader)
+        _, stats = codec.decode_with_stats(blob[offset:], letters, letter_count)
+        payload_bits = stats.bits_consumed
+        padding = stats.padding_bits
     elif decode_payload:
         payload_bits = 0
         padding = payload_bytes * 8

@@ -1,7 +1,10 @@
 import os
+import struct
 from pathlib import Path
 
 import pytest
+
+from tritcode.container import FLAG_PACKED_ALPHABET, Header, compress, serialize_header
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +34,31 @@ def canterbury_dir() -> Path:
             f"or point {CORPUS_ENV} at the corpus directory."
         )
     return path
+
+
+@pytest.fixture
+def oversized_claim() -> bytes:
+    """The docs/format.md worked example claiming 2^40 original bits."""
+    blob = bytearray(compress(b"ABCDEEFFGGHHHIII", 8))
+    struct.pack_into("<Q", blob, 4, 1 << 40)
+    return bytes(blob)
+
+
+def _nested_packed_alphabets(levels: int) -> bytes:
+    blob = compress(b"A", 8)
+    for _ in range(levels):
+        header = serialize_header(Header(1, FLAG_PACKED_ALPHABET, 8, 8))
+        blob = header + struct.pack("<II", 1, len(blob)) + blob + b"\x00"
+    return blob
+
+
+@pytest.fixture
+def nested_packed_alphabets():
+    """Builds a container whose packed alphabets nest ``levels`` deep, each
+    level with the packed-alphabet flag set; about 21 bytes a level."""
+    return _nested_packed_alphabets
+
+
+@pytest.fixture
+def deeply_nested() -> bytes:
+    return _nested_packed_alphabets(3000)

@@ -15,9 +15,9 @@ import pytest
 
 from tritcode import codec, container
 from tritcode.bench import run_corpus, run_recompress, redundancy_table
-from tritcode.bitio import BitReader
+from tritcode.bitio import pack01
 from tritcode.codebook import generate_codes, group_params, rank, unrank
-from tritcode.codec import build_model, decode, encode, payload_size
+from tritcode.codec import build_model, decode, decode_with_stats, encode, payload_size
 from tritcode.numeral import (
     compactness,
     continuous_minimum,
@@ -273,41 +273,23 @@ def test_criterion_09_randomized_property_suite():
     _pass(9, f"{cases} randomized containers plus edge cases hold")
 
 
-def test_criterion_10_tree_free_decoding(monkeypatch):
+def test_criterion_10_tree_free_decoding():
     rng = random.Random(33)
     letters = [rng.getrandbits(8) for _ in range(600)]
     model = build_model(letters)
     n = model.code_set.n
     bits = encode(letters, model)
 
-    counters = {"read_trits": 0, "rank": 0, "read_bit": 0}
-    real_read_trits = codec.read_trits
-    real_rank = codec.rank
-    real_read_bit = BitReader.read_bit
-
-    def counting_read_trits(reader, nn):
-        counters["read_trits"] += 1
-        return real_read_trits(reader, nn)
-
-    def counting_rank(nn, trits):
-        counters["rank"] += 1
-        return real_rank(nn, trits)
-
-    def counting_read_bit(self):
-        counters["read_bit"] += 1
-        return real_read_bit(self)
-
-    monkeypatch.setattr(codec, "read_trits", counting_read_trits)
-    monkeypatch.setattr(codec, "rank", counting_rank)
-    monkeypatch.setattr(BitReader, "read_bit", counting_read_bit)
-
-    decoded = decode(bits, model.letters, len(letters))
-    assert decoded == letters
-    # one codeword read and one computed index per letter, nothing else:
-    # no tree walk, no table search, at most two bit reads per trit
-    assert counters["read_trits"] == len(letters)
-    assert counters["rank"] == len(letters)
-    assert counters["read_bit"] == len(bits)
-    assert counters["read_bit"] <= 2 * n * len(letters)
-    _pass(10, f"decode used {counters['read_trits']} codeword reads, "
-              f"{counters['rank']} index computations, zero tree traversal")
+    decoded, stats = decode_with_stats(pack01(bits), model.letters,
+                                       len(letters), bit_length=len(bits))
+    assert decoded.tolist() == letters
+    # one codeword per letter, every index computed by n vector passes over
+    # the trits, nothing else: no tree walk, no table search, every bit
+    # consumed once and at most two bits per trit
+    assert stats.codewords == len(letters)
+    assert stats.windows == 1
+    assert stats.rank_passes == n
+    assert stats.bits_consumed == len(bits)
+    assert n * len(letters) <= stats.bits_consumed <= 2 * n * len(letters)
+    _pass(10, f"decode ranked {stats.codewords} codewords in "
+              f"{stats.rank_passes} vector passes, zero tree traversal")

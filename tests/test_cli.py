@@ -194,3 +194,18 @@ class TestBenchVerb:
 
     def test_unknown_verb(self):
         assert dispatch(["frobnicate"]) == EXIT_USAGE
+
+
+class TestHostileContainers:
+    @pytest.mark.parametrize("verb", ["decompress", "inspect"])
+    def test_one_line_errors(self, verb, oversized_claim, deeply_nested,
+                             tmp_path, capsys):
+        for blob, code in ((oversized_claim, EXIT_CORRUPT),
+                           (deeply_nested, EXIT_FORMAT)):
+            path = tmp_path / "hostile.btn"
+            path.write_bytes(blob)
+            args = [verb, str(path)] + ([str(tmp_path / "out")] if verb == "decompress" else [])
+            assert dispatch(args) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from tritcode.codebook import (
     generate_codes,
     group_params,
     rank,
+    rank_rows,
     read_trits,
     signature_total,
     trits_to_bits,
@@ -209,6 +211,38 @@ class TestRankUnrank:
     @given(st.integers(min_value=1, max_value=3**30))
     def test_roundtrip_large_set(self, index):
         assert rank(30, unrank(30, index)) == index
+
+
+def trit_rows(strings):
+    return np.array([[int(t) for t in s] for s in strings], dtype=np.int8)
+
+
+class TestRankRows:
+    def test_matches_rank_exhaustive_small(self):
+        for n in range(1, 8):
+            codes = generate_codes(n, 3**n)
+            got = rank_rows(n, trit_rows(cw.trits for cw in codes))
+            assert got.tolist() == [cw.index for cw in codes]
+
+    @pytest.mark.parametrize("n", [12, 21, 39])
+    def test_matches_rank_large_sets(self, n):
+        # 21 is the largest set a 32-bit alphabet power reaches; 39 is the
+        # largest whose indices fit an int64
+        rng = random.Random(n)
+        strings = ["0" * n, "1" * n, "2" * n] + [
+            "".join(rng.choice("012") for _ in range(n)) for _ in range(500)]
+        got = rank_rows(n, trit_rows(strings))
+        assert got.tolist() == [rank(n, s) for s in strings]
+        assert got[2] == 3**n
+
+    def test_empty_block(self):
+        assert rank_rows(4, np.empty((0, 4), dtype=np.int8)).size == 0
+
+    def test_rejects_bad_shape_and_set(self):
+        with pytest.raises(ValueError):
+            rank_rows(3, np.zeros((5, 4), dtype=np.int8))
+        with pytest.raises(ValueError):
+            rank_rows(40, np.zeros((1, 40), dtype=np.int8))
 
 
 class TestStructuralInvariants:

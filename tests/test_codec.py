@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,17 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritcode import codec
-from tritcode.bitio import BitReader
-from tritcode.codebook import Degenerate, generate_codes
+from tritcode.bitio import BitReader, pack01
+from tritcode.codebook import (
+    Degenerate,
+    code_set_for_alphabet,
+    generate_codes,
+    rank,
+    read_trits,
+)
 from tritcode.codec import (
     build_model,
     decode,
     decode_packed,
+    decode_with_stats,
     encode,
     encode_packed,
     payload_size,
 )
-from tritcode.errors import CorruptedDataError, TruncatedDataError
+from tritcode.container import split_letters
+from tritcode.errors import CorruptedDataError, TritcodeError, TruncatedDataError
 
 SAMPLE = "ABCDEEFFGGHHHIII"
 SAMPLE_LETTERS = [ord(c) for c in SAMPLE]
@@ -37,6 +46,55 @@ def naive_encode(letters, model):
         codes = generate_codes(model.code_set.n, model.m)
         table = {v: codes[r].bits for r, v in enumerate(model.letters)}
     return "".join(table[v] for v in letters)
+
+
+def scalar_decode(payload, alphabet, letter_count, bit_length=None):
+    """Oracle decoder: one codeword at a time through BitReader, read_trits
+    and rank, then the padding bit by bit. Returns (letters, bits used)."""
+    reader = BitReader(payload, bit_length)
+    m = len(alphabet)
+    if m == 0:
+        raise ValueError("alphabet must not be empty")
+    cs = code_set_for_alphabet(m)
+    ranks0 = []
+    if isinstance(cs, Degenerate):
+        ranks0 = [reader.read_bit() for _ in range(letter_count)]
+        if m == 1 and any(ranks0):
+            raise CorruptedDataError("single-letter stream contains a 1 bit")
+    else:
+        for i in range(letter_count):
+            idx = rank(cs.n, read_trits(reader, cs.n))
+            if idx > m:
+                raise CorruptedDataError(
+                    f"codeword index {idx} exceeds alphabet power {m} "
+                    f"(letter {i + 1} of {letter_count})"
+                )
+            ranks0.append(idx - 1)
+    used = reader.position
+    if reader.remaining >= 8:
+        raise CorruptedDataError(
+            f"{reader.remaining} bits of trailing data after the last codeword"
+        )
+    while reader.remaining:
+        if reader.read_bit():
+            raise CorruptedDataError("nonzero padding bit after the last codeword")
+    return [int(alphabet[r]) for r in ranks0], used
+
+
+def outcome(decoder, *args):
+    """Letters and bits used, or the exception class and message."""
+    try:
+        return decoder(*args)
+    except (TritcodeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def array_decode(*args):
+    letters, stats = decode_with_stats(*args)
+    assert stats.codewords == len(letters)
+    assert stats.bits_consumed + stats.padding_bits == (
+        len(args[0]) * 8 if args[3] is None else args[3])
+    return letters.tolist(), stats.bits_consumed
 
 
 def random_letters(rng, width, count):
@@ -244,52 +302,121 @@ class TestPackedForms:
 
 
 class TestInstrumentation:
-    def test_exactly_n_trit_reads_and_one_rank_per_codeword(self, monkeypatch):
+    def test_exactly_n_trit_reads_and_one_rank_per_codeword(self):
         rng = random.Random(8)
         letters = random_letters(rng, 8, 500)
         model = build_model(letters)
         n = model.code_set.n
         bits = encode(letters, model)
 
-        calls = {"read_trits": 0, "rank": 0}
-        real_read = codec.read_trits
-        real_rank = codec.rank
+        out, stats = decode_with_stats(pack01(bits), model.letters,
+                                       len(letters), bit_length=len(bits))
+        assert out.tolist() == letters
+        # one codeword per letter, all ranked by n vector passes over one
+        # window: the pass count does not grow with the letter count
+        assert stats.codewords == len(letters)
+        assert stats.windows == 1
+        assert stats.rank_passes == n
 
-        def counting_read(reader, nn):
-            calls["read_trits"] += 1
-            assert nn == n
-            return real_read(reader, nn)
-
-        def counting_rank(nn, trits):
-            calls["rank"] += 1
-            assert len(trits) == n
-            return real_rank(nn, trits)
-
-        monkeypatch.setattr(codec, "read_trits", counting_read)
-        monkeypatch.setattr(codec, "rank", counting_rank)
-        out = decode(bits, model.letters, len(letters))
-        assert out == letters
-        assert calls["read_trits"] == len(letters)
-        assert calls["rank"] == len(letters)
-
-    def test_at_most_two_bit_reads_per_trit(self, monkeypatch):
+    def test_at_most_two_bit_reads_per_trit(self):
         rng = random.Random(9)
         letters = random_letters(rng, 6, 400)
         model = build_model(letters)
         n = model.code_set.n
         bits = encode(letters, model)
 
-        counter = {"bits": 0}
-        real_read_bit = BitReader.read_bit
+        _, stats = decode_with_stats(pack01(bits), model.letters,
+                                     len(letters), bit_length=len(bits))
+        # every bit of the stream is consumed exactly once: between 1 and 2
+        # bits per trit, never more
+        assert stats.bits_consumed == len(bits)
+        assert stats.padding_bits == 0
+        assert stats.bits_consumed <= 2 * n * len(letters)
+        assert stats.bits_consumed >= n * len(letters)
 
-        def counting_read_bit(self):
-            counter["bits"] += 1
-            return real_read_bit(self)
+    def test_padded_payload_reports_padding(self):
+        model = build_model(SAMPLE_LETTERS)
+        payload, nbits = encode_packed(SAMPLE_LETTERS, model)
+        _, stats = decode_with_stats(payload, model.letters, len(SAMPLE_LETTERS))
+        assert (stats.bits_consumed, stats.padding_bits) == (49, 7)
 
-        monkeypatch.setattr(BitReader, "read_bit", counting_read_bit)
-        decode(bits, model.letters, len(letters))
-        # every bit of the stream is read exactly once: between 1 and 2
-        # bit inspections per trit, never more
-        assert counter["bits"] == len(bits)
-        assert counter["bits"] <= 2 * n * len(letters)
-        assert counter["bits"] >= n * len(letters)
+    def test_degenerate_alphabet_runs_no_rank_pass(self):
+        _, stats = decode_with_stats(pack01("0110"), [3, 5], 4)
+        assert stats == codec.DecodeStats(codewords=4, bits_consumed=4,
+                                          padding_bits=4, rank_passes=0,
+                                          windows=0)
+
+
+def _mutate(payload: bytes, data) -> tuple[bytes, int | None]:
+    """Flip, drop or append bits of a payload; pick a bit length for it."""
+    buf = bytearray(payload)
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        if buf:
+            pos = data.draw(st.integers(0, len(buf) * 8 - 1), label="flip")
+            buf[pos >> 3] ^= 0x80 >> (pos & 7)
+    cut = data.draw(st.integers(0, 3), label="cut bytes")
+    if cut:
+        del buf[-cut:]
+    buf += data.draw(st.binary(max_size=3), label="appended")
+    bit_length = data.draw(st.one_of(st.none(), st.integers(0, len(buf) * 8)),
+                           label="bit length")
+    return bytes(buf), bit_length
+
+
+letter_data = st.one_of(
+    st.binary(min_size=1, max_size=300),
+    # few distinct bytes: degenerate and small alphabets at every width
+    st.tuples(st.binary(min_size=1, max_size=3),
+              st.lists(st.integers(0, 2), min_size=1, max_size=200)).map(
+        lambda t: bytes(t[0][i % len(t[0])] for i in t[1])),
+)
+
+
+class TestDifferentialOracle:
+    """The array decoder against the scalar per-codeword loop."""
+
+    @given(letter_data, st.integers(min_value=1, max_value=32),
+           st.sampled_from([64, 1 << 16]), st.booleans(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scalar_decoder(self, data, width, window, mutate, draw):
+        letters, _ = split_letters(data, width)
+        model = build_model(letters)
+        payload, nbits = encode_packed(letters, model)
+        count = len(letters)
+        bit_length = None
+        if mutate:
+            payload, bit_length = _mutate(payload, draw)
+            count = draw.draw(st.one_of(st.integers(max(count - 2, 0), count + 3),
+                                        st.just(1 << 40)), label="count")
+        args = (payload, model.letters, count, bit_length)
+        expected = outcome(scalar_decode, *args)
+        with mock.patch.object(codec, "_WINDOW_BITS", window):
+            assert outcome(array_decode, *args) == expected
+        if not mutate:
+            assert expected == (letters.tolist(), nbits)
+
+    @pytest.mark.parametrize("width,seed", [(8, 1), (16, 2), (1, 3)])
+    def test_multi_window_payloads(self, width, seed):
+        rng = random.Random(seed)
+        if width == 8:  # word-like text: a small alphabet, short codewords
+            words = [bytes(rng.choice(b"etaoinshrdlu") for _ in range(rng.randint(1, 8)))
+                     for _ in range(300)]
+            data = b" ".join(rng.choice(words) for _ in range(8000))
+        else:  # about 10^4 letters at L=16 (n = 9); m = 2 at L=1
+            data = bytes(rng.getrandbits(8) for _ in range(24_000))
+        letters, _ = split_letters(data, width)
+        model = build_model(letters)
+        payload, nbits = encode_packed(letters, model)
+        assert nbits > 2 * codec._WINDOW_BITS
+        args = (payload, model.letters, len(letters), None)
+        _, stats = decode_with_stats(*args)
+        assert stats.windows > 2 or isinstance(model.code_set, Degenerate)
+        assert outcome(array_decode, *args) == (letters.tolist(), nbits)
+        for trial in range(4):
+            bad = bytearray(payload)
+            pos = rng.randrange(len(bad) * 8)
+            bad[pos >> 3] ^= 0x80 >> (pos & 7)
+            if trial % 2:
+                del bad[-rng.randint(1, 2000):]
+            args = (bytes(bad), model.letters, len(letters), None)
+            assert outcome(array_decode, *args) == outcome(scalar_decode, *args)

@@ -19,7 +19,12 @@ from tritcode.container import (
     serialize_header,
     split_letters,
 )
-from tritcode.errors import CorruptedDataError, FormatError, TritcodeError
+from tritcode.errors import (
+    CorruptedDataError,
+    FormatError,
+    TritcodeError,
+    TruncatedDataError,
+)
 
 SAMPLE = b"ABCDEEFFGGHHHIII"
 
@@ -314,3 +319,32 @@ class TestDecompressErrors:
         struct.pack_into("<Q", blob, 4, 128 + 64)
         with pytest.raises(TritcodeError):
             decompress(bytes(blob))
+
+
+class TestHostileContainers:
+    def test_size_claim_beyond_payload_is_truncation(self, oversized_claim):
+        # the claim asks for 2^37 letters; the 7-byte payload carries 28 at most
+        with pytest.raises(TruncatedDataError, match="bit stream exhausted"):
+            decompress(oversized_claim)
+        with pytest.raises(TruncatedDataError):
+            describe(oversized_claim)
+
+    def test_size_claim_keeps_index_error_first(self):
+        blob = bytearray(compress(b"ABCDE", 8))  # m = 5: set 2, indices 1..5
+        blob[HEADER_SIZE + 4 + 5] = 0xF0  # first codeword 1111 has index 9
+        struct.pack_into("<Q", blob, 4, 1 << 40)
+        with pytest.raises(CorruptedDataError,
+                           match=r"index 9 exceeds alphabet power 5 "
+                                 r"\(letter 1 of 137438953472\)"):
+            decompress(bytes(blob))
+
+    def test_one_level_packed_alphabet_is_accepted(self, nested_packed_alphabets):
+        assert decompress(nested_packed_alphabets(1)) == b"A"
+
+    @pytest.mark.parametrize("levels", [2, 3000])
+    def test_nested_packed_alphabet_is_rejected(self, levels, nested_packed_alphabets):
+        blob = nested_packed_alphabets(levels)
+        with pytest.raises(FormatError, match="nested inside a packed alphabet"):
+            decompress(blob)
+        with pytest.raises(FormatError):
+            describe(blob, decode_payload=False)
