@@ -102,16 +102,15 @@ class BitReader:
 
 def pack01(bits: str) -> bytes:
     """Pack a textual bit string into bytes, zero-padded on the right."""
-    w = BitWriter()
-    w.write01(bits)
-    return w.getvalue()
+    digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    if (digits > 1).any():
+        raise ValueError("bit string may hold only '0' and '1'")
+    return np.packbits(digits).tobytes()
 
 
 def unpack01(data: bytes, bit_length: int) -> str:
     """Render the first ``bit_length`` bits of ``data`` as a '0'/'1' string."""
-    if bit_length > len(data) * 8:
-        raise ValueError("bit_length exceeds buffer size")
-    out = []
-    for p in range(bit_length):
-        out.append("1" if (data[p >> 3] >> (7 - (p & 7))) & 1 else "0")
-    return "".join(out)
+    if not 0 <= bit_length <= len(data) * 8:
+        raise ValueError(f"bit_length {bit_length} outside 0..{len(data) * 8}")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=bit_length)
+    return (bits + ord("0")).tobytes().decode("ascii")

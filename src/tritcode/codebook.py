@@ -10,9 +10,10 @@ codeword containing z zeros occupies 2n - z bits.
 The list never has to be materialized: the position of a codeword in it
 (its 1-based index) is computable from the trits alone, and the inverse
 mapping recovers the trits from an index. Both directions run in O(n^2)
-integer operations; :func:`rank_rows` runs the same arithmetic over many
-codewords at once as numpy passes. Alphabets of one or two letters fall
-outside the scheme and are marked :class:`Degenerate`.
+integer operations; :func:`rank_rows` and :func:`unrank_rows` run the
+same arithmetic over many codewords at once as numpy passes. Alphabets of
+one or two letters fall outside the scheme and are marked
+:class:`Degenerate`.
 
 Everything here is exact integer arithmetic, no floats. All returned values
 are immutable; the module is safe for unrestricted concurrent use.
@@ -323,6 +324,77 @@ def unrank(n: int, index: int) -> str:
             i -= c
             out.append("2")
     return "".join(out)
+
+
+# Per-n branch tables for unrank_rows, built once and reused; see _unrank_steps.
+_branches: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _unrank_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables of :func:`unrank`: the group ends and starts, then the
+    branch sizes it compares the in-group offset with.
+
+    ``ends`` holds the last index of each group in list order (z = n down
+    to 0) and ``starts[z]`` the indices before group z. Row p of
+    ``zero_first`` and ``one_next``, entry ``zeros_left``, counts the
+    strings that place a 0 at position p, and those that place a 1 there.
+    """
+    cached = _branches.get(n)
+    if cached is not None:
+        return cached
+    counts, sizes, before = _ntables(n)
+    ends = np.cumsum([sizes[z] for z in range(n, -1, -1)], dtype=np.int64)
+    zero_first = np.zeros((n, n + 1), dtype=np.int64)
+    one_next = np.zeros((n, n + 1), dtype=np.int64)
+    for p in range(n):
+        rest = counts[n - 1 - p]
+        # zeros_left = n - p forces a 0 at p: rest[n - p - 1] is 1 and no
+        # string places a 1 there
+        for zeros_left in range(n - p + 1):
+            if zeros_left:
+                zero_first[p, zeros_left] = rest[zeros_left - 1]
+            if zeros_left < n - p:
+                one_next[p, zeros_left] = rest[zeros_left]
+    result = (ends, np.asarray(before, dtype=np.int64), zero_first, one_next)
+    for table in result:
+        table.setflags(write=False)
+    _branches[n] = result
+    return result
+
+
+def unrank_rows(n: int, indices: np.ndarray) -> np.ndarray:
+    """Trit rows of the codewords at 1-based ``indices`` of set ``n``.
+
+    The inverse of :func:`rank_rows`: a 1-D integer array of k indices gives
+    a (k, n) int8 block, row i holding ``unrank(n, indices[i])``. One
+    search over the group sizes picks each index's zero count, then n
+    vector passes, one per trit position, compare the in-group offset with
+    two table lookups each. Exact for n up to :data:`MAX_ARRAY_SET_NUMBER`.
+    """
+    if not 1 <= n <= MAX_ARRAY_SET_NUMBER:
+        raise ValueError(f"code set number must be in 1..{MAX_ARRAY_SET_NUMBER}, got {n}")
+    idx = np.asarray(indices)
+    if idx.ndim != 1:
+        raise ValueError(f"expected a 1-D index array, got shape {idx.shape}")
+    idx = idx.astype(np.int64, copy=False)
+    if idx.size and (int(idx.min()) < 1 or int(idx.max()) > 3**n):
+        raise ValueError(f"index must be in 1..3^{n}")
+    ends, starts, zero_first, one_next = _unrank_steps(n)
+    zeros_left = n - np.searchsorted(ends, idx, side="left")
+    offset = idx - 1
+    offset -= starts[zeros_left]
+    out = np.empty((n, idx.size), dtype=np.int8)  # one row per position
+    for p in range(n):
+        size = zero_first[p][zeros_left]
+        past_zero = offset >= size
+        offset -= size * past_zero
+        size = one_next[p][zeros_left]
+        past_one = offset >= size
+        past_one &= past_zero
+        offset -= size * past_one
+        np.add(past_zero, past_one, out=out[p], dtype=np.int8)
+        zeros_left -= ~past_zero
+    return out.T.copy()
 
 
 def code_length(n: int, index: int) -> int:

@@ -5,6 +5,15 @@ layer enforces the width). Pass one counts letter occurrences and ranks the
 alphabet by descending count; pass two swaps each letter for the codeword
 whose list index equals the letter's rank.
 
+Encoding needs no stored code table either. The codeword trits of ranks
+1..m come from :func:`~tritcode.codebook.unrank_rows`, n vector passes of
+group arithmetic, and each letter takes its row. The rows of a chunk of
+letters are expanded to bits in a few array passes: a trit t gives the bit
+t > 0 and, when t > 0, the bit t == 2, the j-th nonzero trit of the chunk
+starting j bits past its trit position. Chunks of a fixed number of trits
+bound the scratch memory; bits left over past a byte boundary carry into
+the next chunk.
+
 Decoding needs no code tree and no codeword table search. Every 0 bit ends
 a trit, so the trits of a bit window fall out of its zero positions: a 0
 after r ones closes r // 2 trits 2 and then a 1 (r odd) or a 0 (r even).
@@ -29,9 +38,9 @@ from .codebook import (
     CodeSet,
     Degenerate,
     code_set_for_alphabet,
-    generate_codes,
     group_params,
     rank_rows,
+    unrank_rows,
 )
 from .errors import CorruptedDataError, TruncatedDataError
 
@@ -40,6 +49,11 @@ from .errors import CorruptedDataError, TruncatedDataError
 # yields at least one codeword; its size caps the scan's scratch arrays
 # whatever the payload size.
 _WINDOW_BITS = 1 << 16
+
+# Trits the encoder expands at a time, in whole codewords. The chunk caps
+# the encoder's scratch arrays whatever the input size, as _WINDOW_BITS
+# does for the decoder.
+_CHUNK_TRITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,23 +91,20 @@ def build_model(letters) -> Model:
 
 
 def _rank0_of(model: Model, arr: np.ndarray) -> np.ndarray:
-    """0-based rank of every letter in ``arr``; rejects unknown letters."""
+    """0-based rank of every letter in ``arr``; rejects unknown letters.
+
+    Only the distinct letters are searched for in the model; each letter
+    then takes its rank through the inverse of :func:`numpy.unique`.
+    """
     values = np.asarray(model.letters, dtype=np.int64)
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     sorted_values = values[order]
-    pos = np.searchsorted(sorted_values, arr)
-    pos_clipped = np.minimum(pos, len(values) - 1)
-    if not np.array_equal(sorted_values[pos_clipped], arr):
-        bad = arr[sorted_values[pos_clipped] != arr][0]
-        raise ValueError(f"letter {int(bad)} absent from model")
-    return order[pos_clipped]
-
-
-def _signature_arrays(code_set: CodeSet, m: int) -> tuple[np.ndarray, np.ndarray]:
-    codes = generate_codes(code_set.n, m)
-    values = np.array([int(cw.bits, 2) for cw in codes], dtype=np.uint64)
-    lengths = np.array([len(cw.bits) for cw in codes], dtype=np.int64)
-    return values, lengths
+    distinct, inverse = np.unique(arr, return_inverse=True)
+    pos = np.minimum(np.searchsorted(sorted_values, distinct), len(values) - 1)
+    absent = sorted_values[pos] != distinct
+    if absent.any():
+        raise ValueError(f"letter {int(distinct[absent][0])} absent from model")
+    return order[pos][inverse]
 
 
 def encode_packed(letters, model: Model) -> tuple[bytes, int]:
@@ -114,28 +125,37 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
             return bytes((n_letters + 7) // 8), n_letters
         bits = _rank0_of(model, arr).astype(np.uint8)
         return np.packbits(bits).tobytes(), n_letters
-    if cs.n > 31:
-        # signatures no longer fit the vectorized 64-bit path
-        return _encode_packed_bigint(arr, model, cs)
     r0 = _rank0_of(model, arr)
-    code_values, code_lengths = _signature_arrays(cs, model.m)
-    lengths = code_lengths[r0]
-    offsets = np.cumsum(lengths) - lengths
-    total = int(lengths.sum())
-    values = code_values[r0]
-    out = np.zeros(total, dtype=np.uint8)
-    for j in range(int(lengths.max())):
-        live = lengths > j
-        shift = (lengths[live] - 1 - j).astype(np.uint64)
-        out[offsets[live] + j] = ((values[live] >> shift) & 1).astype(np.uint8)
-    return np.packbits(out).tobytes(), total
+    table = unrank_rows(cs.n, np.arange(1, model.m + 1))
+    step = max(1, _CHUNK_TRITS // cs.n)
+    out = bytearray()
+    carry = np.empty(0, dtype=np.uint8)
+    total = 0
+    for start in range(0, n_letters, step):
+        trits = np.take(table, r0[start:start + step], axis=0).reshape(-1)
+        bits = _expand_trits(trits, carry)
+        total += bits.size - carry.size
+        whole = bits.size & ~7
+        out += np.packbits(bits[:whole]).tobytes()
+        carry = bits[whole:]
+    out += np.packbits(carry).tobytes()
+    return bytes(out), total
 
 
-def _encode_packed_bigint(arr: np.ndarray, model: Model, cs: CodeSet) -> tuple[bytes, int]:
-    signatures = [cw.bits for cw in generate_codes(cs.n, model.m)]
-    r0 = _rank0_of(model, arr)
-    bits = "".join(signatures[r] for r in r0)
-    return pack01(bits), len(bits)
+def _expand_trits(trits: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The bits ``head`` followed by the bit signatures of ``trits``.
+
+    A trit t gives the bit t > 0 and, when t > 0, then the bit t == 2: the
+    inverse of :func:`_scan_trits`. The j-th nonzero trit, at position i,
+    starts at bit i + j, as each nonzero trit before it took one extra bit.
+    """
+    nonzero = np.flatnonzero(trits > 0)
+    bits = np.zeros(head.size + trits.size + nonzero.size, dtype=np.uint8)
+    bits[:head.size] = head
+    first = nonzero + np.arange(head.size, head.size + nonzero.size)
+    bits[first] = 1
+    bits[first[trits[nonzero] == 2] + 1] = 1
+    return bits
 
 
 def encode(letters, model: Model) -> str:

@@ -190,12 +190,16 @@ def _decompress_nested(nested: bytes, start: int) -> bytes:
     """Restore the letter bytes of a packed alphabet found at ``start``.
 
     The nested container must store its own alphabet raw, so this never
-    descends a second level however the input is built.
+    descends a second level however the input is built, and must use
+    L = 8, the width the letter bytes are compressed at.
     """
     header, m, offset = _parse_counts(nested)
     if header.alphabet_packed:
         raise FormatError("packed alphabet nested inside a packed alphabet",
                           offset=start + 2)
+    if header.letter_bits != 8:
+        raise FormatError(f"packed alphabet compressed at L = {header.letter_bits}, "
+                          f"not 8", offset=start + 3)
     if m == 0:
         return b""
     area, offset = _read_raw_alphabet(nested, offset, m, header)

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.optimize import minimize_scalar
-
 from .errors import CorruptedDataError
 
 
@@ -174,9 +172,22 @@ def continuous_minimum() -> tuple[float, float]:
     def f(b: float) -> float:
         return (b * b + b - 2.0) / (2.0 * b * math.log2(b))
 
-    res = minimize_scalar(f, bounds=(1.0 + 1e-9, 4.0), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x), float(res.fun)
+    # golden-section search; f is unimodal on the interval
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 1.0 + 1e-9, 4.0
+    a, b = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fa, fb = f(a), f(b)
+    while hi - lo > 1e-10:
+        if fa < fb:
+            hi, b, fb = b, a, fa
+            a = hi - inv_phi * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + inv_phi * (hi - lo)
+            fb = f(b)
+    x = (lo + hi) / 2.0
+    return x, f(x)
 
 
 def format_tabular(form: TabularForm) -> str:

@@ -62,3 +62,13 @@ def nested_packed_alphabets():
 @pytest.fixture
 def deeply_nested() -> bytes:
     return _nested_packed_alphabets(3000)
+
+
+@pytest.fixture
+def wide_nested_alphabet() -> bytes:
+    """A one-letter container whose packed alphabet is compressed at L = 16
+    instead of 8; every other field is valid. The nested width byte sits at
+    offset 23."""
+    nested = compress(b"A", 16)
+    header = serialize_header(Header(1, FLAG_PACKED_ALPHABET, 8, 8))
+    return header + struct.pack("<II", 1, len(nested)) + nested + b"\x00"

@@ -78,3 +78,9 @@ def test_write_bits_wide_values(chunks):
 def test_write01_rejects_other_characters():
     with pytest.raises(ValueError):
         BitWriter().write01("012")
+
+
+def test_pack01_rejects_other_characters():
+    for bits in ("012", "1 0", "10\u00e9"):
+        with pytest.raises(ValueError):
+            pack01(bits)

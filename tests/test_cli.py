@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,9 +203,10 @@ class TestBenchVerb:
 class TestHostileContainers:
     @pytest.mark.parametrize("verb", ["decompress", "inspect"])
     def test_one_line_errors(self, verb, oversized_claim, deeply_nested,
-                             tmp_path, capsys):
+                             wide_nested_alphabet, tmp_path, capsys):
         for blob, code in ((oversized_claim, EXIT_CORRUPT),
-                           (deeply_nested, EXIT_FORMAT)):
+                           (deeply_nested, EXIT_FORMAT),
+                           (wide_nested_alphabet, EXIT_FORMAT)):
             path = tmp_path / "hostile.btn"
             path.write_bytes(blob)
             args = [verb, str(path)] + ([str(tmp_path / "out")] if verb == "decompress" else [])
@@ -209,3 +214,12 @@ class TestHostileContainers:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    code = "import sys, tritcode.cli; print('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, cwd=tmp_path)
+    assert out.stdout.strip() == "False"

@@ -21,6 +21,7 @@ from tritcode.codebook import (
     signature_total,
     trits_to_bits,
     unrank,
+    unrank_rows,
 )
 from tritcode.errors import TruncatedDataError
 
@@ -243,6 +244,52 @@ class TestRankRows:
             rank_rows(3, np.zeros((5, 4), dtype=np.int8))
         with pytest.raises(ValueError):
             rank_rows(40, np.zeros((1, 40), dtype=np.int8))
+
+
+def trit_strings(block):
+    return ["".join(map(str, row)) for row in block.tolist()]
+
+
+def group_boundaries(n):
+    """1, 3^n, and each group's first index with its neighbours."""
+    starts = [sum(group_params(n, y).size for y in range(z + 1, n + 1))
+              for z in range(n, -1, -1)]
+    picks = {1, 3**n} | {s + d for s in starts for d in (-1, 0, 1)}
+    return np.array(sorted(i for i in picks if 1 <= i <= 3**n), dtype=np.int64)
+
+
+class TestUnrankRows:
+    def test_matches_unrank_exhaustive_small(self):
+        for n in range(1, 9):
+            idx = np.arange(1, 3**n + 1)
+            block = unrank_rows(n, idx)
+            assert block.shape == (3**n, n) and block.dtype == np.int8
+            assert trit_strings(block) == [unrank(n, i) for i in range(1, 3**n + 1)]
+            assert rank_rows(n, block).tolist() == idx.tolist()
+
+    @pytest.mark.parametrize("n", list(range(9, 22)) + [39])
+    def test_matches_unrank_at_group_boundaries(self, n):
+        # 21 is the largest set a 32-bit alphabet power reaches; 39 is the
+        # largest whose indices fit an int64
+        idx = group_boundaries(n)
+        block = unrank_rows(n, idx)
+        assert trit_strings(block) == [unrank(n, int(i)) for i in idx]
+        assert rank_rows(n, block).tolist() == idx.tolist()
+
+    def test_empty_and_unordered_indices(self):
+        assert unrank_rows(4, np.empty(0, dtype=np.int64)).shape == (0, 4)
+        idx = np.array([81, 1, 40, 1, 9])
+        assert trit_strings(unrank_rows(4, idx)) == [unrank(4, int(i)) for i in idx]
+
+    def test_rejects_bad_set_shape_and_index(self):
+        for n in (0, 40):
+            with pytest.raises(ValueError):
+                unrank_rows(n, np.array([1]))
+        with pytest.raises(ValueError):
+            unrank_rows(3, np.ones((2, 2), dtype=np.int64))
+        for bad in (0, 28, -5):
+            with pytest.raises(ValueError):
+                unrank_rows(3, np.array([1, bad]))
 
 
 class TestStructuralInvariants:

@@ -14,6 +14,7 @@ from tritcode.codebook import (
     generate_codes,
     rank,
     read_trits,
+    trits_to_bits,
 )
 from tritcode.codec import (
     build_model,
@@ -171,6 +172,48 @@ class TestEncode:
         model = build_model(SAMPLE_LETTERS)
         assert encode([], model) == ""
         assert encode_packed([], model) == (b"", 0)
+
+
+class TestArrayEncoder:
+    """The chunked array encoder against the string-concatenation oracle."""
+
+    @given(st.binary(min_size=1, max_size=600), st.integers(min_value=1, max_value=32),
+           st.sampled_from([1, 7, 64, 1 << 16]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_oracle(self, data, width, chunk):
+        letters, _ = split_letters(data, width)
+        model = build_model(letters)
+        with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
+            payload, nbits = encode_packed(letters, model)
+        expected = naive_encode(letters.tolist(), model)
+        assert (payload, nbits) == (pack01(expected), len(expected))
+        assert payload_size(model) == nbits
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 16])
+    def test_multi_chunk_input(self, chunk):
+        rng = random.Random(17)
+        data = bytes(rng.getrandbits(8) for _ in range(24_000))
+        letters, _ = split_letters(data, 16)  # about 1.2e4 letters, n = 9
+        model = build_model(letters)
+        assert letters.size * model.code_set.n > 1 << 16
+        with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
+            payload, nbits = encode_packed(letters, model)
+        expected = naive_encode(letters.tolist(), model)
+        assert (payload, nbits) == (pack01(expected), len(expected))
+        assert payload_size(model) == nbits
+
+    @pytest.mark.parametrize("n", [1, 5, 21])
+    def test_trit_expansion_inverts_scan(self, n):
+        # n = 21 gives the longest codewords a 32-bit alphabet can use
+        rng = random.Random(n)
+        strings = ["2" * n, "0" * n] + [
+            "".join(rng.choice("012") for _ in range(n)) for _ in range(200)]
+        trits = np.array([int(t) for t in "".join(strings)], dtype=np.int8)
+        head = np.array([1, 0, 1], dtype=np.uint8)
+        bits = codec._expand_trits(trits, head)
+        assert "".join(map(str, bits.tolist())) == (
+            "101" + "".join(trits_to_bits(w) for w in strings))
+        assert codec._scan_trits(bits[3:]).tolist() == trits.tolist()
 
 
 class TestPayloadSize:

@@ -341,6 +341,13 @@ class TestHostileContainers:
     def test_one_level_packed_alphabet_is_accepted(self, nested_packed_alphabets):
         assert decompress(nested_packed_alphabets(1)) == b"A"
 
+    def test_packed_alphabet_at_other_width_is_rejected(self, wide_nested_alphabet):
+        with pytest.raises(FormatError, match=r"compressed at L = 16, not 8 "
+                                              r"\(at byte offset 23\)"):
+            decompress(wide_nested_alphabet)
+        with pytest.raises(FormatError):
+            describe(wide_nested_alphabet, decode_payload=False)
+
     @pytest.mark.parametrize("levels", [2, 3000])
     def test_nested_packed_alphabet_is_rejected(self, levels, nested_packed_alphabets):
         blob = nested_packed_alphabets(levels)
