@@ -1,9 +1,15 @@
 """Static two-pass letter codec.
 
 Letters are plain unsigned ints (an L-bit slice of the input; the container
-layer enforces the width). Pass one counts letter occurrences and ranks the
-alphabet by descending count; pass two swaps each letter for the codeword
-whose list index equals the letter's rank.
+layer enforces the width). Pass one ranks the alphabet by descending count;
+pass two swaps each letter for the codeword whose list index equals the
+letter's rank.
+
+Pass one is a single stable sort of the letters, radix-sorted in 16-bit
+digits where they fit. The sorted run of each distinct letter gives its
+count and, as its first member, its first occurrence, which breaks ties
+between equal counts; every letter's run then gives its rank. The ranked
+alphabet and the rank of every letter thus come from the same sort.
 
 Encoding needs no stored code table either. The codeword trits of ranks
 1..m come from :func:`~tritcode.codebook.unrank_rows`, n vector passes of
@@ -76,35 +82,95 @@ def build_model(letters) -> Model:
     the model deterministic. The decoder does not depend on the tie rule:
     the ranked alphabet travels with the compressed stream.
     """
+    return _ranked(letters)[0]
+
+
+def encode_letters(letters) -> tuple[Model, np.ndarray, bytes, int]:
+    """:func:`build_model` and :func:`encode_packed` from one sort.
+
+    Returns the model, its ranked letters as an int64 array, the payload and
+    its exact bit count; the payload equals
+    ``encode_packed(letters, build_model(letters))``.
+    """
+    model, alphabet, ranks0 = _ranked(letters)
+    return (model, alphabet, *_pack_ranks(ranks0, model))
+
+
+def _ranked(letters) -> tuple[Model, np.ndarray, np.ndarray]:
+    """The model of ``letters``, its ranked letters as an array and the
+    0-based rank of every letter."""
     arr = np.asarray(letters, dtype=np.int64)
     if arr.size == 0:
         raise ValueError("cannot build a model from empty input")
     if arr.min() < 0:
         raise ValueError("letters must be unsigned integers")
-    values, first_pos, counts = np.unique(arr, return_index=True, return_counts=True)
-    order = np.lexsort((first_pos, -counts))
-    return Model(
-        letters=tuple(int(v) for v in values[order]),
-        counts=tuple(int(c) for c in counts[order]),
-        code_set=code_set_for_alphabet(len(values)),
-    )
+    values, first, counts, group = _sort_letters(arr)
+    # groups in order of first occurrence, then stably by descending count
+    by_first = np.argsort(first)
+    order = by_first[_stable_argsort(counts.max() - counts[by_first])]
+    rank_of = np.empty_like(order)
+    rank_of[order] = np.arange(order.size)
+    alphabet = values[order]
+    model = Model(letters=tuple(alphabet.tolist()),
+                  counts=tuple(counts[order].tolist()),
+                  code_set=code_set_for_alphabet(order.size))
+    return model, alphabet, rank_of[group]
+
+
+def _stable_argsort(arr: np.ndarray) -> np.ndarray:
+    """Stable argsort of a nonempty 1-D int64 array.
+
+    numpy radix-sorts 8- and 16-bit keys under ``kind="stable"`` but
+    merge-sorts wider ones, so values up to 16 bits are sorted in uint8 or
+    uint16, and values up to 32 bits as two 16-bit passes, the low half
+    first. Negative values and values beyond 32 bits are sorted as int64.
+    """
+    top = int(arr.max())
+    if arr.min() < 0 or top >> 32:
+        return np.argsort(arr, kind="stable")
+    if top >> 16 == 0:
+        return np.argsort(arr.astype(np.uint8 if top >> 8 == 0 else np.uint16),
+                          kind="stable")
+    low = np.argsort((arr & 0xFFFF).astype(np.uint16), kind="stable")
+    return low[np.argsort((arr[low] >> 16).astype(np.uint16), kind="stable")]
+
+
+def _sort_letters(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray, np.ndarray]:
+    """Distinct values of a nonempty letter array from one stable sort.
+
+    Returns the distinct values in ascending order (int64), the position
+    of each one's first occurrence, each one's count, and every letter's
+    group: the index of its value among the distinct values.
+    """
+    perm = _stable_argsort(arr)
+    ordered = arr[perm]
+    opens = np.empty(ordered.size, dtype=bool)
+    opens[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
+    starts = np.flatnonzero(opens)
+    group = np.empty(ordered.size, dtype=np.intp)
+    group[perm] = np.cumsum(opens) - 1
+    # the sort is stable, so each group opens with its first occurrence
+    return (ordered[starts], perm[starts],
+            np.diff(starts, append=ordered.size), group)
 
 
 def _rank0_of(model: Model, arr: np.ndarray) -> np.ndarray:
     """0-based rank of every letter in ``arr``; rejects unknown letters.
 
     Only the distinct letters are searched for in the model; each letter
-    then takes its rank through the inverse of :func:`numpy.unique`.
+    then takes its rank through its group.
     """
-    values = np.asarray(model.letters, dtype=np.int64)
-    order = np.argsort(values)
-    sorted_values = values[order]
-    distinct, inverse = np.unique(arr, return_inverse=True)
-    pos = np.minimum(np.searchsorted(sorted_values, distinct), len(values) - 1)
-    absent = sorted_values[pos] != distinct
+    known = np.asarray(model.letters, dtype=np.int64)
+    order = _stable_argsort(known)
+    sorted_known = known[order]
+    distinct, _, _, group = _sort_letters(arr)
+    pos = np.minimum(np.searchsorted(sorted_known, distinct), len(known) - 1)
+    absent = sorted_known[pos] != distinct
     if absent.any():
         raise ValueError(f"letter {int(distinct[absent][0])} absent from model")
-    return order[pos][inverse]
+    return order[pos][group]
 
 
 def encode_packed(letters, model: Model) -> tuple[bytes, int]:
@@ -116,23 +182,28 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     arr = np.asarray(letters, dtype=np.int64)
     if arr.size == 0:
         return b"", 0
-    n_letters = arr.size
+    if model.m == 1:
+        if int(arr.min()) != model.letters[0] or int(arr.max()) != model.letters[0]:
+            raise ValueError("letter absent from model")
+        return _pack_ranks(np.zeros(arr.size, dtype=np.intp), model)
+    return _pack_ranks(_rank0_of(model, arr), model)
+
+
+def _pack_ranks(ranks0: np.ndarray, model: Model) -> tuple[bytes, int]:
+    """Packed payload and bit count of letters with 0-based ranks ``ranks0``."""
+    n_letters = ranks0.size
     cs = model.code_set
     if isinstance(cs, Degenerate):
         if cs.m == 1:
-            if int(arr.min()) != model.letters[0] or int(arr.max()) != model.letters[0]:
-                raise ValueError("letter absent from model")
             return bytes((n_letters + 7) // 8), n_letters
-        bits = _rank0_of(model, arr).astype(np.uint8)
-        return np.packbits(bits).tobytes(), n_letters
-    r0 = _rank0_of(model, arr)
+        return np.packbits(ranks0.astype(np.uint8)).tobytes(), n_letters
     table = unrank_rows(cs.n, np.arange(1, model.m + 1))
     step = max(1, _CHUNK_TRITS // cs.n)
     out = bytearray()
     carry = np.empty(0, dtype=np.uint8)
     total = 0
     for start in range(0, n_letters, step):
-        trits = np.take(table, r0[start:start + step], axis=0).reshape(-1)
+        trits = np.take(table, ranks0[start:start + step], axis=0).reshape(-1)
         bits = _expand_trits(trits, carry)
         total += bits.size - carry.size
         whole = bits.size & ~7

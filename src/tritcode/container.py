@@ -124,9 +124,9 @@ def join_letters(letters, letter_bits: int, original_bit_length: int) -> bytes:
 def _letter_width_bytes(letter_bits: int) -> int:
     return (letter_bits + 7) // 8
 
-def _pack_alphabet(letters, letter_bits: int) -> bytes:
+def _pack_alphabet(letters: np.ndarray, letter_bits: int) -> bytes:
     width = _letter_width_bytes(letter_bits)
-    arr = np.asarray(letters, dtype="<u4")
+    arr = letters.astype("<u4")
     return arr.view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
 
 
@@ -145,9 +145,8 @@ def compress(data: bytes, letter_bits: int = 8, *,
     if letters.size == 0:
         header = Header(VERSION, 0, letter_bits, 0)
         return serialize_header(header) + struct.pack("<I", 0)
-    model = codec.build_model(letters)
-    payload, _ = codec.encode_packed(letters, model)
-    alphabet_area = _pack_alphabet(model.letters, letter_bits)
+    model, alphabet, payload, _ = codec.encode_letters(letters)
+    alphabet_area = _pack_alphabet(alphabet, letter_bits)
     flags = 0
     if compress_alphabet:
         nested = compress(alphabet_area, 8)
@@ -213,7 +212,8 @@ def _check_alphabet(area: bytes, m: int, header: Header,
     if header.letter_bits < 32 and letters.size and int(letters.max()) >> header.letter_bits:
         raise FormatError(f"alphabet letter wider than {header.letter_bits} bits",
                           offset=offset)
-    if len(np.unique(letters)) != m:
+    ordered = np.sort(letters)
+    if (ordered[1:] == ordered[:-1]).any():
         raise FormatError("alphabet contains duplicate letters", offset=offset)
     return letters
 
@@ -309,7 +309,7 @@ def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
         header=header,
         m=m,
         n=n,
-        letters=tuple(int(v) for v in letters) if letters is not None else (),
+        letters=tuple(letters.tolist()) if letters is not None else (),
         letter_count=letter_count if m else 0,
         alphabet_block_bytes=offset - HEADER_SIZE,
         payload_bytes=payload_bytes,

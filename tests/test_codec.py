@@ -82,6 +82,37 @@ def scalar_decode(payload, alphabet, letter_count, bit_length=None):
     return [int(alphabet[r]) for r in ranks0], used
 
 
+def oracle_build_model(letters):
+    """Oracle model: np.unique with first positions, then a lexsort by
+    descending count and first occurrence."""
+    arr = np.asarray(letters, dtype=np.int64)
+    if arr.size == 0:
+        raise ValueError("cannot build a model from empty input")
+    if arr.min() < 0:
+        raise ValueError("letters must be unsigned integers")
+    values, first_pos, counts = np.unique(arr, return_index=True, return_counts=True)
+    order = np.lexsort((first_pos, -counts))
+    return codec.Model(
+        letters=tuple(int(v) for v in values[order]),
+        counts=tuple(int(c) for c in counts[order]),
+        code_set=code_set_for_alphabet(len(values)),
+    )
+
+
+def oracle_rank0_of(model, arr):
+    """Oracle ranks: search the model for np.unique's distinct letters and
+    map every letter through the inverse."""
+    values = np.asarray(model.letters, dtype=np.int64)
+    order = np.argsort(values)
+    sorted_values = values[order]
+    distinct, inverse = np.unique(arr, return_inverse=True)
+    pos = np.minimum(np.searchsorted(sorted_values, distinct), len(values) - 1)
+    absent = sorted_values[pos] != distinct
+    if absent.any():
+        raise ValueError(f"letter {int(distinct[absent][0])} absent from model")
+    return order[pos][inverse.reshape(-1)]
+
+
 def outcome(decoder, *args):
     """Letters and bits used, or the exception class and message."""
     try:
@@ -134,6 +165,69 @@ class TestBuildModel:
             build_model([])
         with pytest.raises(ValueError):
             build_model([-1, 0])
+
+
+# letters at every width, at the edges of the sort's key dtypes, beyond 32
+# bits, with heavy ties, and from one- and two-letter alphabets
+EDGE_VALUES = [0, 1, 254, 255, 256, 257, 65_534, 65_535, 65_536, 65_537,
+               2**32 - 2, 2**32 - 1]
+model_letters = st.one_of(
+    st.integers(1, 32).flatmap(
+        lambda width: st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=200)),
+    st.lists(st.sampled_from(EDGE_VALUES), min_size=1, max_size=200),
+    st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.integers(2**32, 2**63 - 1)),
+             min_size=1, max_size=100),
+    st.tuples(st.lists(st.integers(0, 2**32 + 5), min_size=1, max_size=12, unique=True),
+              st.integers(1, 20)).flatmap(
+        lambda t: st.permutations(t[0] * t[1])),
+    st.tuples(st.integers(0, 2**33), st.integers(0, 2**33)).flatmap(
+        lambda pair: st.lists(st.sampled_from(pair), min_size=1, max_size=100)),
+)
+
+
+class TestOneSortModel:
+    """The single-sort model and ranks against the np.unique oracles."""
+
+    @given(model_letters)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_unique_oracle(self, letters):
+        arr = np.array(letters, dtype=np.int64)
+        model = build_model(arr)
+        assert model == oracle_build_model(arr)
+        assert all(type(v) is int for v in model.letters + model.counts)
+        assert codec._rank0_of(model, arr).tolist() == oracle_rank0_of(model, arr).tolist()
+        got, alphabet, payload, nbits = codec.encode_letters(letters)
+        assert got == model
+        assert alphabet.dtype == np.int64 and alphabet.tolist() == list(model.letters)
+        assert (payload, nbits) == encode_packed(arr, model)
+
+    @given(model_letters, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_unknown_and_negative_letters(self, letters, data):
+        model = build_model(letters)
+        strange = st.one_of(st.integers(-2**40, -1), st.integers(0, 2**40),
+                            st.sampled_from([-1, 255, 256, 65_535, 65_536, 2**32 - 1]))
+        probe = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(model.letters), strange), min_size=1, max_size=60),
+            label="probe"), dtype=np.int64)
+
+        def ranks(rank0_of):
+            return outcome(lambda: rank0_of(model, probe).tolist())
+
+        assert ranks(codec._rank0_of) == ranks(oracle_rank0_of)
+        assert outcome(build_model, probe) == outcome(oracle_build_model, probe)
+
+    def test_rejections_name_the_letter(self):
+        model = build_model([3, 300, 3])
+        with pytest.raises(ValueError, match="^letter -7 absent from model$"):
+            codec._rank0_of(model, np.array([3, 70_000, -7]))
+        with pytest.raises(ValueError, match="^letter 70000 absent from model$"):
+            codec._rank0_of(model, np.array([3, 70_000, 300]))
+        for fn in (build_model, codec.encode_letters):
+            with pytest.raises(ValueError, match="^letters must be unsigned integers$"):
+                fn([5, -1])
+            with pytest.raises(ValueError, match="^cannot build a model from empty input$"):
+                fn([])
 
 
 class TestEncode:

@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tritcode import codec
 from tritcode.container import (
+    FLAG_PACKED_ALPHABET,
     HEADER_SIZE,
     MAGIC,
     Header,
@@ -136,6 +138,22 @@ class TestLetterSegmentation:
             split_letters(b"x", 33)
 
 
+def composed(data: bytes, width: int, compress_alphabet: bool = False) -> bytes:
+    """Oracle container: docs/format.md assembled around build_model and
+    encode_packed, nesting a packed alphabet the same way."""
+    letters, nbits = split_letters(data, width)
+    model = codec.build_model(letters)
+    payload, _ = codec.encode_packed(letters, model)
+    area = b"".join(v.to_bytes(4, "little")[:(width + 7) // 8] for v in model.letters)
+    flags = 0
+    if compress_alphabet:
+        nested = composed(area, 8)
+        if len(nested) + 4 < len(area):
+            area, flags = struct.pack("<I", len(nested)) + nested, FLAG_PACKED_ALPHABET
+    return b"".join([serialize_header(Header(1, flags, width, nbits)),
+                     struct.pack("<I", model.m), area, payload])
+
+
 class TestCompress:
     def test_empty_input_is_sixteen_bytes(self):
         blob = compress(b"", 8)
@@ -166,6 +184,13 @@ class TestCompress:
             expected = 12 + 4 + model.m * ((width + 7) // 8) \
                 + (payload_bits + 7) // 8
             assert len(blob) == expected
+
+    @given(st.binary(min_size=1, max_size=400), st.integers(min_value=1, max_value=32),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_model_and_encoder_composition(self, data, width, compress_alphabet):
+        assert compress(data, width, compress_alphabet=compress_alphabet) == \
+            composed(data, width, compress_alphabet)
 
     def test_deterministic(self):
         rng = random.Random(23)
@@ -355,3 +380,99 @@ class TestHostileContainers:
             decompress(blob)
         with pytest.raises(FormatError):
             describe(blob, decode_payload=False)
+
+
+def _duplicate_letter(blob: bytes, rng: random.Random) -> bytes:
+    """``blob`` with one alphabet letter copied over another; a packed
+    alphabet is recompressed around the duplicated letter bytes."""
+    header = parse_header(blob)
+    (m,) = struct.unpack_from("<I", blob, HEADER_SIZE)
+    width = (header.letter_bits + 7) // 8
+    start = HEADER_SIZE + 4
+    if header.alphabet_packed:
+        (nested_len,) = struct.unpack_from("<I", blob, start)
+        area = bytearray(decompress(blob[start + 4:start + 4 + nested_len]))
+        tail = blob[start + 4 + nested_len:]
+    else:
+        area, tail = bytearray(blob[start:start + m * width]), blob[start + m * width:]
+    src, dst = rng.sample(range(m), 2)
+    area[dst * width:(dst + 1) * width] = area[src * width:(src + 1) * width]
+    if header.alphabet_packed:
+        nested = compress(bytes(area), 8)
+        area = struct.pack("<I", len(nested)) + nested
+    return blob[:start] + bytes(area) + tail
+
+
+def _mutate_container(blob: bytes, rng: random.Random,
+                      kinds=("flip", "truncate", "bit length", "power", "duplicate"),
+                      ) -> tuple[str, bytes]:
+    """One mutation of a whole container; all but flips and truncations
+    need ``blob`` to be a valid container."""
+    kind = rng.choice(kinds)
+    buf = bytearray(blob)
+    if kind == "flip":
+        for _ in range(rng.randint(1, 3)):
+            buf[rng.randrange(len(buf))] ^= rng.randint(1, 255)
+    elif kind == "truncate":
+        del buf[rng.randrange(len(buf)):]
+    elif kind == "bit length":
+        (nbits,) = struct.unpack_from("<Q", buf, 4)
+        claim = rng.choice([0, 1, 7, 8, nbits - 8, nbits + 8, nbits * 2, nbits * 2**20,
+                            1 << 40, 2**64 - 1, rng.getrandbits(64)])
+        struct.pack_into("<Q", buf, 4, claim % 2**64)
+    elif kind == "power":
+        (m,) = struct.unpack_from("<I", buf, HEADER_SIZE)
+        L = buf[3]
+        claim = rng.choice([0, 1, 2, 3, m - 1, m + 1, 2 * m, min(2**L, 2**32 - 1),
+                            2**32 - 1, rng.getrandbits(32)])
+        struct.pack_into("<I", buf, HEADER_SIZE, claim % 2**32)
+    else:
+        buf = bytearray(_duplicate_letter(blob, rng))
+    return kind, bytes(buf)
+
+
+class TestMutationFuzz:
+    """Seeded whole-container mutations: every failure is a TritcodeError,
+    and no header field drives an allocation beyond what the input holds."""
+
+    @pytest.fixture(scope="class")
+    def sources(self) -> list[bytes]:
+        rng = random.Random(2012)
+        text = bytes(rng.choice(b"etaoin shrdlu\n") for _ in range(4000))
+        noise = bytes(rng.getrandbits(8) for _ in range(400))
+        blobs = [compress(noise, 1), compress(text, 8), compress(noise, 16),
+                 compress(noise, 32), compress(text, 16, compress_alphabet=True)]
+        assert parse_header(blobs[-1]).alphabet_packed
+        return blobs
+
+    def test_duplicate_letters_are_rejected(self, sources):
+        rng = random.Random(1)
+        for blob in sources:
+            for _ in range(5):
+                with pytest.raises(FormatError, match="duplicate letters"):
+                    decompress(_duplicate_letter(blob, rng))
+
+    def test_failures_are_tritcode_errors(self, sources):
+        rng = random.Random(4242)
+        tracemalloc.start()
+        try:
+            for index, blob in enumerate(sources):
+                for trial in range(150):
+                    kind, mutated = _mutate_container(blob, rng)
+                    if rng.random() < 0.3:
+                        more, mutated = _mutate_container(mutated, rng, ("flip", "truncate"))
+                        kind += ", " + more
+                    tracemalloc.reset_peak()
+                    for check in (decompress, describe,
+                                  lambda b: describe(b, decode_payload=False)):
+                        try:
+                            check(mutated)
+                        except TritcodeError:
+                            pass
+                        except Exception as exc:  # report the case, then fail
+                            pytest.fail(f"source {index} trial {trial} ({kind}): "
+                                        f"{type(exc).__name__}: {exc}")
+                    peak = tracemalloc.get_traced_memory()[1]
+                    assert peak < (1 << 20) + 1000 * len(mutated), (index, trial, kind)
+        finally:
+            tracemalloc.stop()
