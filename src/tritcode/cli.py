@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Thin wrappers only: every verb calls straight into the library and prints.
-Exit codes: 0 success, 2 usage, 3 I/O, 4 malformed container, 5 corrupted
-or truncated data.
+Exit codes: 0 success, 1 internal error, 2 usage, 3 I/O, 4 malformed
+container, 5 corrupted or truncated data.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from . import bench, codebook, container, numeral
 from .errors import CorruptedDataError, FormatError
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_FORMAT = 4
@@ -225,6 +226,10 @@ def dispatch(argv: list[str]) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a fault of the program, not of its input
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

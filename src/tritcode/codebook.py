@@ -11,9 +11,11 @@ The list never has to be materialized: the position of a codeword in it
 (its 1-based index) is computable from the trits alone, and the inverse
 mapping recovers the trits from an index. Both directions run in O(n^2)
 integer operations; :func:`rank_rows` and :func:`unrank_rows` run the
-same arithmetic over many codewords at once as numpy passes. Alphabets of
-one or two letters fall outside the scheme and are marked
-:class:`Degenerate`.
+same arithmetic over many codewords at once as numpy passes. The encoder
+needs only the bits: :func:`signature_table` gives the signatures of the
+first m codewords as (value, length) integer pairs, built group by group in
+n array passes with no sort. Alphabets of one or two letters fall outside
+the scheme and are marked :class:`Degenerate`.
 
 Everything here is exact integer arithmetic, no floats. All returned values
 are immutable; the module is safe for unrestricted concurrent use.
@@ -33,6 +35,8 @@ from .bitio import BitReader
 MAX_SET_NUMBER = 40
 # Largest set whose indices (up to 3^n) fit an int64: 3^39 < 2^63 < 3^40.
 MAX_ARRAY_SET_NUMBER = 39
+# Largest set whose signatures (up to 2n bits) fit a uint64.
+MAX_SIGNATURE_SET_NUMBER = 32
 
 _TRIT_BITS = {"0": "0", "1": "10", "2": "11"}
 
@@ -395,6 +399,45 @@ def unrank_rows(n: int, indices: np.ndarray) -> np.ndarray:
         np.add(past_zero, past_one, out=out[p], dtype=np.int8)
         zeros_left -= ~past_zero
     return out.T.copy()
+
+
+def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit signatures of the first ``m`` codewords of set ``n`` as integers.
+
+    Entry i - 1 of the uint64 array holds the signature of list index i as a
+    binary number, its first bit most significant, and entry i - 1 of the
+    uint8 array its length in bits. The strings are grown from the last trit
+    position to the first, kept in buckets by their count j of nonzero
+    trits, lexicographically ordered inside each bucket and all p + j bits
+    long after p positions. Bucket j then grows into the strings with a
+    leading 0 from bucket j, then those with a leading 1 (bits 10) and a
+    leading 2 (bits 11) from bucket j - 1: three contiguous blocks, each one
+    OR with a constant. The finished buckets j = 0, 1, ... are the groups in
+    list order, so no sort is needed. Buckets past the last group that the
+    first ``m`` codewords reach are never built, so the table holds at most
+    3^n entries, fewer than 3m for the set that covers an alphabet of m
+    letters.
+    """
+    if not 1 <= n <= MAX_SIGNATURE_SET_NUMBER:
+        raise ValueError(
+            f"code set number must be in 1..{MAX_SIGNATURE_SET_NUMBER}, got {n}")
+    if not 1 <= m <= 3**n:
+        raise ValueError(f"code count must be in 1..3^{n}, got {m}")
+    ends, _, _, _ = _unrank_steps(n)
+    # the last group reached has n - k zeros, so k nonzero trits
+    k = int(np.searchsorted(ends, m, side="left"))
+    buckets = [np.zeros(1, dtype=np.uint64)]  # the empty string
+    for p in range(n):
+        grown = buckets[:1]  # a leading 0 leaves the all-zero value at 0
+        for j in range(1, min(p + 1, k) + 1):
+            shorter = buckets[j - 1]  # p + j - 1 bits
+            grown.append(np.concatenate(
+                buckets[j:j + 1] + [shorter | np.uint64(2 << (p + j - 1)),
+                                    shorter | np.uint64(3 << (p + j - 1))]))
+        buckets = grown
+    lengths = np.repeat(np.arange(n, n + k + 1, dtype=np.uint8),
+                        [b.size for b in buckets])
+    return np.concatenate(buckets)[:m], lengths[:m]
 
 
 def code_length(n: int, index: int) -> int:

@@ -11,14 +11,17 @@ count and, as its first member, its first occurrence, which breaks ties
 between equal counts; every letter's run then gives its rank. The ranked
 alphabet and the rank of every letter thus come from the same sort.
 
-Encoding needs no stored code table either. The codeword trits of ranks
-1..m come from :func:`~tritcode.codebook.unrank_rows`, n vector passes of
-group arithmetic, and each letter takes its row. The rows of a chunk of
-letters are expanded to bits in a few array passes: a trit t gives the bit
-t > 0 and, when t > 0, the bit t == 2, the j-th nonzero trit of the chunk
-starting j bits past its trit position. Chunks of a fixed number of trits
-bound the scratch memory; bits left over past a byte boundary carry into
-the next chunk.
+Encoding needs no stored code table either, and never looks at a trit.
+Each codeword is an integer and a bit length, and
+:func:`~tritcode.codebook.signature_table` gives both for ranks 1..m in n
+array passes; each letter gathers its pair. A codeword of set n has at
+most 2n bits, so g = 64 // (2n) consecutive codewords fuse into one field
+of at most 64 bits by g shift-or passes. The running sum of field lengths
+places each field in a stream of big-endian 64-bit words: fields that end
+in the same word are ORed into it together, and a field that began in the
+word before ORs its high bits into that one. Chunks of whole fields, about
+a fixed number of trits each, bound the scratch memory; the partial last
+word of a chunk carries into the next.
 
 Decoding needs no code tree and no codeword table search. Every 0 bit ends
 a trit, so the trits of a bit window fall out of its zero positions: a 0
@@ -26,7 +29,8 @@ after r ones closes r // 2 trits 2 and then a 1 (r odd) or a 0 (r even).
 Grouped n at a time, the trits give each codeword's list index by
 :func:`~tritcode.codebook.rank_rows`, n vector passes over the block, and
 the index picks the letter. Windows of a fixed number of bits, each
-starting on a codeword boundary, bound the scratch memory.
+starting on a codeword boundary and unpacking only the payload bytes it
+covers, bound the scratch memory.
 
 One- and two-letter alphabets bypass the ternary scheme: with two letters
 each letter is its rank bit, with one letter every occurrence is a '0' bit
@@ -46,19 +50,19 @@ from .codebook import (
     code_set_for_alphabet,
     group_params,
     rank_rows,
-    unrank_rows,
+    signature_table,
 )
 from .errors import CorruptedDataError, TruncatedDataError
 
 # Bits the decoder scans at a time. A window must hold more than the longest
 # codeword (2n bits, at most 42 for a 32-bit alphabet) so that each one
-# yields at least one codeword; its size caps the scan's scratch arrays
-# whatever the payload size.
+# yields at least one codeword; its size caps the decoder's scratch arrays,
+# the unpacked bits included, whatever the payload size.
 _WINDOW_BITS = 1 << 16
 
-# Trits the encoder expands at a time, in whole codewords. The chunk caps
-# the encoder's scratch arrays whatever the input size, as _WINDOW_BITS
-# does for the decoder.
+# Trits the encoder packs at a time (n per codeword), in whole fields of g
+# codewords. The chunk caps the encoder's scratch arrays whatever the input
+# size, as _WINDOW_BITS does for the decoder.
 _CHUNK_TRITS = 1 << 16
 
 
@@ -197,36 +201,63 @@ def _pack_ranks(ranks0: np.ndarray, model: Model) -> tuple[bytes, int]:
         if cs.m == 1:
             return bytes((n_letters + 7) // 8), n_letters
         return np.packbits(ranks0.astype(np.uint8)).tobytes(), n_letters
-    table = unrank_rows(cs.n, np.arange(1, model.m + 1))
-    step = max(1, _CHUNK_TRITS // cs.n)
+    values, lengths = signature_table(cs.n, model.m)
+    # rank m: an empty codeword that pads the last field
+    values = np.append(values, np.uint64(0))
+    lengths = np.append(lengths, np.uint8(0)).astype(np.uint64)
+    g = 64 // (2 * cs.n)  # codewords per field
+    step = g * max(1, _CHUNK_TRITS // (cs.n * g))
     out = bytearray()
-    carry = np.empty(0, dtype=np.uint8)
-    total = 0
+    carry, carry_bits = np.uint64(0), 0
     for start in range(0, n_letters, step):
-        trits = np.take(table, ranks0[start:start + step], axis=0).reshape(-1)
-        bits = _expand_trits(trits, carry)
-        total += bits.size - carry.size
-        whole = bits.size & ~7
-        out += np.packbits(bits[:whole]).tobytes()
-        carry = bits[whole:]
-    out += np.packbits(carry).tobytes()
+        ranks = ranks0[start:start + step]
+        if ranks.size % g:
+            ranks = np.append(ranks, np.full(-ranks.size % g, model.m))
+        fields = ranks.reshape(-1, g).T  # row j: the j-th codeword of each field
+        words, carry, carry_bits = _pack_words(values[fields], lengths[fields],
+                                               carry, carry_bits)
+        out += words.astype(">u8").tobytes()
+    total = len(out) * 8 + carry_bits
+    out += int(carry).to_bytes(8, "big")[:(carry_bits + 7) // 8]
     return bytes(out), total
 
 
-def _expand_trits(trits: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """The bits ``head`` followed by the bit signatures of ``trits``.
+def _pack_words(values: np.ndarray, lengths: np.ndarray, carry: np.uint64,
+                carry_bits: int) -> tuple[np.ndarray, np.uint64, int]:
+    """64-bit words holding the top ``carry_bits`` bits of ``carry``, then
+    the codewords ``values`` of bit lengths ``lengths``.
 
-    A trit t gives the bit t > 0 and, when t > 0, then the bit t == 2: the
-    inverse of :func:`_scan_trits`. The j-th nonzero trit, at position i,
-    starts at bit i + j, as each nonzero trit before it took one extra bit.
+    Both are (g, k) uint64 arrays: column f holds the g codewords that fuse,
+    first to last, into field f of at most 64 bits. The running sum of field
+    lengths gives the end of each field: fields that end in the same word
+    are ORed into it together, and a field that began in the word before
+    ORs its high bits into that one. Returns the whole words, then the
+    partial last word and its bit count, which the next call takes as its
+    carry.
     """
-    nonzero = np.flatnonzero(trits > 0)
-    bits = np.zeros(head.size + trits.size + nonzero.size, dtype=np.uint8)
-    bits[:head.size] = head
-    first = nonzero + np.arange(head.size, head.size + nonzero.size)
-    bits[first] = 1
-    bits[first[trits[nonzero] == 2] + 1] = 1
-    return bits
+    field = values[0].copy()
+    for j in range(1, values.shape[0]):
+        field <<= lengths[j]
+        field |= values[j]
+    size = lengths.sum(axis=0, dtype=np.int64)
+    end = np.cumsum(size)
+    end += carry_bits
+    word = (end - 1) >> 6
+    shift = -end & 63  # from the field's last bit to the word's last bit
+    total = int(end[-1])
+    words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+    words[0] = carry
+    opens = np.empty(word.size, dtype=bool)
+    opens[0] = True
+    np.not_equal(word[1:], word[:-1], out=opens[1:])
+    opens = np.flatnonzero(opens)
+    words[word[opens]] |= np.bitwise_or.reduceat(field << shift.astype(np.uint64), opens)
+    spill = np.flatnonzero(size + shift > 64)
+    words[word[spill] - 1] |= field[spill] >> (64 - shift[spill]).astype(np.uint64)
+    whole = total >> 6
+    if total & 63:
+        return words[:whole], words[whole], total & 63
+    return words, np.uint64(0), 0
 
 
 def encode(letters, model: Model) -> str:
@@ -282,7 +313,9 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
     Errors come in stream order: an index beyond the alphabet (reported with
     its 1-based letter position), the stream ending before the last
     codeword, then eight or more trailing bits or a nonzero padding bit.
-    Memory is bounded by the payload, not by ``letter_count``.
+    The letters are bounded by the payload, not by ``letter_count``, and
+    scratch memory by the window size: each window unpacks only the payload
+    bytes it covers.
     """
     if bit_length is None:
         bit_length = len(payload) * 8
@@ -293,43 +326,58 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
         raise ValueError("alphabet must not be empty")
     if letter_count < 0:
         raise ValueError("letter count must be non-negative")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=bit_length)
+    buf = np.frombuffer(payload, dtype=np.uint8)
+    alphabet = np.asarray(alphabet, dtype=np.int64)
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
         if letter_count > bit_length:
             raise TruncatedDataError("bit stream exhausted")
-        ranks0 = bits[:letter_count]
-        if m == 1 and ranks0.any():
-            raise CorruptedDataError("single-letter stream contains a 1 bit")
+        letters = np.empty(letter_count, dtype=np.int64)
+        for start in range(0, letter_count, _WINDOW_BITS):
+            ranks0 = _bits(buf, start, min(start + _WINDOW_BITS, letter_count))
+            if m == 1 and ranks0.any():
+                raise CorruptedDataError("single-letter stream contains a 1 bit")
+            # the first letter, plus the gap to the last one for each 1 bit
+            window = letters[start:start + ranks0.size]
+            np.multiply(ranks0, alphabet[-1] - alphabet[0], out=window,
+                        dtype=np.int64)
+            window += alphabet[0]
         used, passes, windows = letter_count, 0, 0
     else:
-        ranks0, used, passes, windows = _decode_ranks(bits, cs.n, m, letter_count)
-    letters = np.asarray(alphabet, dtype=np.int64)[ranks0]
+        letters, used, passes, windows = _decode_letters(
+            buf, bit_length, cs.n, alphabet, letter_count)
     trailing = bit_length - used
     if trailing >= 8:
         raise CorruptedDataError(
             f"{trailing} bits of trailing data after the last codeword"
         )
-    if bits[used:].any():
+    if _bits(buf, used, bit_length).any():
         raise CorruptedDataError("nonzero padding bit after the last codeword")
-    return letters, DecodeStats(codewords=len(ranks0), bits_consumed=used,
+    return letters, DecodeStats(codewords=len(letters), bits_consumed=used,
                                 padding_bits=trailing, rank_passes=passes,
                                 windows=windows)
 
 
-def _decode_ranks(bits: np.ndarray, n: int, m: int,
-                  count: int) -> tuple[np.ndarray, int, int, int]:
-    """0-based ranks of ``count`` codewords of set ``n`` at the head of
-    ``bits``; returns them with the bits used, rank passes and windows."""
-    nbits = bits.size
+def _bits(buf: np.ndarray, start: int, end: int) -> np.ndarray:
+    """Bits ``start`` to ``end - 1`` of a byte array, one uint8 per bit."""
+    first = start >> 3
+    return np.unpackbits(buf[first:(end + 7) >> 3])[start - 8 * first:end - 8 * first]
+
+
+def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
+                    count: int) -> tuple[np.ndarray, int, int, int]:
+    """The ``count`` letters whose codewords of set ``n`` open the first
+    ``nbits`` bits of ``buf``; returns them with the bits used, rank passes
+    and windows."""
+    m = alphabet.size
     # every codeword takes at least n bits, so a count the payload cannot
     # carry never reaches the allocation
-    ranks0 = np.empty(min(count, nbits // n), dtype=np.int64)
+    letters = np.empty(min(count, nbits // n), dtype=np.int64)
     pos = done = windows = 0
     while done < count:
         left = count - done
         end = min(nbits, pos + min(_WINDOW_BITS, 2 * n * left))
-        trits = _scan_trits(bits[pos:end])
+        trits = _scan_trits(_bits(buf, pos, end))
         k = min(trits.size // n, left)
         block = trits[:k * n].reshape(k, n)
         idx = rank_rows(n, block)
@@ -343,10 +391,11 @@ def _decode_ranks(bits: np.ndarray, n: int, m: int,
             )
         if k < left and end == nbits:
             raise TruncatedDataError("bit stream exhausted")
-        ranks0[done:done + k] = idx - 1
+        idx -= 1
+        np.take(alphabet, idx, out=letters[done:done + k], mode="clip")
         done += k
         pos += 2 * k * n - int(np.count_nonzero(block == 0))
-    return ranks0, pos, n * windows, windows
+    return letters, pos, n * windows, windows
 
 
 def _scan_trits(window: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from tritcode import container
+from tritcode import cli, container
 from tritcode.cli import (
     EXIT_CORRUPT,
     EXIT_FORMAT,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -214,6 +215,18 @@ class TestHostileContainers:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.count("\n") == 1
+
+
+def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("codec state\nlost")
+
+    monkeypatch.setitem(cli._COMMANDS, "codebook", broken)
+    assert dispatch(["codebook", "--set", "2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: codec state lost\n"
+    assert "Traceback" not in captured.err
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -18,6 +18,7 @@ from tritcode.codebook import (
     rank,
     rank_rows,
     read_trits,
+    signature_table,
     signature_total,
     trits_to_bits,
     unrank,
@@ -290,6 +291,52 @@ class TestUnrankRows:
         for bad in (0, 28, -5):
             with pytest.raises(ValueError):
                 unrank_rows(3, np.array([1, bad]))
+
+
+class TestSignatureTable:
+    @staticmethod
+    def signatures(values, lengths):
+        return [format(int(v), "b").zfill(int(w)) for v, w in zip(values, lengths)]
+
+    def test_matches_unrank_exhaustive_small(self):
+        for n in range(1, 9):
+            values, lengths = signature_table(n, 3**n)
+            assert values.dtype == np.uint64 and lengths.dtype == np.uint8
+            assert self.signatures(values, lengths) == [
+                trits_to_bits(unrank(n, i)) for i in range(1, 3**n + 1)]
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_matches_unrank_at_group_boundaries(self, n):
+        values, lengths = signature_table(n, 3**n)
+        idx = group_boundaries(n)
+        assert self.signatures(values[idx - 1], lengths[idx - 1]) == [
+            trits_to_bits(unrank(n, int(i))) for i in idx]
+
+    def test_short_tables_are_prefixes(self):
+        # a shorter table stops growing at the last group it reaches
+        for n in range(1, 9):
+            full_values, full_lengths = signature_table(n, 3**n)
+            for m in group_boundaries(n).tolist():
+                values, lengths = signature_table(n, m)
+                assert values.tolist() == full_values[:m].tolist()
+                assert lengths.tolist() == full_lengths[:m].tolist()
+                assert int(lengths.sum(dtype=np.int64)) == signature_total(n, m)
+
+    @pytest.mark.parametrize("n", [21, 32])
+    def test_large_sets_build_only_the_groups_reached(self, n):
+        # 21 is the largest set a 32-bit alphabet power reaches; 32 the
+        # largest whose signatures fit 64 bits. Two groups are 2n + 1 entries.
+        values, lengths = signature_table(n, 2 * n + 1)
+        assert self.signatures(values, lengths) == [
+            trits_to_bits(unrank(n, i)) for i in range(1, 2 * n + 2)]
+
+    def test_rejects_bad_set_and_count(self):
+        for n in (0, 33):
+            with pytest.raises(ValueError):
+                signature_table(n, 1)
+        for m in (0, 28, -1):
+            with pytest.raises(ValueError):
+                signature_table(3, m)
 
 
 class TestStructuralInvariants:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,26 @@ def array_decode(*args):
 
 def random_letters(rng, width, count):
     return [rng.getrandbits(width) for _ in range(count)]
+
+
+def field_rows(signatures, g):
+    """codec._pack_words input for bit strings: (g, k) values and lengths,
+    column f holding signatures g*f to g*f + g - 1, padded with empty ones."""
+    padded = signatures + [""] * (-len(signatures) % g)
+    values = np.array([int(b or "0", 2) for b in padded], dtype=np.uint64)
+    lengths = np.array([len(b) for b in padded], dtype=np.uint64)
+    return values.reshape(-1, g).T, lengths.reshape(-1, g).T
+
+
+def word_bits(words, carry, carry_bits):
+    """The bit string of codec._pack_words output."""
+    return ("".join(format(int(w), "064b") for w in words)
+            + format(int(carry), "064b")[:carry_bits])
+
+
+def head_word(bits):
+    """A carry word holding ``bits`` at its top."""
+    return np.uint64(int(bits.ljust(64, "0"), 2)), len(bits)
 
 
 class TestBuildModel:
@@ -303,11 +324,43 @@ class TestArrayEncoder:
         strings = ["2" * n, "0" * n] + [
             "".join(rng.choice("012") for _ in range(n)) for _ in range(200)]
         trits = np.array([int(t) for t in "".join(strings)], dtype=np.int8)
-        head = np.array([1, 0, 1], dtype=np.uint8)
-        bits = codec._expand_trits(trits, head)
-        assert "".join(map(str, bits.tolist())) == (
-            "101" + "".join(trits_to_bits(w) for w in strings))
-        assert codec._scan_trits(bits[3:]).tolist() == trits.tolist()
+        values, lengths = field_rows([trits_to_bits(w) for w in strings],
+                                     64 // (2 * n))
+        out = codec._pack_words(values, lengths, *head_word("101"))
+        bits = word_bits(*out)
+        assert bits == "101" + "".join(trits_to_bits(w) for w in strings)
+        window = np.array([int(b) for b in bits[3:]], dtype=np.uint8)
+        assert codec._scan_trits(window).tolist() == trits.tolist()
+
+    @pytest.mark.parametrize("head", ["", "1", "0110" * 15 + "101"])
+    def test_word_placement_matches_string_join(self, head):
+        rng = random.Random(len(head))
+        # fields ending exactly on word boundaries (64, then 32 + 32), one
+        # bit at a time, and random lengths that spill into the word before
+        sizes = [64, 32, 32] + [1] * 70 + [rng.randint(1, 64) for _ in range(300)]
+        fields = [format(rng.getrandbits(w), "b").zfill(w) for w in sizes]
+        ends = np.cumsum([len(head)] + sizes)[1:]
+        assert (ends % 64 == 0).sum() >= 2
+        assert ((ends - np.array(sizes)) // 64 < (ends - 1) // 64).sum() > 50
+        values, lengths = field_rows(fields, 1)
+        expected = head + "".join(fields)
+        out = codec._pack_words(values, lengths, *head_word(head))
+        assert word_bits(*out) == expected
+        assert out[2] == len(expected) % 64
+        # the partial last word carries into a second call
+        cut = 150
+        first = codec._pack_words(values[:, :cut], lengths[:, :cut], *head_word(head))
+        second = codec._pack_words(values[:, cut:], lengths[:, cut:], *first[1:])
+        assert word_bits(first[0], 0, 0) + word_bits(*second) == expected
+
+    def test_fused_fields_match_string_join(self):
+        rng = random.Random(3)
+        for g in (2, 3, 32):
+            width = 64 // g
+            codewords = [format(rng.getrandbits(w), "b").zfill(w)
+                         for w in (rng.randint(1, width) for _ in range(401))]
+            out = codec._pack_words(*field_rows(codewords, g), *head_word("11"))
+            assert word_bits(*out) == "11" + "".join(codewords)
 
 
 class TestPayloadSize:
@@ -482,6 +535,35 @@ class TestInstrumentation:
         assert stats == codec.DecodeStats(codewords=4, bits_consumed=4,
                                           padding_bits=4, rank_passes=0,
                                           windows=0)
+
+
+class TestDecoderMemory:
+    @staticmethod
+    def scratch_bytes(m, bits_per_letter, payload_bytes):
+        """Peak traced bytes of one decode, beyond the letters it returns."""
+        model = codec.Model(letters=tuple(range(m)), counts=(1,) * m,
+                            code_set=code_set_for_alphabet(m))
+        rng = np.random.default_rng(payload_bytes)
+        ranks0 = rng.integers(0, m, size=payload_bytes * 8 // bits_per_letter)
+        payload, nbits = codec._pack_ranks(ranks0, model)
+        alphabet = np.arange(m, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            letters, _ = decode_with_stats(payload, alphabet, ranks0.size, nbits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(letters, ranks0)
+        return peak - letters.nbytes
+
+    @pytest.mark.parametrize("m,bits_per_letter,small", [
+        (3**10, 19, 1 << 20),  # code set 10: codewords of 10 to 20 bits
+        (2, 1, 1 << 17),       # plain bits, 64 letter bytes per payload byte
+    ])
+    def test_scratch_does_not_grow_with_payload(self, m, bits_per_letter, small):
+        before = self.scratch_bytes(m, bits_per_letter, small)
+        after = self.scratch_bytes(m, bits_per_letter, 8 * small)
+        assert after <= before + (64 << 10), (before, after)
 
 
 def _mutate(payload: bytes, data) -> tuple[bytes, int | None]:
