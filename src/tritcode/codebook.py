@@ -401,6 +401,15 @@ def unrank_rows(n: int, indices: np.ndarray) -> np.ndarray:
     return out.T.copy()
 
 
+# Per-n signature tables for signature_table, built once and reused; each
+# holds the groups up to the furthest one any caller has reached. A table of
+# more than _SIGNATURES_KEPT entries (9 bytes each) is built per call
+# instead: it serves an input so large that the build costs little beside
+# encoding it, and keeping it would pin its memory for good.
+_signatures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_SIGNATURES_KEPT = 1 << 20
+
+
 def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Bit signatures of the first ``m`` codewords of set ``n`` as integers.
 
@@ -417,15 +426,30 @@ def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     first ``m`` codewords reach are never built, so the table holds at most
     3^n entries, fewer than 3m for the set that covers an alphabet of m
     letters.
+
+    A group does not depend on how many follow it, so the table of each n
+    is kept, up to a size limit, and every shorter request is served from
+    its prefix. The returned arrays are read-only.
     """
     if not 1 <= n <= MAX_SIGNATURE_SET_NUMBER:
         raise ValueError(
             f"code set number must be in 1..{MAX_SIGNATURE_SET_NUMBER}, got {n}")
     if not 1 <= m <= 3**n:
         raise ValueError(f"code count must be in 1..3^{n}, got {m}")
-    ends, _, _, _ = _unrank_steps(n)
-    # the last group reached has n - k zeros, so k nonzero trits
-    k = int(np.searchsorted(ends, m, side="left"))
+    table = _signatures.get(n)
+    if table is None or table[0].size < m:
+        ends, _, _, _ = _unrank_steps(n)
+        # the last group reached has n - k zeros, so k nonzero trits
+        table = _build_signatures(n, int(np.searchsorted(ends, m, side="left")))
+        if table[0].size <= _SIGNATURES_KEPT:
+            _signatures[n] = table
+    values, lengths = table
+    return values[:m], lengths[:m]
+
+
+def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only signature values and lengths of the groups of set ``n``
+    with n down to n - k zeros, as :func:`signature_table` describes."""
     buckets = [np.zeros(1, dtype=np.uint64)]  # the empty string
     for p in range(n):
         grown = buckets[:1]  # a leading 0 leaves the all-zero value at 0
@@ -437,7 +461,10 @@ def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         buckets = grown
     lengths = np.repeat(np.arange(n, n + k + 1, dtype=np.uint8),
                         [b.size for b in buckets])
-    return np.concatenate(buckets)[:m], lengths[:m]
+    values = np.concatenate(buckets)
+    values.setflags(write=False)
+    lengths.setflags(write=False)
+    return values, lengths
 
 
 def code_length(n: int, index: int) -> int:

@@ -1,9 +1,11 @@
 """Static two-pass letter codec.
 
 Letters are plain unsigned ints (an L-bit slice of the input; the container
-layer enforces the width). Pass one ranks the alphabet by descending count;
-pass two swaps each letter for the codeword whose list index equals the
-letter's rank.
+layer enforces the width). Letter arrays of uint8, uint16 or uint32 are
+ranked in their own dtype, and an alphabet array of one of those dtypes
+decodes into letters of that dtype; any other input is taken as int64.
+Pass one ranks the alphabet by descending count; pass two swaps each
+letter for the codeword whose list index equals the letter's rank.
 
 Pass one is a single stable sort of the letters, radix-sorted in 16-bit
 digits where they fit. The sorted run of each distinct letter gives its
@@ -86,7 +88,7 @@ def build_model(letters) -> Model:
     the model deterministic. The decoder does not depend on the tie rule:
     the ranked alphabet travels with the compressed stream.
     """
-    return _ranked(letters)[0]
+    return _model(*_ranked(letters)[:2])
 
 
 def encode_letters(letters) -> tuple[Model, np.ndarray, bytes, int]:
@@ -96,17 +98,41 @@ def encode_letters(letters) -> tuple[Model, np.ndarray, bytes, int]:
     its exact bit count; the payload equals
     ``encode_packed(letters, build_model(letters))``.
     """
-    model, alphabet, ranks0 = _ranked(letters)
-    return (model, alphabet, *_pack_ranks(ranks0, model))
+    alphabet, counts, ranks0 = _ranked(letters)
+    return (_model(alphabet, counts), alphabet.astype(np.int64),
+            *_pack_ranks(ranks0, alphabet.size))
 
 
-def _ranked(letters) -> tuple[Model, np.ndarray, np.ndarray]:
-    """The model of ``letters``, its ranked letters as an array and the
-    0-based rank of every letter."""
-    arr = np.asarray(letters, dtype=np.int64)
+def _encode(letters) -> tuple[np.ndarray, bytes, int]:
+    """The ranked alphabet of ``letters``, in their dtype, then the payload
+    and its exact bit count: :func:`encode_letters` without the model."""
+    alphabet, _, ranks0 = _ranked(letters)
+    return (alphabet, *_pack_ranks(ranks0, alphabet.size))
+
+
+def _model(alphabet: np.ndarray, counts: np.ndarray) -> Model:
+    return Model(letters=tuple(alphabet.tolist()), counts=tuple(counts.tolist()),
+                 code_set=code_set_for_alphabet(alphabet.size))
+
+
+def _letter_array(letters) -> np.ndarray:
+    """``letters`` as an array: uint8, uint16 and uint32 arrays keep their
+    width, in native byte order, and anything else becomes int64."""
+    arr = np.asarray(letters)
+    if arr.dtype.kind == "u" and arr.dtype.itemsize <= 4:
+        return arr.astype(arr.dtype.newbyteorder("="), copy=False)
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    return np.asarray(letters, dtype=np.int64)
+
+
+def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ranked alphabet of ``letters`` as an array of their dtype, the
+    count of each ranked letter, and the 0-based rank of every letter."""
+    arr = _letter_array(letters)
     if arr.size == 0:
         raise ValueError("cannot build a model from empty input")
-    if arr.min() < 0:
+    if arr.dtype.kind == "i" and arr.min() < 0:
         raise ValueError("letters must be unsigned integers")
     values, first, counts, group = _sort_letters(arr)
     # groups in order of first occurrence, then stably by descending count
@@ -114,15 +140,11 @@ def _ranked(letters) -> tuple[Model, np.ndarray, np.ndarray]:
     order = by_first[_stable_argsort(counts.max() - counts[by_first])]
     rank_of = np.empty_like(order)
     rank_of[order] = np.arange(order.size)
-    alphabet = values[order]
-    model = Model(letters=tuple(alphabet.tolist()),
-                  counts=tuple(counts[order].tolist()),
-                  code_set=code_set_for_alphabet(order.size))
-    return model, alphabet, rank_of[group]
+    return values[order], counts[order], rank_of[group]
 
 
 def _stable_argsort(arr: np.ndarray) -> np.ndarray:
-    """Stable argsort of a nonempty 1-D int64 array.
+    """Stable argsort of a nonempty 1-D integer array.
 
     numpy radix-sorts 8- and 16-bit keys under ``kind="stable"`` but
     merge-sorts wider ones, so values up to 16 bits are sorted in uint8 or
@@ -130,11 +152,11 @@ def _stable_argsort(arr: np.ndarray) -> np.ndarray:
     first. Negative values and values beyond 32 bits are sorted as int64.
     """
     top = int(arr.max())
-    if arr.min() < 0 or top >> 32:
+    if top >> 32 or (arr.dtype.kind == "i" and arr.min() < 0):
         return np.argsort(arr, kind="stable")
     if top >> 16 == 0:
-        return np.argsort(arr.astype(np.uint8 if top >> 8 == 0 else np.uint16),
-                          kind="stable")
+        return np.argsort(arr.astype(np.uint8 if top >> 8 == 0 else np.uint16,
+                                     copy=False), kind="stable")
     low = np.argsort((arr & 0xFFFF).astype(np.uint16), kind="stable")
     return low[np.argsort((arr[low] >> 16).astype(np.uint16), kind="stable")]
 
@@ -143,9 +165,9 @@ def _sort_letters(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                             np.ndarray, np.ndarray]:
     """Distinct values of a nonempty letter array from one stable sort.
 
-    Returns the distinct values in ascending order (int64), the position
-    of each one's first occurrence, each one's count, and every letter's
-    group: the index of its value among the distinct values.
+    Returns the distinct values in ascending order, in the letters' dtype,
+    the position of each one's first occurrence, each one's count, and
+    every letter's group: the index of its value among the distinct values.
     """
     perm = _stable_argsort(arr)
     ordered = arr[perm]
@@ -183,25 +205,26 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     The payload is the concatenated bit signatures in input order, MSB-first
     within bytes, zero-padded on the right to a byte boundary.
     """
-    arr = np.asarray(letters, dtype=np.int64)
+    arr = _letter_array(letters)
     if arr.size == 0:
         return b"", 0
     if model.m == 1:
         if int(arr.min()) != model.letters[0] or int(arr.max()) != model.letters[0]:
             raise ValueError("letter absent from model")
-        return _pack_ranks(np.zeros(arr.size, dtype=np.intp), model)
-    return _pack_ranks(_rank0_of(model, arr), model)
+        return _pack_ranks(np.zeros(arr.size, dtype=np.intp), 1)
+    return _pack_ranks(_rank0_of(model, arr), model.m)
 
 
-def _pack_ranks(ranks0: np.ndarray, model: Model) -> tuple[bytes, int]:
-    """Packed payload and bit count of letters with 0-based ranks ``ranks0``."""
+def _pack_ranks(ranks0: np.ndarray, m: int) -> tuple[bytes, int]:
+    """Packed payload and bit count of letters with 0-based ranks ``ranks0``
+    in an alphabet of ``m`` letters."""
     n_letters = ranks0.size
-    cs = model.code_set
+    cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
-        if cs.m == 1:
+        if m == 1:
             return bytes((n_letters + 7) // 8), n_letters
         return np.packbits(ranks0.astype(np.uint8)).tobytes(), n_letters
-    values, lengths = signature_table(cs.n, model.m)
+    values, lengths = signature_table(cs.n, m)
     # rank m: an empty codeword that pads the last field
     values = np.append(values, np.uint64(0))
     lengths = np.append(lengths, np.uint8(0)).astype(np.uint64)
@@ -212,7 +235,7 @@ def _pack_ranks(ranks0: np.ndarray, model: Model) -> tuple[bytes, int]:
     for start in range(0, n_letters, step):
         ranks = ranks0[start:start + step]
         if ranks.size % g:
-            ranks = np.append(ranks, np.full(-ranks.size % g, model.m))
+            ranks = np.append(ranks, np.full(-ranks.size % g, m))
         fields = ranks.reshape(-1, g).T  # row j: the j-th codeword of each field
         words, carry, carry_bits = _pack_words(values[fields], lengths[fields],
                                                carry, carry_bits)
@@ -301,7 +324,8 @@ def decode_packed(payload: bytes, alphabet, letter_count: int,
 
     ``alphabet`` is the ranked letter list the encoder was built with. Any
     bits left after the last codeword are treated as byte padding: there may
-    be at most seven and they must all be zero.
+    be at most seven and they must all be zero. The letters come back in the
+    alphabet's dtype if it is a uint8, uint16 or uint32 array, else as int64.
     """
     return decode_with_stats(payload, alphabet, letter_count, bit_length)[0]
 
@@ -327,21 +351,17 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
     if letter_count < 0:
         raise ValueError("letter count must be non-negative")
     buf = np.frombuffer(payload, dtype=np.uint8)
-    alphabet = np.asarray(alphabet, dtype=np.int64)
+    alphabet = _letter_array(alphabet)
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
         if letter_count > bit_length:
             raise TruncatedDataError("bit stream exhausted")
-        letters = np.empty(letter_count, dtype=np.int64)
+        letters = np.empty(letter_count, dtype=alphabet.dtype)
         for start in range(0, letter_count, _WINDOW_BITS):
             ranks0 = _bits(buf, start, min(start + _WINDOW_BITS, letter_count))
             if m == 1 and ranks0.any():
                 raise CorruptedDataError("single-letter stream contains a 1 bit")
-            # the first letter, plus the gap to the last one for each 1 bit
-            window = letters[start:start + ranks0.size]
-            np.multiply(ranks0, alphabet[-1] - alphabet[0], out=window,
-                        dtype=np.int64)
-            window += alphabet[0]
+            np.take(alphabet, ranks0, out=letters[start:start + ranks0.size])
         used, passes, windows = letter_count, 0, 0
     else:
         letters, used, passes, windows = _decode_letters(
@@ -372,7 +392,7 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
     m = alphabet.size
     # every codeword takes at least n bits, so a count the payload cannot
     # carry never reaches the allocation
-    letters = np.empty(min(count, nbits // n), dtype=np.int64)
+    letters = np.empty(min(count, nbits // n), dtype=alphabet.dtype)
     pos = done = windows = 0
     while done < count:
         left = count - done

@@ -22,6 +22,13 @@ strip the zero bits that padded the final partial letter, so inputs of any
 byte length survive any letter width bit-exactly. Decompression needs
 nothing beyond the container itself.
 
+Letters live in the narrowest unsigned dtype that holds L bits (uint8,
+uint16 or uint32) from the split to the join; they never widen to int64.
+At L = 8, 16 and 32 a letter is a whole big-endian byte group of the
+input, so :func:`split_letters` returns a read-only view of the input
+(``u1``, ``>u2`` or ``>u4``) and :func:`join_letters` is one byte-order
+cast; other widths go through one bit per byte.
+
 Files conventionally use the ".btn" extension.
 """
 
@@ -79,31 +86,56 @@ def parse_header(blob: bytes) -> Header:
                   original_bit_length=bit_length)
 
 
+# Letter widths that are whole big-endian byte groups of the input.
+_WHOLE_BYTES = {8: np.dtype("u1"), 16: np.dtype(">u2"), 32: np.dtype(">u4")}
+
+
+def letter_dtype(letter_bits: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds an L-bit letter."""
+    return np.dtype(np.uint8 if letter_bits <= 8 else
+                    np.uint16 if letter_bits <= 16 else np.uint32)
+
+
 def split_letters(data: bytes, letter_bits: int) -> tuple[np.ndarray, int]:
     """Slice a byte string into L-bit letters, MSB-first.
 
     The final partial letter, if any, is zero-padded on the right. Returns
-    the letters and the original length in bits.
+    the letters, in the narrowest unsigned dtype that holds L bits, and the
+    original length in bits. At L = 8, 16 and 32 the letters are a
+    read-only big-endian view of ``data`` (of a zero-padded copy when the
+    length is not a whole number of letters); ``data`` is never modified.
     """
     if not 1 <= letter_bits <= 32:
         raise ValueError(f"letter width {letter_bits} out of range 1..32")
-    nbits = len(data) * 8
-    if nbits == 0:
-        return np.empty(0, dtype=np.int64), 0
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    nbits = buf.size * 8
+    whole = _WHOLE_BYTES.get(letter_bits)
+    if whole is not None:
+        pad = -buf.size % whole.itemsize
+        if pad:
+            buf = np.concatenate([buf, np.zeros(pad, dtype=np.uint8)])
+        letters = buf.view(whole)
+        letters.setflags(write=False)
+        return letters, nbits
+    bits = np.unpackbits(buf)
     pad = -nbits % letter_bits
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
     bits = bits.reshape(-1, letter_bits)
-    letters = np.zeros(len(bits), dtype=np.int64)
-    for j in range(letter_bits):
-        letters = (letters << 1) | bits[:, j]
+    letters = bits[:, 0].astype(letter_dtype(letter_bits))
+    for j in range(1, letter_bits):
+        letters <<= 1
+        letters |= bits[:, j]
     return letters, nbits
 
 
 def join_letters(letters, letter_bits: int, original_bit_length: int) -> bytes:
-    """Reassemble bytes from L-bit letters, dropping the final padding."""
-    arr = np.asarray(letters, dtype=np.int64)
+    """Reassemble bytes from L-bit letters, dropping the final padding.
+
+    Each letter contributes its low L bits. ``letters`` is any integer
+    sequence; it is not modified.
+    """
+    arr = np.asarray(letters)
     if original_bit_length == 0 and arr.size == 0:
         return b""
     low = letter_bits * (arr.size - 1)
@@ -114,7 +146,12 @@ def join_letters(letters, letter_bits: int, original_bit_length: int) -> bytes:
         )
     if original_bit_length % 8:
         raise ValueError("original bit length must be a whole number of bytes")
-    bits = np.zeros((arr.size, letter_bits), dtype=np.uint8)
+    whole = _WHOLE_BYTES.get(letter_bits)
+    if whole is not None:
+        arr = arr.astype(whole, copy=False)
+        return arr.view(np.uint8)[:original_bit_length // 8].tobytes()
+    arr = arr.astype(letter_dtype(letter_bits), copy=False)
+    bits = np.empty((arr.size, letter_bits), dtype=np.uint8)
     for j in range(letter_bits):
         bits[:, j] = (arr >> (letter_bits - 1 - j)) & 1
     flat = bits.reshape(-1)[:original_bit_length]
@@ -131,11 +168,13 @@ def _pack_alphabet(letters: np.ndarray, letter_bits: int) -> bytes:
 
 
 def _unpack_alphabet(blob: bytes, m: int, letter_bits: int) -> np.ndarray:
+    """The m letters of a raw alphabet area, in the letter dtype."""
     width = _letter_width_bytes(letter_bits)
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(m, width)
-    padded = np.zeros((m, 4), dtype=np.uint8)
-    padded[:, :width] = raw
-    return padded.view("<u4").reshape(m).astype(np.int64)
+    dtype = letter_dtype(letter_bits)
+    letters = np.zeros(m, dtype=dtype.newbyteorder("<"))
+    letters.view(np.uint8).reshape(m, -1)[:, :width] = raw
+    return letters.astype(dtype, copy=False)
 
 
 def compress(data: bytes, letter_bits: int = 8, *,
@@ -145,7 +184,7 @@ def compress(data: bytes, letter_bits: int = 8, *,
     if letters.size == 0:
         header = Header(VERSION, 0, letter_bits, 0)
         return serialize_header(header) + struct.pack("<I", 0)
-    model, alphabet, payload, _ = codec.encode_letters(letters)
+    alphabet, payload, _ = codec._encode(letters)
     alphabet_area = _pack_alphabet(alphabet, letter_bits)
     flags = 0
     if compress_alphabet:
@@ -155,16 +194,16 @@ def compress(data: bytes, letter_bits: int = 8, *,
             alphabet_area = candidate
             flags |= FLAG_PACKED_ALPHABET
     header = Header(VERSION, flags, letter_bits, nbits)
-    return b"".join([serialize_header(header), struct.pack("<I", model.m),
+    return b"".join([serialize_header(header), struct.pack("<I", alphabet.size),
                      alphabet_area, payload])
 
 
 def _read_raw_alphabet(blob: bytes, offset: int, m: int,
-                       header: Header) -> tuple[bytes, int]:
+                       header: Header) -> tuple[memoryview, int]:
     size = m * _letter_width_bytes(header.letter_bits)
     if len(blob) < offset + size:
         raise FormatError("truncated alphabet", offset=offset)
-    return blob[offset:offset + size], offset + size
+    return memoryview(blob)[offset:offset + size], offset + size
 
 
 def _read_alphabet(blob: bytes, offset: int, m: int,
@@ -267,7 +306,7 @@ def decompress(blob: bytes) -> bytes:
     header, m, letters, offset = _parse_structure(blob)
     if m == 0:
         return b""
-    return _decode_payload(blob[offset:], header, letters)
+    return _decode_payload(memoryview(blob)[offset:], header, letters)
 
 
 @dataclass(frozen=True)

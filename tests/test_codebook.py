@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tritcode import codebook
 from tritcode.bitio import BitReader, pack01
 from tritcode.codebook import (
     Degenerate,
@@ -321,6 +322,39 @@ class TestSignatureTable:
                 assert values.tolist() == full_values[:m].tolist()
                 assert lengths.tolist() == full_lengths[:m].tolist()
                 assert int(lengths.sum(dtype=np.int64)) == signature_total(n, m)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cached_slices_equal_fresh_builds(self, n, monkeypatch):
+        # A table is built up to the last group that m reaches, grows when a
+        # later call reaches further, and serves shorter calls from its prefix.
+        monkeypatch.setattr(codebook, "_signatures", {})
+        ends = np.cumsum([group_params(n, z).size for z in range(n, -1, -1)])
+        counts = range(1, 3**n + 1)
+        for m in [*counts, *reversed(counts)]:
+            values, lengths = signature_table(n, m)
+            fresh = {}
+            with monkeypatch.context() as patch:
+                patch.setattr(codebook, "_signatures", fresh)
+                fresh_values, fresh_lengths = signature_table(n, m)
+            assert fresh[n][0].size == ends[np.searchsorted(ends, m)]
+            assert values.tolist() == fresh_values.tolist()
+            assert lengths.tolist() == fresh_lengths.tolist()
+            for table in (values, lengths):
+                with pytest.raises(ValueError):
+                    table[0] = 1
+
+    def test_tables_past_the_limit_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(codebook, "_signatures", {})
+        monkeypatch.setattr(codebook, "_SIGNATURES_KEPT", 7)
+        short, _ = signature_table(3, 7)  # groups z = 3, 2: 7 entries
+        assert codebook._signatures[3][0].size == 7
+        values, lengths = signature_table(3, 8)
+        assert codebook._signatures[3][0].size == 7
+        assert values[:7].tolist() == short.tolist()
+        assert self.signatures(values, lengths) == [
+            trits_to_bits(unrank(3, i)) for i in range(1, 9)]
+        with pytest.raises(ValueError):
+            values[0] = 1
 
     @pytest.mark.parametrize("n", [21, 32])
     def test_large_sets_build_only_the_groups_reached(self, n):

@@ -541,11 +541,9 @@ class TestDecoderMemory:
     @staticmethod
     def scratch_bytes(m, bits_per_letter, payload_bytes):
         """Peak traced bytes of one decode, beyond the letters it returns."""
-        model = codec.Model(letters=tuple(range(m)), counts=(1,) * m,
-                            code_set=code_set_for_alphabet(m))
         rng = np.random.default_rng(payload_bytes)
         ranks0 = rng.integers(0, m, size=payload_bytes * 8 // bits_per_letter)
-        payload, nbits = codec._pack_ranks(ranks0, model)
+        payload, nbits = codec._pack_ranks(ranks0, m)
         alphabet = np.arange(m, dtype=np.int64)
         tracemalloc.start()
         try:

@@ -2,6 +2,7 @@ import random
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from tritcode.container import (
     decompress,
     describe,
     join_letters,
+    letter_dtype,
     parse_header,
     recompress,
     serialize_header,
@@ -43,6 +45,46 @@ def naive_split(data: bytes, width: int) -> list[int]:
         chunk = bits[start:start + width].ljust(width, "0")
         out.append(int(chunk, 2))
     return out
+
+
+def bitloop_split(data: bytes, width: int) -> tuple[np.ndarray, int]:
+    """Oracle: one shift-and-or pass per letter bit over int64 letters."""
+    nbits = len(data) * 8
+    if nbits == 0:
+        return np.empty(0, dtype=np.int64), 0
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    pad = -nbits % width
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    bits = bits.reshape(-1, width)
+    letters = np.zeros(len(bits), dtype=np.int64)
+    for j in range(width):
+        letters = (letters << 1) | bits[:, j]
+    return letters, nbits
+
+
+def bitloop_join(letters, width: int, original_bit_length: int) -> bytes:
+    """Oracle: an (N, width) bit matrix of int64 letters, then packbits."""
+    arr = np.asarray(letters, dtype=np.int64)
+    if original_bit_length == 0 and arr.size == 0:
+        return b""
+    low = width * (arr.size - 1)
+    if not low < original_bit_length <= width * arr.size:
+        raise ValueError("letter count cannot carry the bit length")
+    if original_bit_length % 8:
+        raise ValueError("original bit length must be a whole number of bytes")
+    bits = np.zeros((arr.size, width), dtype=np.uint8)
+    for j in range(width):
+        bits[:, j] = (arr >> (width - 1 - j)) & 1
+    return np.packbits(bits.reshape(-1)[:original_bit_length]).tobytes()
+
+
+def outcome(fn, *args):
+    """A call's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
 
 
 class TestHeader:
@@ -120,10 +162,15 @@ class TestLetterSegmentation:
             assert letters.tolist() == naive_split(data, width)
 
     @given(st.binary(max_size=200), st.integers(min_value=1, max_value=32))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_join_inverts_split(self, data, width):
+        # narrow, int64 and list letters alike, as the int64 bit-loop oracle
         letters, nbits = split_letters(data, width)
-        assert join_letters(letters, width, nbits) == data
+        wide = letters.astype(np.int64)
+        kept = letters.copy()
+        for form in (letters, wide, letters.tolist()):
+            assert join_letters(form, width, nbits) == bitloop_join(wide, width, nbits) == data
+        assert np.array_equal(letters, kept)
 
     def test_join_rejects_inconsistent_counts(self):
         with pytest.raises(ValueError):
@@ -136,6 +183,44 @@ class TestLetterSegmentation:
             split_letters(b"x", 0)
         with pytest.raises(ValueError):
             split_letters(b"x", 33)
+
+
+BUFFER_KINDS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda raw: memoryview(bytearray(raw)),
+}
+
+
+class TestLetterLayerAgainstBitLoops:
+    """split_letters and join_letters against the int64 bit-loop oracles."""
+
+    @given(st.binary(max_size=200), st.integers(1, 32), st.sampled_from(sorted(BUFFER_KINDS)))
+    @settings(max_examples=400, deadline=None)
+    def test_split_matches(self, raw, width, kind):
+        data = BUFFER_KINDS[kind](raw)
+        letters, nbits = split_letters(data, width)
+        expected, expected_bits = bitloop_split(raw, width)
+        assert nbits == expected_bits
+        assert letters.tolist() == expected.tolist()
+        assert letters.dtype.kind == "u"
+        assert letters.dtype.itemsize == (1 if width <= 8 else 2 if width <= 16 else 4)
+        if width in (8, 16, 32):
+            assert not letters.flags.writeable
+        assert bytes(data) == raw
+
+    @given(st.integers(1, 32), st.integers(0, 40), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_join_keeps_low_bits_and_errors(self, width, nbytes, data):
+        # arbitrary int64 letters, wider than L or negative, against any bit
+        # length: the same bytes or the same ValueError as the oracle
+        count = data.draw(st.integers(0, -(-nbytes * 8 // width) + 2), label="count")
+        letters = data.draw(st.lists(st.integers(-2**40, 2**40), min_size=count,
+                                     max_size=count), label="letters")
+        nbits = data.draw(st.sampled_from([nbytes * 8, nbytes * 8 + 3]), label="nbits")
+        expected = outcome(bitloop_join, letters, width, nbits)
+        assert outcome(join_letters, letters, width, nbits) == expected
+        assert outcome(join_letters, np.array(letters, dtype=np.int64), width, nbits) == expected
 
 
 def composed(data: bytes, width: int, compress_alphabet: bool = False) -> bytes:
@@ -220,6 +305,18 @@ class TestRoundTrip:
         ]
         for data, width in cases:
             assert decompress(compress(data, width)) == data
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_two_letters_ranked_high_first(self, width):
+        # the ranked alphabet descends, so rank 1 is the smaller letter
+        high, low = b"\xff" * (width // 8), bytes(width // 8)
+        data = high + high + low
+        blob = compress(data, width)
+        assert describe(blob).letters == (2**width - 1, 0)
+        assert decompress(blob) == data
+        # more letters than one decoder window holds
+        long = data * 25_000 + low
+        assert decompress(compress(long, width)) == long
 
     def test_incompressible_data_may_expand(self):
         rng = random.Random(5150)
@@ -476,3 +573,49 @@ class TestMutationFuzz:
                     assert peak < (1 << 20) + 1000 * len(mutated), (index, trial, kind)
         finally:
             tracemalloc.stop()
+
+
+class TestDecompressMemory:
+    """container.decompress holds a bounded multiple of its output bytes."""
+
+    @staticmethod
+    def container(width: int, size: int) -> tuple[bytes, bytes]:
+        """A container of ``size`` bytes of random letters, and those bytes.
+
+        At L = 8 and 16 every letter value occurs; at L = 32 every letter is
+        distinct, so the alphabet is as large as the output. The container
+        is assembled around codec._pack_ranks as docs/format.md lays it out,
+        which keeps the encoder's own memory out of the test.
+        """
+        rng = np.random.default_rng(size + width)
+        count = size * 8 // width
+        if width == 32:
+            alphabet = rng.permutation(count).astype(np.uint32) * 2654435761
+            ranks0 = rng.permutation(count)
+        else:
+            alphabet = rng.permutation(2**width).astype(letter_dtype(width))
+            ranks0 = rng.integers(0, alphabet.size, count, dtype=np.int32)
+        payload, _ = codec._pack_ranks(ranks0, alphabet.size)
+        area = alphabet.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :width // 8]
+        blob = b"".join([serialize_header(Header(1, 0, width, size * 8)),
+                         struct.pack("<I", alphabet.size), area.tobytes(), payload])
+        return blob, alphabet[ranks0].astype(f">u{width // 8}").tobytes()
+
+    @classmethod
+    def peak_per_output_byte(cls, width: int, size: int) -> float:
+        blob, data = cls.container(width, size)
+        tracemalloc.start()
+        try:
+            restored = decompress(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert restored == data
+        return peak / size
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_peak_is_bounded_and_flat(self, width):
+        small = self.peak_per_output_byte(width, 1 << 20)
+        large = self.peak_per_output_byte(width, 8 << 20)
+        assert small <= 6 and large <= 6, (small, large)
+        assert large <= small + 0.25, (small, large)
