@@ -29,10 +29,11 @@ Decoding needs no code tree and no codeword table search. Every 0 bit ends
 a trit, so the trits of a bit window fall out of its zero positions: a 0
 after r ones closes r // 2 trits 2 and then a 1 (r odd) or a 0 (r even).
 Grouped n at a time, the trits give each codeword's list index by
-:func:`~tritcode.codebook.rank_rows`, n vector passes over the block, and
-the index picks the letter. Windows of a fixed number of bits, each
-starting on a codeword boundary and unpacking only the payload bytes it
-covers, bound the scratch memory.
+:func:`~tritcode.codebook.rank_rows`, one table lookup per block of six
+trit positions, and the index picks the letter. The same lookups count each
+codeword's zeros, and so the bits it took. Windows of a fixed number of
+bits, each starting on a codeword boundary and unpacking only the payload
+bytes it covers, bound the scratch memory.
 
 One- and two-letter alphabets bypass the ternary scheme: with two letters
 each letter is its rank bit, with one letter every occurrence is a '0' bit
@@ -49,9 +50,10 @@ from .bitio import pack01, unpack01
 from .codebook import (
     CodeSet,
     Degenerate,
+    RANK_BLOCK_TRITS,
     code_set_for_alphabet,
     group_params,
-    rank_rows,
+    rank_rows_and_zeros,
     signature_table,
 )
 from .errors import CorruptedDataError, TruncatedDataError
@@ -59,8 +61,9 @@ from .errors import CorruptedDataError, TruncatedDataError
 # Bits the decoder scans at a time. A window must hold more than the longest
 # codeword (2n bits, at most 42 for a 32-bit alphabet) so that each one
 # yields at least one codeword; its size caps the decoder's scratch arrays,
-# the unpacked bits included, whatever the payload size.
-_WINDOW_BITS = 1 << 16
+# the unpacked bits included, whatever the payload size: 5.3 MiB at most,
+# for a window of zero bits at n = 1.
+_WINDOW_BITS = 1 << 17
 
 # Trits the encoder packs at a time (n per codeword), in whole fields of g
 # codewords. The chunk caps the encoder's scratch arrays whatever the input
@@ -314,7 +317,7 @@ class DecodeStats:
     codewords: int      # codewords decoded, one per letter
     bits_consumed: int  # payload bits those codewords occupy
     padding_bits: int   # zero bits after the last codeword
-    rank_passes: int    # vector rank passes, n for each window
+    rank_passes: int    # rank table lookups: ceil(n / RANK_BLOCK_TRITS) per window
     windows: int        # bit windows scanned; 0 for degenerate alphabets
 
 
@@ -343,6 +346,8 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
     """
     if bit_length is None:
         bit_length = len(payload) * 8
+    elif bit_length < 0:
+        raise ValueError("bit_length must be non-negative")
     elif bit_length > len(payload) * 8:
         raise ValueError("bit_length exceeds buffer size")
     m = len(alphabet)
@@ -387,8 +392,8 @@ def _bits(buf: np.ndarray, start: int, end: int) -> np.ndarray:
 def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
                     count: int) -> tuple[np.ndarray, int, int, int]:
     """The ``count`` letters whose codewords of set ``n`` open the first
-    ``nbits`` bits of ``buf``; returns them with the bits used, rank passes
-    and windows."""
+    ``nbits`` bits of ``buf``; returns them with the bits used, rank table
+    lookups and windows."""
     m = alphabet.size
     # every codeword takes at least n bits, so a count the payload cannot
     # carry never reaches the allocation
@@ -400,7 +405,7 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
         trits = _scan_trits(_bits(buf, pos, end))
         k = min(trits.size // n, left)
         block = trits[:k * n].reshape(k, n)
-        idx = rank_rows(n, block)
+        idx, zeros = rank_rows_and_zeros(n, block)
         windows += 1
         bad = np.flatnonzero(idx > m)
         if bad.size:
@@ -414,8 +419,8 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
         idx -= 1
         np.take(alphabet, idx, out=letters[done:done + k], mode="clip")
         done += k
-        pos += 2 * k * n - int(np.count_nonzero(block == 0))
-    return letters, pos, n * windows, windows
+        pos += 2 * k * n - int(zeros.sum())
+    return letters, pos, -(-n // RANK_BLOCK_TRITS) * windows, windows
 
 
 def _scan_trits(window: np.ndarray) -> np.ndarray:

@@ -338,7 +338,8 @@ def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
     n = 0 if isinstance(cs, codec.Degenerate) else cs.n
     payload_bits = padding = None
     if decode_payload and m:
-        _, stats = codec.decode_with_stats(blob[offset:], letters, letter_count)
+        payload = memoryview(blob)[offset:]
+        _, stats = codec.decode_with_stats(payload, letters, letter_count)
         payload_bits = stats.bits_consumed
         padding = stats.padding_bits
     elif decode_payload:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tritcode import codebook
 from tritcode.bitio import BitReader, pack01
 from tritcode.codebook import (
+    RANK_BLOCK_TRITS,
     Degenerate,
     code_length,
     code_set_for_alphabet,
@@ -18,6 +19,7 @@ from tritcode.codebook import (
     group_params,
     rank,
     rank_rows,
+    rank_rows_and_zeros,
     read_trits,
     signature_table,
     signature_total,
@@ -227,16 +229,47 @@ class TestRankRows:
             got = rank_rows(n, trit_rows(cw.trits for cw in codes))
             assert got.tolist() == [cw.index for cw in codes]
 
-    @pytest.mark.parametrize("n", [12, 21, 39])
+    @pytest.mark.parametrize("n", range(1, 40))
     def test_matches_rank_large_sets(self, n):
-        # 21 is the largest set a 32-bit alphabet power reaches; 39 is the
-        # largest whose indices fit an int64
+        # every set up to 39, the largest whose indices fit an int64, so
+        # every block layout: n = 6k - 1, 6k and 6k + 1 end on a short, a
+        # whole and a one-trit block
         rng = random.Random(n)
+        widths = [min(RANK_BLOCK_TRITS, n - s) for s in range(0, n, RANK_BLOCK_TRITS)]
+        fills = [lambda h: "0" * h, lambda h: "2" * h,
+                 lambda h: "".join(rng.choice("012") for _ in range(h))]
         strings = ["0" * n, "1" * n, "2" * n] + [
-            "".join(rng.choice("012") for _ in range(n)) for _ in range(500)]
+            "".join(rng.choice(fills)(h) for h in widths) for _ in range(300)] + [
+            "".join(rng.choice("012") for _ in range(n)) for _ in range(200)]
         got = rank_rows(n, trit_rows(strings))
         assert got.tolist() == [rank(n, s) for s in strings]
         assert got[2] == 3**n
+
+    def test_zero_counts(self):
+        rng = np.random.default_rng(6)
+        for n in (5, 6, 7, 21):
+            block = rng.integers(0, 3, size=(200, n), dtype=np.int8)
+            idx, zeros = rank_rows_and_zeros(n, block)
+            assert idx.tolist() == rank_rows(n, block).tolist()
+            assert zeros.tolist() == (block == 0).sum(axis=1).tolist()
+
+    def test_block_tables_are_read_only_and_built_once(self, monkeypatch):
+        monkeypatch.setattr(codebook, "_blocks", {})
+        built = []
+        steps = codebook._rank_steps
+        monkeypatch.setattr(codebook, "_rank_steps",
+                            lambda n: built.append(n) or steps(n))
+        for n in (5, 6, 7, 21, 5, 6, 7, 21):
+            rank_rows(n, np.zeros((3, n), dtype=np.int8))
+        assert built == [5, 6, 7, 21]
+        for n, blocks in codebook._blocks.items():
+            assert codebook._rank_blocks(n) is blocks
+            assert len(blocks) == -(-n // RANK_BLOCK_TRITS)
+            for s, h, share, zeros in blocks:
+                # one row of 3^h partial ranks per count of zeros after it
+                assert share.shape == ((n - s - h + 1) * 3**h,)
+                assert zeros.shape == (3**h,)
+                assert not share.flags.writeable and not zeros.flags.writeable
 
     def test_empty_block(self):
         assert rank_rows(4, np.empty((0, 4), dtype=np.int8)).size == 0

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import ceil
 from unittest import mock
 
 import numpy as np
@@ -474,6 +475,13 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode("0", [], 1)
 
+    @pytest.mark.parametrize("alphabet", [[3, 5], list(range(9))])
+    def test_rejects_negative_bit_length(self, alphabet):
+        # a two-letter alphabet and an n-ary one take different decode paths
+        for decoder in (decode_packed, decode_with_stats):
+            with pytest.raises(ValueError, match="^bit_length must be non-negative$"):
+                decoder(b"\x00\x00", alphabet, 1, bit_length=-5)
+
 
 class TestPackedForms:
     @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1,
@@ -502,11 +510,12 @@ class TestInstrumentation:
         out, stats = decode_with_stats(pack01(bits), model.letters,
                                        len(letters), bit_length=len(bits))
         assert out.tolist() == letters
-        # one codeword per letter, all ranked by n vector passes over one
-        # window: the pass count does not grow with the letter count
+        # one codeword per letter, all ranked by one table lookup per block
+        # of six trit positions over one window: the pass count does not
+        # grow with the letter count
         assert stats.codewords == len(letters)
         assert stats.windows == 1
-        assert stats.rank_passes == n
+        assert stats.rank_passes == ceil(n / 6)
 
     def test_at_most_two_bit_reads_per_trit(self):
         rng = random.Random(9)
@@ -613,6 +622,7 @@ class TestDifferentialOracle:
             assert expected == (letters.tolist(), nbits)
 
     @pytest.mark.parametrize("width,seed", [(8, 1), (16, 2), (1, 3)])
+    @mock.patch.object(codec, "_WINDOW_BITS", 1 << 16)
     def test_multi_window_payloads(self, width, seed):
         rng = random.Random(seed)
         if width == 8:  # word-like text: a small alphabet, short codewords

@@ -576,7 +576,8 @@ class TestMutationFuzz:
 
 
 class TestDecompressMemory:
-    """container.decompress holds a bounded multiple of its output bytes."""
+    """container.decompress and describe hold a bounded multiple of the
+    output bytes."""
 
     @staticmethod
     def container(width: int, size: int) -> tuple[bytes, bytes]:
@@ -619,3 +620,20 @@ class TestDecompressMemory:
         large = self.peak_per_output_byte(width, 8 << 20)
         assert small <= 6 and large <= 6, (small, large)
         assert large <= small + 0.25, (small, large)
+
+    def test_describe_decodes_the_payload_in_place(self):
+        # the decoded letters take one byte per output byte at L = 8 and the
+        # windows a fixed scratch; a copy of the payload would add ~1.1 more
+        blob, _ = self.container(8, 4 << 20)
+        views = (blob, bytearray(blob), memoryview(blob))
+        infos = []
+        tracemalloc.start()
+        try:
+            for view in views:
+                tracemalloc.reset_peak()
+                infos.append(describe(view))
+                assert tracemalloc.get_traced_memory()[1] <= 1.6 * (4 << 20)
+        finally:
+            tracemalloc.stop()
+        assert infos[0] == infos[1] == infos[2]
+        assert infos[0].payload_bits > 0
