@@ -1,6 +1,6 @@
 """Lossless compression toolkit built on binary-ternary prefix codes."""
 
-from .bitio import BitReader, BitWriter
+from .bitio import BitReader
 from .codebook import (
     CodeSet,
     Codeword,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitReader",
-    "BitWriter",
     "CodeSet",
     "Codeword",
     "CorruptedDataError",

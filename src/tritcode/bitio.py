@@ -1,8 +1,12 @@
-"""MSB-first bit stream reader and writer.
+"""MSB-first bit order: a bit-at-a-time reader and textual bit strings.
 
 One bit order everywhere: within a byte, bit 7 (the most significant) comes
 first. A hex dump of packed output therefore reads left to right in the same
 order as the textual bit strings used throughout the package.
+
+:class:`BitReader` is the scalar reference for the decoder's array trit scan
+(``codec._scan_trits``), through ``codebook.read_trits``. :func:`pack01` and
+:func:`unpack01` convert between bytes and '0'/'1' strings.
 """
 
 from __future__ import annotations
@@ -10,52 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TruncatedDataError
-
-
-class BitWriter:
-    """Accumulates bits MSB-first and packs them into bytes on demand."""
-
-    __slots__ = ("_chunks", "_acc", "_acc_len")
-
-    def __init__(self):
-        self._chunks = bytearray()
-        self._acc = 0        # bits not yet flushed, value right-aligned
-        self._acc_len = 0    # number of bits in _acc, always < 8 after flush
-
-    def write_bits(self, value: int, nbits: int) -> None:
-        """Append the ``nbits`` low bits of ``value``, most significant first."""
-        if nbits < 0:
-            raise ValueError("bit count must be non-negative")
-        if value < 0 or value >> nbits:
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        acc = (self._acc << nbits) | value
-        acc_len = self._acc_len + nbits
-        while acc_len >= 8:
-            acc_len -= 8
-            self._chunks.append((acc >> acc_len) & 0xFF)
-        self._acc = acc & ((1 << acc_len) - 1)
-        self._acc_len = acc_len
-
-    def write01(self, bits: str) -> None:
-        """Append a textual bit string such as ``"1010"``."""
-        for ch in bits:
-            if ch == "0":
-                self.write_bits(0, 1)
-            elif ch == "1":
-                self.write_bits(1, 1)
-            else:
-                raise ValueError(f"invalid bit character {ch!r}")
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._chunks) * 8 + self._acc_len
-
-    def getvalue(self) -> bytes:
-        """Packed bytes, zero-padded on the right to a byte boundary."""
-        out = bytearray(self._chunks)
-        if self._acc_len:
-            out.append((self._acc << (8 - self._acc_len)) & 0xFF)
-        return bytes(out)
 
 
 class BitReader:

@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codebook", help="print codewords of one code set")
     p.add_argument("--set", dest="set_number", type=int, required=True,
-                   metavar="N", help="code set number")
+                   metavar="N", help=f"code set number, 1..{codebook.MAX_SET_NUMBER}")
     p.add_argument("--limit", type=int, default=None, metavar="M",
                    help="print only the first M codewords")
 

@@ -9,14 +9,23 @@ codeword containing z zeros occupies 2n - z bits.
 
 The list never has to be materialized: the position of a codeword in it
 (its 1-based index) is computable from the trits alone, and the inverse
-mapping recovers the trits from an index. Both directions run in O(n^2)
-integer operations. :func:`rank_rows` ranks many codewords at once with one
-numpy lookup per block of six trit positions, in tables of partial ranks
-whose size depends on n alone; :func:`unrank_rows` inverts it in n numpy
-passes. The encoder needs only the bits: :func:`signature_table` gives the
-signatures of the first m codewords as (value, length) integer pairs, built
-group by group in n array passes with no sort. Alphabets of one or two
-letters fall outside the scheme and are marked :class:`Degenerate`.
+mapping recovers the trits from an index. Alphabets of one or two letters
+fall outside the scheme and are marked :class:`Degenerate`.
+
+The codec runs two array kernels, each with one scalar reference that tests
+compare it against:
+
+- the encoder's :func:`signature_table` gives the signatures of the first m
+  codewords as (value, length) integer pairs, built group by group in n
+  array passes with no sort; its reference is :func:`unrank` followed by
+  :func:`trits_to_bits`;
+- the decoder's :func:`rank_rows` ranks many codewords at once with one
+  numpy lookup per block of six trit positions, in tables of partial ranks
+  whose size depends on n alone; its reference is :func:`rank`.
+
+The decoder's trit scan (``codec._scan_trits``) has :func:`read_trits` as
+its reference. :func:`iter_codes` and :func:`generate_codes` list codewords
+through :func:`unrank`, one O(n^2) integer computation each.
 
 Everything here is exact integer arithmetic, no floats. All returned values
 are immutable; the module is safe for unrestricted concurrent use.
@@ -31,11 +40,9 @@ import numpy as np
 
 from .bitio import BitReader
 
-# 3^n grows past 2^63 around n = 40; the cap also bounds signatures to
-# 2n = 80 bits, which keeps every consumer comfortable with plain ints.
-MAX_SET_NUMBER = 40
 # Largest set whose indices (up to 3^n) fit an int64: 3^39 < 2^63 < 3^40.
-MAX_ARRAY_SET_NUMBER = 39
+# A container's alphabet power is a 32-bit field, so it never needs n > 21.
+MAX_SET_NUMBER = 39
 # Largest set whose signatures (up to 2n bits) fit a uint64.
 MAX_SIGNATURE_SET_NUMBER = 32
 
@@ -169,43 +176,19 @@ def read_trits(reader: BitReader, n: int) -> str:
     return "".join(out)
 
 
-def _iter_trit_strings(n: int) -> Iterator[str]:
-    # Canonical order: z = n down to 0, lexicographic inside each group.
-    # Plain backtracking; emits only as far as the consumer pulls.
-    buf = ["0"] * n
-
-    def fill(pos: int, zeros_left: int) -> Iterator[str]:
-        if pos == n:
-            yield "".join(buf)
-            return
-        room = n - pos - 1
-        if zeros_left > 0:
-            buf[pos] = "0"
-            yield from fill(pos + 1, zeros_left - 1)
-        if room >= zeros_left:
-            buf[pos] = "1"
-            yield from fill(pos + 1, zeros_left)
-            buf[pos] = "2"
-            yield from fill(pos + 1, zeros_left)
-
-    for z in range(n, -1, -1):
-        yield from fill(0, z)
-
-
 def iter_codes(n: int, m: int) -> Iterator[Codeword]:
     """Lazily yield the first ``m`` codewords of set ``n`` in canonical order.
 
-    Generation is incremental: only the requested prefix of the list is
-    produced, so small alphabets never pay for the full 3^n enumeration.
+    Each codeword is :func:`unrank` of its index, so only the requested
+    prefix is computed and no list or table of the set is held.
     """
     _check_set_number(n)
     if not 1 <= m <= 3**n:
         raise ValueError(f"code count must be in 1..3^{n}, got {m}")
-    for idx, trits in enumerate(_iter_trit_strings(n), start=1):
+    for idx in range(1, m + 1):
+        trits = unrank(n, idx)
         yield Codeword(trits=trits, bits=trits_to_bits(trits), index=idx,
                        zeros=trits.count("0"))
-        if idx == m:
-            return
 
 
 def generate_codes(n: int, m: int) -> list[Codeword]:
@@ -334,8 +317,7 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     codeword per row. This is :func:`rank` run over whole blocks of
     :data:`RANK_BLOCK_TRITS` trits: one vector lookup per block in a fixed
     table, ceil(n / RANK_BLOCK_TRITS) in all, with no search and no
-    per-codeword Python work. Results are exact int64 values for n up to
-    :data:`MAX_ARRAY_SET_NUMBER`.
+    per-codeword Python work. Results are exact int64 values for every set.
     """
     return rank_rows_and_zeros(n, trits)[0]
 
@@ -346,8 +328,7 @@ def rank_rows_and_zeros(n: int, trits: np.ndarray) -> tuple[np.ndarray, np.ndarr
     The blocks are read from the last to the first, since each lookup needs
     the zeros that follow its block.
     """
-    if not 1 <= n <= MAX_ARRAY_SET_NUMBER:
-        raise ValueError(f"code set number must be in 1..{MAX_ARRAY_SET_NUMBER}, got {n}")
+    _check_set_number(n)
     if trits.ndim != 2 or trits.shape[1] != n:
         raise ValueError(f"expected rows of {n} trits, got shape {trits.shape}")
     cols = trits.T.copy()  # one contiguous row per trit position
@@ -400,77 +381,6 @@ def unrank(n: int, index: int) -> str:
     return "".join(out)
 
 
-# Per-n branch tables for unrank_rows, built once and reused; see _unrank_steps.
-_branches: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _unrank_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables of :func:`unrank`: the group ends and starts, then the
-    branch sizes it compares the in-group offset with.
-
-    ``ends`` holds the last index of each group in list order (z = n down
-    to 0) and ``starts[z]`` the indices before group z. Row p of
-    ``zero_first`` and ``one_next``, entry ``zeros_left``, counts the
-    strings that place a 0 at position p, and those that place a 1 there.
-    """
-    cached = _branches.get(n)
-    if cached is not None:
-        return cached
-    counts, sizes, before = _ntables(n)
-    ends = np.cumsum([sizes[z] for z in range(n, -1, -1)], dtype=np.int64)
-    zero_first = np.zeros((n, n + 1), dtype=np.int64)
-    one_next = np.zeros((n, n + 1), dtype=np.int64)
-    for p in range(n):
-        rest = counts[n - 1 - p]
-        # zeros_left = n - p forces a 0 at p: rest[n - p - 1] is 1 and no
-        # string places a 1 there
-        for zeros_left in range(n - p + 1):
-            if zeros_left:
-                zero_first[p, zeros_left] = rest[zeros_left - 1]
-            if zeros_left < n - p:
-                one_next[p, zeros_left] = rest[zeros_left]
-    result = (ends, np.asarray(before, dtype=np.int64), zero_first, one_next)
-    for table in result:
-        table.setflags(write=False)
-    _branches[n] = result
-    return result
-
-
-def unrank_rows(n: int, indices: np.ndarray) -> np.ndarray:
-    """Trit rows of the codewords at 1-based ``indices`` of set ``n``.
-
-    The inverse of :func:`rank_rows`: a 1-D integer array of k indices gives
-    a (k, n) int8 block, row i holding ``unrank(n, indices[i])``. One
-    search over the group sizes picks each index's zero count, then n
-    vector passes, one per trit position, compare the in-group offset with
-    two table lookups each. Exact for n up to :data:`MAX_ARRAY_SET_NUMBER`.
-    """
-    if not 1 <= n <= MAX_ARRAY_SET_NUMBER:
-        raise ValueError(f"code set number must be in 1..{MAX_ARRAY_SET_NUMBER}, got {n}")
-    idx = np.asarray(indices)
-    if idx.ndim != 1:
-        raise ValueError(f"expected a 1-D index array, got shape {idx.shape}")
-    idx = idx.astype(np.int64, copy=False)
-    if idx.size and (int(idx.min()) < 1 or int(idx.max()) > 3**n):
-        raise ValueError(f"index must be in 1..3^{n}")
-    ends, starts, zero_first, one_next = _unrank_steps(n)
-    zeros_left = n - np.searchsorted(ends, idx, side="left")
-    offset = idx - 1
-    offset -= starts[zeros_left]
-    out = np.empty((n, idx.size), dtype=np.int8)  # one row per position
-    for p in range(n):
-        size = zero_first[p][zeros_left]
-        past_zero = offset >= size
-        offset -= size * past_zero
-        size = one_next[p][zeros_left]
-        past_one = offset >= size
-        past_one &= past_zero
-        offset -= size * past_one
-        np.add(past_zero, past_one, out=out[p], dtype=np.int8)
-        zeros_left -= ~past_zero
-    return out.T.copy()
-
-
 # Per-n signature tables for signature_table, built once and reused; each
 # holds the groups up to the furthest one any caller has reached. A table of
 # more than _SIGNATURES_KEPT entries (9 bytes each) is built per call
@@ -508,9 +418,10 @@ def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"code count must be in 1..3^{n}, got {m}")
     table = _signatures.get(n)
     if table is None or table[0].size < m:
-        ends, _, _, _ = _unrank_steps(n)
-        # the last group reached has n - k zeros, so k nonzero trits
-        table = _build_signatures(n, int(np.searchsorted(ends, m, side="left")))
+        _, _, before = _ntables(n)
+        # the first m codewords reach the groups that start before m; the
+        # last of them has n - k zeros, so k nonzero trits
+        table = _build_signatures(n, sum(start < m for start in before) - 1)
         if table[0].size <= _SIGNATURES_KEPT:
             _signatures[n] = table
     values, lengths = table

@@ -94,21 +94,11 @@ def build_model(letters) -> Model:
     return _model(*_ranked(letters)[:2])
 
 
-def encode_letters(letters) -> tuple[Model, np.ndarray, bytes, int]:
-    """:func:`build_model` and :func:`encode_packed` from one sort.
-
-    Returns the model, its ranked letters as an int64 array, the payload and
-    its exact bit count; the payload equals
-    ``encode_packed(letters, build_model(letters))``.
-    """
-    alphabet, counts, ranks0 = _ranked(letters)
-    return (_model(alphabet, counts), alphabet.astype(np.int64),
-            *_pack_ranks(ranks0, alphabet.size))
-
-
 def _encode(letters) -> tuple[np.ndarray, bytes, int]:
     """The ranked alphabet of ``letters``, in their dtype, then the payload
-    and its exact bit count: :func:`encode_letters` without the model."""
+    and its exact bit count, from one sort. The alphabet is
+    ``build_model(letters).letters`` and the payload is
+    ``encode_packed(letters, build_model(letters))``."""
     alphabet, _, ranks0 = _ranked(letters)
     return (alphabet, *_pack_ranks(ranks0, alphabet.size))
 

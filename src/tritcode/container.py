@@ -284,6 +284,9 @@ def _parse_structure(blob: bytes) -> tuple[Header, int, np.ndarray | None, int]:
     payload offset). ``letters`` is None for the empty-input container."""
     header, m, offset = _parse_counts(blob)
     if m == 0:
+        if len(blob) > offset:  # an empty input has no payload at all
+            raise CorruptedDataError(
+                f"{len(blob) - offset} trailing bytes after an empty container")
         return header, 0, None, offset
     letters, offset = _read_alphabet(blob, offset, m, header)
     return header, m, letters, offset
@@ -343,8 +346,7 @@ def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
         payload_bits = stats.bits_consumed
         padding = stats.padding_bits
     elif decode_payload:
-        payload_bits = 0
-        padding = payload_bytes * 8
+        payload_bits = padding = 0
     return ContainerInfo(
         header=header,
         m=m,

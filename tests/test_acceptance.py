@@ -124,11 +124,15 @@ def test_criterion_02_structural_invariants():
         for z, size in zero_histogram.items():
             assert size == group_params(n, z).size
         assert sum(zero_histogram.values()) == 3**n
-    # rank/unrank bijection, n <= 7 exhaustive
+    # rank/unrank bijection, n <= 7 exhaustive, against the brute-force
+    # order: every trit string sorted by descending zero count, then
+    # lexicographically
     for n in range(1, 8):
-        for cw in generate_codes(n, 3**n):
-            assert rank(n, cw.trits) == cw.index
-            assert unrank(n, cw.index) == cw.trits
+        ordered = sorted(("".join(t) for t in product("012", repeat=n)),
+                         key=lambda s: (-s.count("0"), s))
+        for index, trits in enumerate(ordered, start=1):
+            assert rank(n, trits) == index
+            assert unrank(n, index) == trits
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     _pass(2, f"prefix-freeness, Kraft, groups, bijection ({elapsed:.1f}s)")

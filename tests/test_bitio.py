@@ -2,27 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tritcode.bitio import BitReader, BitWriter, pack01, unpack01
+from tritcode.bitio import BitReader, pack01, unpack01
 from tritcode.errors import TruncatedDataError
 
 bitstrings = st.text(alphabet="01", max_size=200)
 
 
 def test_writer_packs_msb_first():
-    w = BitWriter()
-    w.write_bits(0b1011, 4)
-    w.write_bits(0b0100, 4)
-    w.write_bits(0b1, 1)
-    assert w.getvalue() == bytes([0xB4, 0x80])
-    assert w.bit_length == 9
-
-
-def test_writer_rejects_oversized_values():
-    w = BitWriter()
-    with pytest.raises(ValueError):
-        w.write_bits(4, 2)
-    with pytest.raises(ValueError):
-        w.write_bits(-1, 3)
+    assert pack01("1011" "0100" "1") == bytes([0xB4, 0x80])
 
 
 def test_reader_reads_back_bits():
@@ -57,9 +44,7 @@ def test_pack_unpack_roundtrip(bits):
 
 @given(bitstrings)
 def test_writer_reader_agree(bits):
-    w = BitWriter()
-    w.write01(bits)
-    r = BitReader(w.getvalue(), bit_length=len(bits))
+    r = BitReader(pack01(bits), bit_length=len(bits))
     assert "".join(str(r.read_bit()) for _ in range(len(bits))) == bits
 
 
@@ -67,17 +52,9 @@ def test_writer_reader_agree(bits):
                           st.integers(min_value=40, max_value=64)),
                 max_size=20))
 def test_write_bits_wide_values(chunks):
-    w = BitWriter()
-    for value, width in chunks:
-        w.write_bits(value, width)
-    r = BitReader(w.getvalue())
+    r = BitReader(pack01("".join(format(value, f"0{width}b") for value, width in chunks)))
     for value, width in chunks:
         assert r.read_bits(width) == value
-
-
-def test_write01_rejects_other_characters():
-    with pytest.raises(ValueError):
-        BitWriter().write01("012")
 
 
 def test_pack01_rejects_other_characters():

@@ -113,7 +113,17 @@ class TestCodebook:
         assert lines[-1].split("\t") == ["9", "22", "1111", "4"]
 
     def test_bad_set_number(self, capsys):
-        assert dispatch(["codebook", "--set", "0"]) == EXIT_USAGE
+        for n in ("0", "40"):
+            assert dispatch(["codebook", "--set", n]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+
+    def test_largest_set_is_listed_lazily(self, capsys):
+        assert dispatch(["codebook", "--set", "39", "--limit", "2"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[:2] for line in lines] == [
+            ["1", "0" * 39], ["2", "0" * 38 + "1"]]
 
 
 class TestAnalyze:
@@ -205,9 +215,11 @@ class TestHostileContainers:
     @pytest.mark.parametrize("verb", ["decompress", "inspect"])
     def test_one_line_errors(self, verb, oversized_claim, deeply_nested,
                              wide_nested_alphabet, tmp_path, capsys):
+        empty_with_trailing_bytes = container.compress(b"", 8) + b"\xff" * 5
         for blob, code in ((oversized_claim, EXIT_CORRUPT),
                            (deeply_nested, EXIT_FORMAT),
-                           (wide_nested_alphabet, EXIT_FORMAT)):
+                           (wide_nested_alphabet, EXIT_FORMAT),
+                           (empty_with_trailing_bytes, EXIT_CORRUPT)):
             path = tmp_path / "hostile.btn"
             path.write_bytes(blob)
             args = [verb, str(path)] + ([str(tmp_path / "out")] if verb == "decompress" else [])

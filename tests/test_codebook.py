@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -17,6 +18,7 @@ from tritcode.codebook import (
     code_set_for_alphabet,
     generate_codes,
     group_params,
+    iter_codes,
     rank,
     rank_rows,
     rank_rows_and_zeros,
@@ -25,7 +27,6 @@ from tritcode.codebook import (
     signature_total,
     trits_to_bits,
     unrank,
-    unrank_rows,
 )
 from tritcode.errors import TruncatedDataError
 
@@ -65,9 +66,10 @@ class TestCodeSetIdentification:
             code_set_for_alphabet(0)
 
     def test_set_number_cap(self):
-        assert code_set_for_alphabet(3**40).n == 40
+        # 39 is the largest set whose indices fit an int64
+        assert code_set_for_alphabet(3**39).n == 39
         with pytest.raises(ValueError):
-            code_set_for_alphabet(3**40 + 1)
+            code_set_for_alphabet(3**39 + 1)
 
 
 class TestGroupParams:
@@ -104,7 +106,7 @@ class TestGeneration:
         assert [cw.bits for cw in generate_codes(1, 3)] == ["0", "10", "11"]
 
     def test_matches_bruteforce_order(self):
-        for n in range(1, 6):
+        for n in range(1, 8):
             expected = enumerate_trit_strings(n)
             got = [cw.trits for cw in generate_codes(n, 3**n)]
             assert got == expected
@@ -124,12 +126,26 @@ class TestGeneration:
         head = generate_codes(24, 5)
         assert len(head) == 5
         assert head[0].trits == "0" * 24
+        # each codeword is computed when pulled; no list or table of the set
+        for pull in (lambda: next(iter_codes(39, 3**39)),
+                     lambda: generate_codes(21, 5)):
+            tracemalloc.start()
+            try:
+                pull()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+        assert next(iter_codes(39, 3**39)).trits == "0" * 39
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             generate_codes(2, 10)
         with pytest.raises(ValueError):
             generate_codes(2, 0)
+        for n in (0, 40):
+            with pytest.raises(ValueError):
+                generate_codes(n, 1)
 
 
 class TestSignature:
@@ -187,15 +203,15 @@ class TestRankUnrank:
         assert unrank(2, 1) == "00"
 
     def test_unrank_matches_generation_set4(self):
-        codes = generate_codes(4, 81)
-        for cw in codes:
-            assert unrank(4, cw.index) == cw.trits
+        # generation runs through unrank, so the brute-force order is the oracle
+        for index, trits in enumerate(enumerate_trit_strings(4), start=1):
+            assert unrank(4, index) == trits
 
     def test_bijection_exhaustive_small(self):
         for n in range(1, 8):
-            for cw in generate_codes(n, 3**n):
-                assert rank(n, cw.trits) == cw.index
-                assert unrank(n, cw.index) == cw.trits
+            for index, trits in enumerate(enumerate_trit_strings(n), start=1):
+                assert rank(n, trits) == index
+                assert unrank(n, index) == trits
 
     def test_bijection_sampled_n12(self):
         rng = random.Random(20120126)
@@ -222,18 +238,28 @@ def trit_rows(strings):
     return np.array([[int(t) for t in s] for s in strings], dtype=np.int8)
 
 
+def group_boundaries(n):
+    """1, 3^n, and each group's first index with its neighbours."""
+    starts = [sum(group_params(n, y).size for y in range(z + 1, n + 1))
+              for z in range(n, -1, -1)]
+    picks = {1, 3**n} | {s + d for s in starts for d in (-1, 0, 1)}
+    return np.array(sorted(i for i in picks if 1 <= i <= 3**n), dtype=np.int64)
+
+
 class TestRankRows:
     def test_matches_rank_exhaustive_small(self):
         for n in range(1, 8):
-            codes = generate_codes(n, 3**n)
-            got = rank_rows(n, trit_rows(cw.trits for cw in codes))
-            assert got.tolist() == [cw.index for cw in codes]
+            got = rank_rows(n, trit_rows(enumerate_trit_strings(n)))
+            assert got.tolist() == list(range(1, 3**n + 1))
 
     @pytest.mark.parametrize("n", range(1, 40))
     def test_matches_rank_large_sets(self, n):
         # every set up to 39, the largest whose indices fit an int64, so
         # every block layout: n = 6k - 1, 6k and 6k + 1 end on a short, a
-        # whole and a one-trit block
+        # whole and a one-trit block; 21 is the largest set a 32-bit
+        # alphabet power reaches
+        idx = group_boundaries(n)
+        assert rank_rows(n, trit_rows(unrank(n, int(i)) for i in idx)).tolist() == idx.tolist()
         rng = random.Random(n)
         widths = [min(RANK_BLOCK_TRITS, n - s) for s in range(0, n, RANK_BLOCK_TRITS)]
         fills = [lambda h: "0" * h, lambda h: "2" * h,
@@ -279,52 +305,6 @@ class TestRankRows:
             rank_rows(3, np.zeros((5, 4), dtype=np.int8))
         with pytest.raises(ValueError):
             rank_rows(40, np.zeros((1, 40), dtype=np.int8))
-
-
-def trit_strings(block):
-    return ["".join(map(str, row)) for row in block.tolist()]
-
-
-def group_boundaries(n):
-    """1, 3^n, and each group's first index with its neighbours."""
-    starts = [sum(group_params(n, y).size for y in range(z + 1, n + 1))
-              for z in range(n, -1, -1)]
-    picks = {1, 3**n} | {s + d for s in starts for d in (-1, 0, 1)}
-    return np.array(sorted(i for i in picks if 1 <= i <= 3**n), dtype=np.int64)
-
-
-class TestUnrankRows:
-    def test_matches_unrank_exhaustive_small(self):
-        for n in range(1, 9):
-            idx = np.arange(1, 3**n + 1)
-            block = unrank_rows(n, idx)
-            assert block.shape == (3**n, n) and block.dtype == np.int8
-            assert trit_strings(block) == [unrank(n, i) for i in range(1, 3**n + 1)]
-            assert rank_rows(n, block).tolist() == idx.tolist()
-
-    @pytest.mark.parametrize("n", list(range(9, 22)) + [39])
-    def test_matches_unrank_at_group_boundaries(self, n):
-        # 21 is the largest set a 32-bit alphabet power reaches; 39 is the
-        # largest whose indices fit an int64
-        idx = group_boundaries(n)
-        block = unrank_rows(n, idx)
-        assert trit_strings(block) == [unrank(n, int(i)) for i in idx]
-        assert rank_rows(n, block).tolist() == idx.tolist()
-
-    def test_empty_and_unordered_indices(self):
-        assert unrank_rows(4, np.empty(0, dtype=np.int64)).shape == (0, 4)
-        idx = np.array([81, 1, 40, 1, 9])
-        assert trit_strings(unrank_rows(4, idx)) == [unrank(4, int(i)) for i in idx]
-
-    def test_rejects_bad_set_shape_and_index(self):
-        for n in (0, 40):
-            with pytest.raises(ValueError):
-                unrank_rows(n, np.array([1]))
-        with pytest.raises(ValueError):
-            unrank_rows(3, np.ones((2, 2), dtype=np.int64))
-        for bad in (0, 28, -5):
-            with pytest.raises(ValueError):
-                unrank_rows(3, np.array([1, bad]))
 
 
 class TestSignatureTable:

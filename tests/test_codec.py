@@ -218,8 +218,7 @@ class TestOneSortModel:
         assert model == oracle_build_model(arr)
         assert all(type(v) is int for v in model.letters + model.counts)
         assert codec._rank0_of(model, arr).tolist() == oracle_rank0_of(model, arr).tolist()
-        got, alphabet, payload, nbits = codec.encode_letters(letters)
-        assert got == model
+        alphabet, payload, nbits = codec._encode(letters)
         assert alphabet.dtype == np.int64 and alphabet.tolist() == list(model.letters)
         assert (payload, nbits) == encode_packed(arr, model)
 
@@ -245,7 +244,7 @@ class TestOneSortModel:
             codec._rank0_of(model, np.array([3, 70_000, -7]))
         with pytest.raises(ValueError, match="^letter 70000 absent from model$"):
             codec._rank0_of(model, np.array([3, 70_000, 300]))
-        for fn in (build_model, codec.encode_letters):
+        for fn in (build_model, codec._encode):
             with pytest.raises(ValueError, match="^letters must be unsigned integers$"):
                 fn([5, -1])
             with pytest.raises(ValueError, match="^cannot build a model from empty input$"):

@@ -460,6 +460,18 @@ class TestHostileContainers:
                                  r"\(letter 1 of 137438953472\)"):
             decompress(bytes(blob))
 
+    def test_empty_container_with_trailing_bytes_is_corrupt(self):
+        # an empty input is exactly 16 bytes; anything after m = 0 is corrupt
+        for width in (1, 8, 32):
+            empty = compress(b"", width)
+            assert decompress(empty) == b""
+            for extra in (b"\x00", b"\xff" * 5):
+                with pytest.raises(CorruptedDataError, match="trailing bytes"):
+                    decompress(empty + extra)
+                for decode_payload in (True, False):
+                    with pytest.raises(CorruptedDataError, match="trailing bytes"):
+                        describe(empty + extra, decode_payload=decode_payload)
+
     def test_one_level_packed_alphabet_is_accepted(self, nested_packed_alphabets):
         assert decompress(nested_packed_alphabets(1)) == b"A"
 
