@@ -256,10 +256,7 @@ class TestRankRows:
     def test_matches_rank_large_sets(self, n):
         # every set up to 39, the largest whose indices fit an int64, so
         # every block layout: n = 6k - 1, 6k and 6k + 1 end on a short, a
-        # whole and a one-trit block; 21 is the largest set a 32-bit
-        # alphabet power reaches
-        idx = group_boundaries(n)
-        assert rank_rows(n, trit_rows(unrank(n, int(i)) for i in idx)).tolist() == idx.tolist()
+        # whole and a one-trit block
         rng = random.Random(n)
         widths = [min(RANK_BLOCK_TRITS, n - s) for s in range(0, n, RANK_BLOCK_TRITS)]
         fills = [lambda h: "0" * h, lambda h: "2" * h,
@@ -305,6 +302,29 @@ class TestRankRows:
             rank_rows(3, np.zeros((5, 4), dtype=np.int8))
         with pytest.raises(ValueError):
             rank_rows(40, np.zeros((1, 40), dtype=np.int8))
+
+
+class TestUnrankRows:
+    """Rows built by the scalar ``unrank`` where its groups meet."""
+
+    @pytest.mark.parametrize("n", list(range(9, 22)) + [39])
+    def test_matches_unrank_at_group_boundaries(self, n):
+        # 21 is the largest set a 32-bit alphabet power reaches; 39 is the
+        # largest whose indices fit an int64
+        idx = group_boundaries(n)
+        strings = [unrank(n, int(i)) for i in idx]
+        got, zeros = rank_rows_and_zeros(n, trit_rows(strings))
+        assert got.tolist() == idx.tolist()
+        assert [rank(n, t) for t in strings] == idx.tolist()
+        # groups run from n zeros down to none, each in lexicographic order
+        ends = np.cumsum([group_params(n, z).size for z in range(n, -1, -1)])
+        group_zeros = n - np.searchsorted(ends, idx)
+        assert zeros.tolist() == group_zeros.tolist()
+        assert [t.count("0") for t in strings] == group_zeros.tolist()
+        for (i, a, za), (j, b, zb) in zip(zip(idx, strings, group_zeros),
+                                          zip(idx[1:], strings[1:], group_zeros[1:])):
+            if j == i + 1 and za == zb:
+                assert a < b
 
 
 class TestSignatureTable:
