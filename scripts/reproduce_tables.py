@@ -22,10 +22,9 @@ from tritcode.numeral import compactness, continuous_minimum  # noqa: E402
 def compactness_table() -> None:
     print("== compactness of streamed base-b numbers vs plain binary ==")
     digit_range = range(2, 13)
-    print("b  " + "".join(f"{c:>7}" for c in digit_range))
-    for base in range(3, 9):
-        cells = [compactness(base, c).e_bar for c in digit_range]
-        print(f"{base}  " + "".join(f"{v:>7.3f}" for v in cells))
+    sys.stdout.write(bench.write_table(["b", *digit_range], [
+        [base] + [f"{compactness(base, c).e_bar:.3f}" for c in digit_range]
+        for base in range(3, 9)]))
     b_star, e_star = continuous_minimum()
     print(f"continuous minimum: ratio {e_star:.4f} at b = {b_star:.4f}")
     print()
@@ -33,7 +32,7 @@ def compactness_table() -> None:
 
 def redundancy() -> None:
     print("== redundancy on incompressible data ==")
-    sys.stdout.write(bench.redundancy_to_text(bench.redundancy_table(20)))
+    sys.stdout.write(bench.format_redundancy(bench.redundancy_table(20)))
     print()
 
 
@@ -45,16 +44,16 @@ def corpus_tables(corpus: Path) -> int:
         return 1
     print(f"== Canterbury corpus at L=8 and L=16 ({corpus}) ==")
     reports, totals, _ = bench.run_corpus(corpus, (8, 16))
-    sys.stdout.write(bench.reports_to_text(reports + totals))
+    sys.stdout.write(bench.format_corpus(reports + totals))
     print()
 
     print("== re-compression of the L=8 outputs ==")
     rows, total_row, _ = bench.run_recompress(corpus, 8, (3, 6, 9))
-    sys.stdout.write(bench.recompress_to_text(rows + [total_row], (3, 6, 9)))
+    sys.stdout.write(bench.format_recompress(rows + [total_row], (3, 6, 9)))
     print()
 
     print("== alphabet compression at L=16 ==")
-    print(f"{'file':<14} {'total':>9} {'alpha raw':>9} {'alpha packed':>12} {'gain %':>7}")
+    rows = []
     for name in bench.CANTERBURY_FILES:
         data = (corpus / name).read_bytes()
         plain = container.compress(data, 16)
@@ -62,8 +61,10 @@ def corpus_tables(corpus: Path) -> int:
         raw_block = container.describe(plain, decode_payload=False)
         packed_block = container.describe(packed, decode_payload=False)
         gain = (len(plain) - len(packed)) / len(plain) * 100
-        print(f"{name:<14} {len(plain):>9} {raw_block.alphabet_block_bytes:>9} "
-              f"{packed_block.alphabet_block_bytes:>12} {gain:>7.2f}")
+        rows.append([name, len(plain), raw_block.alphabet_block_bytes,
+                     packed_block.alphabet_block_bytes, f"{gain:.2f}"])
+    sys.stdout.write(bench.write_table(
+        ["file", "total", "alpha raw", "alpha packed", "gain %"], rows))
     return 0
 
 

@@ -6,15 +6,17 @@ unless its round trip held. The "price of economy" metric divides the
 compression time by the bytes it freed, so machine-dependent timings become
 comparable across letter widths on the same machine.
 
-Reports are emitted as CSV (fixed column order, see CSV_COLUMNS) or as
-aligned text. The Canterbury corpus is read from a local directory; see
-scripts/fetch_corpus.py for obtaining it.
+Every table is drawn by one writer, write_table, as CSV or as aligned text;
+format_corpus, format_recompress and format_redundancy turn each table's
+rows into its cells. The Canterbury corpus is read from a local directory;
+see scripts/fetch_corpus.py for obtaining it.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import time
 from dataclasses import dataclass
@@ -37,8 +39,6 @@ CANTERBURY_FILES = (
     "sum",
     "xargs.1",
 )
-
-CANTERBURY_URL = "http://corpus.canterbury.ac.nz/resources/cantrbry.zip"
 
 CSV_COLUMNS = (
     "file",
@@ -97,16 +97,23 @@ def price_of_economy(time_ms: float, original_bytes: int,
     return time_ms / saved
 
 
-def price_change_percent(price_from: float | None,
-                         price_to: float | None) -> float | None:
-    """Relative change of the price of economy between two runs, in percent.
-
-    Undefined (None) when either price is undefined or the baseline is zero.
-    The numeric value is machine-dependent; it is reported, never asserted.
-    """
-    if price_from is None or price_to is None or price_from == 0:
-        return None
-    return (price_to / price_from - 1.0) * 100.0
+def _file_report(name: str, original: int, letter_bits: int, compressed: int,
+                 alphabet_bytes: int, encode_ms: float, decode_ms: float,
+                 roundtrip_ok: bool) -> FileReport:
+    """The one FileReport builder: derives the ratios and the price."""
+    return FileReport(
+        name=name,
+        original_bytes=original,
+        letter_bits=letter_bits,
+        compressed_bytes=compressed,
+        alphabet_bytes=alphabet_bytes,
+        bits_per_byte=compressed / original * 8 if original else 0.0,
+        percent=compressed / original * 100 if original else 0.0,
+        encode_ms=encode_ms,
+        decode_ms=decode_ms,
+        roundtrip_ok=roundtrip_ok,
+        price_of_economy=price_of_economy(encode_ms, original, compressed),
+    )
 
 
 def bench_file(path: Path, letter_bits: int, *,
@@ -119,43 +126,23 @@ def bench_file(path: Path, letter_bits: int, *,
     t1 = time.perf_counter()
     restored = container.decompress(blob)
     t2 = time.perf_counter()
-    encode_ms = (t1 - t0) * 1000.0
-    decode_ms = (t2 - t1) * 1000.0
     info = container.describe(blob, decode_payload=False)
-    original = len(data)
-    compressed = len(blob)
-    return FileReport(
-        name=path.name,
-        original_bytes=original,
-        letter_bits=letter_bits,
-        compressed_bytes=compressed,
-        alphabet_bytes=info.alphabet_block_bytes,
-        bits_per_byte=compressed / original * 8 if original else 0.0,
-        percent=compressed / original * 100 if original else 0.0,
-        encode_ms=encode_ms,
-        decode_ms=decode_ms,
-        roundtrip_ok=restored == data,
-        price_of_economy=price_of_economy(encode_ms, original, compressed),
-    )
+    return _file_report(path.name, len(data), letter_bits, len(blob),
+                        info.alphabet_block_bytes, (t1 - t0) * 1000.0,
+                        (t2 - t1) * 1000.0, restored == data)
 
 
 def _totals_row(reports: list[FileReport], letter_bits: int) -> FileReport:
     group = [r for r in reports if r.letter_bits == letter_bits]
-    original = sum(r.original_bytes for r in group)
-    compressed = sum(r.compressed_bytes for r in group)
-    encode_ms = sum(r.encode_ms for r in group)
-    return FileReport(
-        name=TOTAL_LABEL,
-        original_bytes=original,
-        letter_bits=letter_bits,
-        compressed_bytes=compressed,
-        alphabet_bytes=sum(r.alphabet_bytes for r in group),
-        bits_per_byte=compressed / original * 8 if original else 0.0,
-        percent=compressed / original * 100 if original else 0.0,
-        encode_ms=encode_ms,
-        decode_ms=sum(r.decode_ms for r in group),
-        roundtrip_ok=all(r.roundtrip_ok for r in group),
-        price_of_economy=price_of_economy(encode_ms, original, compressed),
+    return _file_report(
+        TOTAL_LABEL,
+        sum(r.original_bytes for r in group),
+        letter_bits,
+        sum(r.compressed_bytes for r in group),
+        sum(r.alphabet_bytes for r in group),
+        sum(r.encode_ms for r in group),
+        sum(r.decode_ms for r in group),
+        all(r.roundtrip_ok for r in group),
     )
 
 
@@ -168,26 +155,24 @@ def run_corpus(directory: str | Path,
 
     Returns (per-file reports, one totals row per width, missing files).
     Missing files are skipped and reported; present files still run.
+    At most one worker process runs per task, however large jobs is.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     directory = Path(directory)
     present = [f for f in files if (directory / f).is_file()]
     missing = [f for f in files if f not in present]
-    tasks = [(directory / f, bits) for bits in letter_bits_values for f in present]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_bench_star, [
-                (path, bits, compress_alphabet) for path, bits in tasks
-            ]))
+    paths = [directory / f for _ in letter_bits_values for f in present]
+    widths = [bits for bits in letter_bits_values for _ in present]
+    run = functools.partial(bench_file, compress_alphabet=compress_alphabet)
+    workers = min(jobs, len(paths))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(run, paths, widths))
     else:
-        reports = [bench_file(path, bits, compress_alphabet=compress_alphabet)
-                   for path, bits in tasks]
+        reports = list(map(run, paths, widths))
     totals = [_totals_row(reports, bits) for bits in letter_bits_values]
     return reports, totals, missing
-
-
-def _bench_star(args) -> FileReport:
-    path, bits, compress_alphabet = args
-    return bench_file(path, bits, compress_alphabet=compress_alphabet)
 
 
 def run_recompress(directory: str | Path, first_bits: int = 8,
@@ -200,14 +185,11 @@ def run_recompress(directory: str | Path, first_bits: int = 8,
     error. Returns (rows, totals row, missing files).
     """
     directory = Path(directory)
+    present = [f for f in files if (directory / f).is_file()]
+    missing = [f for f in files if f not in present]
     rows = []
-    missing = []
-    for name in files:
-        path = directory / name
-        if not path.is_file():
-            missing.append(name)
-            continue
-        data = path.read_bytes()
+    for name in present:
+        data = (directory / name).read_bytes()
         first = container.compress(data, first_bits)
         chained = {bits: len(container.recompress(first, bits))
                    for bits in second_bits}
@@ -248,86 +230,49 @@ def redundancy_table(max_letter_bits: int) -> list[RedundancyRow]:
     return rows
 
 
-def _report_cells(report: FileReport) -> list[str]:
-    price = report.price_of_economy
-    return [
-        report.name,
-        str(report.original_bytes),
-        str(report.letter_bits),
-        str(report.compressed_bytes),
-        str(report.alphabet_bytes),
-        f"{report.bits_per_byte:.4f}",
-        f"{report.percent:.2f}",
-        f"{report.encode_ms:.3f}",
-        f"{report.decode_ms:.3f}",
-        "" if price is None else f"{price:.6f}",
-    ]
+def write_table(header, rows, report: str = "text") -> str:
+    """Draw a header and rows of cells as CSV or as aligned text.
 
-
-def reports_to_csv(reports: list[FileReport]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        writer.writerow(_report_cells(report))
-    return out.getvalue()
-
-
-def reports_to_text(reports: list[FileReport]) -> str:
-    rows = [list(CSV_COLUMNS)] + [_report_cells(r) for r in reports]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_COLUMNS))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) if i else cell.ljust(w)
-                               for i, (cell, w) in enumerate(zip(row, widths))))
-    return "\n".join(lines) + "\n"
-
-
-def recompress_to_csv(rows: list[RecompressReport],
-                      second_bits: tuple[int, ...]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["file", "original_bytes", "first_bytes"]
-                    + [f"chained_L{b}" for b in second_bits])
-    for row in rows:
-        writer.writerow([row.name, row.original_bytes, row.first_bytes]
-                        + [row.chained[b] for b in second_bits])
-    return out.getvalue()
-
-
-def recompress_to_text(rows: list[RecompressReport],
-                       second_bits: tuple[int, ...]) -> str:
-    header = ["file", "original", "first"] + [f"L'={b}" for b in second_bits]
-    table = [header] + [
-        [r.name, str(r.original_bytes), str(r.first_bytes)]
-        + [str(r.chained[b]) for b in second_bits]
-        for r in rows
-    ]
+    Each cell prints as str(cell). Text pads each column to its widest
+    cell, left-aligns the first column and right-aligns the rest, with two
+    spaces between columns.
+    """
+    table = [[str(cell) for cell in row] for row in [header, *rows]]
+    if report == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(table)
+        return out.getvalue()
+    if report != "text":
+        raise ValueError(f"report must be csv or text, got {report!r}")
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = ["  ".join(cell.rjust(w) if i else cell.ljust(w)
-                       for i, (cell, w) in enumerate(zip(row, widths)))
-             for row in table]
-    return "\n".join(lines) + "\n"
+    return "".join(
+        "  ".join(cell.rjust(w) if i else cell.ljust(w)
+                  for i, (cell, w) in enumerate(zip(row, widths))) + "\n"
+        for row in table)
 
 
-def redundancy_to_csv(rows: list[RedundancyRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["L", "m", "min_len", "max_len", "redundancy_pct"])
-    for row in rows:
-        writer.writerow([row.letter_bits, row.m, row.min_len, row.max_len,
-                         f"{row.redundancy_pct:.2f}"])
-    return out.getvalue()
+def format_corpus(reports: list[FileReport], report: str = "text") -> str:
+    """The corpus table: one row per file and width, CSV_COLUMNS order."""
+    return write_table(CSV_COLUMNS, [
+        [r.name, r.original_bytes, r.letter_bits, r.compressed_bytes,
+         r.alphabet_bytes, f"{r.bits_per_byte:.4f}", f"{r.percent:.2f}",
+         f"{r.encode_ms:.3f}", f"{r.decode_ms:.3f}",
+         "" if r.price_of_economy is None else f"{r.price_of_economy:.6f}"]
+        for r in reports], report)
 
 
-def redundancy_to_text(rows: list[RedundancyRow]) -> str:
-    header = ["L", "m", "min", "max", "redundancy %"]
-    table = [header] + [
-        [str(r.letter_bits), str(r.m), str(r.min_len), str(r.max_len),
-         f"{r.redundancy_pct:.2f}"]
-        for r in rows
-    ]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-             for row in table]
-    return "\n".join(lines) + "\n"
+def format_recompress(rows: list[RecompressReport], second_bits: tuple[int, ...],
+                      report: str = "text") -> str:
+    """The re-compression table: one chained size column per second width."""
+    header = (["file", "original_bytes", "first_bytes"]
+              + [f"chained_L{b}" for b in second_bits])
+    return write_table(header, [
+        [r.name, r.original_bytes, r.first_bytes]
+        + [r.chained[b] for b in second_bits] for r in rows], report)
+
+
+def format_redundancy(rows: list[RedundancyRow], report: str = "text") -> str:
+    """The redundancy table: code lengths and overhead per letter width."""
+    return write_table(["L", "m", "min_len", "max_len", "redundancy_pct"], [
+        [r.letter_bits, r.m, r.min_len, r.max_len, f"{r.redundancy_pct:.2f}"]
+        for r in rows], report)

@@ -62,19 +62,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None, metavar="M",
                    help="print only the first M codewords")
 
-    p = sub.add_parser("bench", help="benchmark a corpus directory")
-    p.add_argument("mode", choices=("corpus", "recompress"))
-    p.add_argument("directory", type=Path)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("directory", type=Path)
+    table.add_argument("--report", choices=("csv", "text"), default="text")
+    modes = sub.add_parser("bench", help="benchmark a corpus directory"
+                           ).add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("corpus", parents=[table],
+                         help="compress every corpus file at each width")
     p.add_argument("--bits", type=int, nargs="+", default=[8, 16],
-                   help="letter widths for corpus mode (default 8 16)")
-    p.add_argument("--first", type=int, default=8,
-                   help="first-pass width for recompress mode (default 8)")
-    p.add_argument("--second", type=int, nargs="+", default=[3, 6, 9],
-                   help="second-pass widths for recompress mode (default 3 6 9)")
+                   help="letter widths (default 8 16)")
     p.add_argument("--compress-alphabet", action="store_true")
-    p.add_argument("--report", choices=("csv", "text"), default="text")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (1 = sequential, stable timings)")
+                   help="parallel workers, at most one per file and width "
+                        "(1 = sequential, stable timings)")
+    p = modes.add_parser("recompress", parents=[table],
+                         help="compress each first-pass output again at other widths")
+    p.add_argument("--first", type=int, default=8,
+                   help="first-pass width (default 8)")
+    p.add_argument("--second", type=int, nargs="+", default=[3, 6, 9],
+                   help="second-pass widths (default 3 6 9)")
 
     p = sub.add_parser("analyze", help="numeric analysis tables")
     p.add_argument("mode", choices=("compactness", "minimum", "redundancy"))
@@ -147,25 +153,19 @@ def _cmd_bench(args) -> int:
         reports, totals, missing = bench.run_corpus(
             args.directory, tuple(args.bits),
             compress_alphabet=args.compress_alphabet, jobs=args.jobs)
-        rows = reports + totals
-        render = bench.reports_to_csv if args.report == "csv" else bench.reports_to_text
-        sys.stdout.write(render(rows))
-        for name in missing:
-            print(f"missing: {name}", file=sys.stderr)
+        sys.stdout.write(bench.format_corpus(reports + totals, args.report))
         failed = [r.name for r in reports if not r.roundtrip_ok]
-        for name in failed:
-            print(f"ROUND TRIP FAILED: {name}", file=sys.stderr)
-        return EXIT_CORRUPT if failed else EXIT_OK
-    rows, totals, missing = bench.run_recompress(
-        args.directory, args.first, tuple(args.second))
-    table = rows + [totals]
-    if args.report == "csv":
-        sys.stdout.write(bench.recompress_to_csv(table, tuple(args.second)))
     else:
-        sys.stdout.write(bench.recompress_to_text(table, tuple(args.second)))
+        rows, totals, missing = bench.run_recompress(
+            args.directory, args.first, tuple(args.second))
+        sys.stdout.write(bench.format_recompress(
+            rows + [totals], tuple(args.second), args.report))
+        failed = []
     for name in missing:
         print(f"missing: {name}", file=sys.stderr)
-    return EXIT_OK
+    for name in failed:
+        print(f"ROUND TRIP FAILED: {name}", file=sys.stderr)
+    return EXIT_CORRUPT if failed else EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
@@ -177,8 +177,8 @@ def _cmd_analyze(args) -> int:
         b_star, e_star = numeral.continuous_minimum()
         print(f"b* = {b_star:.4f}, ratio = {e_star:.4f}")
     else:
-        rows = bench.redundancy_table(args.max_bits)
-        sys.stdout.write(bench.redundancy_to_text(rows))
+        sys.stdout.write(bench.format_redundancy(
+            bench.redundancy_table(args.max_bits)))
     return EXIT_OK
 
 

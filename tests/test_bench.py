@@ -1,23 +1,26 @@
 import csv
 import io
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tritcode import container
+from tritcode import bench, container
 from tritcode.bench import (
+    CANTERBURY_FILES,
     CSV_COLUMNS,
     TOTAL_LABEL,
     bench_file,
-    price_change_percent,
+    format_corpus,
+    format_recompress,
+    format_redundancy,
     price_of_economy,
-    recompress_to_csv,
     redundancy_table,
-    redundancy_to_csv,
-    reports_to_csv,
-    reports_to_text,
     run_corpus,
     run_recompress,
+    write_table,
 )
 from tritcode.codebook import code_set_for_alphabet, generate_codes
 
@@ -46,14 +49,6 @@ class TestPriceOfEconomy:
 
     def test_sign_follows_denominator(self):
         assert price_of_economy(10.0, 500, 600) < 0
-
-    def test_change_between_widths(self):
-        p8 = price_of_economy(120.0, 1000, 600)
-        p16 = price_of_economy(90.0, 1000, 700)
-        assert price_change_percent(p8, p16) == pytest.approx(0.0)
-        assert price_change_percent(0.2, 0.3) == pytest.approx(50.0)
-        assert price_change_percent(None, 0.3) is None
-        assert price_change_percent(0.2, None) is None
 
 
 class TestBenchFile:
@@ -109,6 +104,44 @@ class TestRunCorpus:
         par, _, _ = run_corpus(directory, (8,), files=names, jobs=2)
         assert [(r.name, r.compressed_bytes) for r in seq] == \
                [(r.name, r.compressed_bytes) for r in par]
+
+    @pytest.mark.parametrize("jobs, tasks, workers", [
+        (64, 3, [3]),  # capped at one worker per task
+        (2, 3, [2]),
+        (8, 1, []),    # a single task runs in-process
+        (1, 3, []),
+    ])
+    def test_workers_capped_at_task_count(self, mini_corpus, monkeypatch,
+                                          jobs, tasks, workers):
+        requested = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
+        directory, files = mini_corpus
+        names = tuple(sorted(files))[:tasks]
+        reports, _, _ = run_corpus(directory, (8,), files=names, jobs=jobs)
+        assert requested == workers
+        assert [r.name for r in reports] == list(names)
+        assert all(r.roundtrip_ok for r in reports)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, mini_corpus, jobs):
+        directory, files = mini_corpus
+        with pytest.raises(ValueError, match="jobs"):
+            run_corpus(directory, (8,), files=tuple(files), jobs=jobs)
 
 
 class TestRunRecompress:
@@ -170,7 +203,7 @@ class TestReports:
         directory, files = mini_corpus
         reports, totals, _ = run_corpus(directory, (8,),
                                         files=tuple(sorted(files)))
-        text = reports_to_csv(reports + totals)
+        text = format_corpus(reports + totals, "csv")
         rows = list(csv.reader(io.StringIO(text)))
         assert tuple(rows[0]) == CSV_COLUMNS
         assert len(rows) == 1 + len(reports) + 1
@@ -182,15 +215,16 @@ class TestReports:
         directory, files = mini_corpus
         reports, totals, _ = run_corpus(directory, (8,),
                                         files=tuple(sorted(files)))
-        text = reports_to_text(reports + totals)
+        text = format_corpus(reports + totals)
         lines = text.splitlines()
-        assert lines[0].startswith("file")
+        assert lines[0].split() == list(CSV_COLUMNS)
         assert len(lines) == 1 + len(reports) + 1
+        assert len({len(line) for line in lines}) == 1
 
     def test_undefined_price_serializes_empty(self, tmp_path):
         (tmp_path / "same.bin").write_bytes(b"")
         reports, _, _ = run_corpus(tmp_path, (8,), files=("same.bin",))
-        text = reports_to_csv(reports)
+        text = format_corpus(reports, "csv")
         row = list(csv.reader(io.StringIO(text)))[1]
         # empty file: 0 -> 16 bytes, negative savings, price defined;
         # craft the undefined case directly instead
@@ -201,13 +235,70 @@ class TestReports:
         directory, files = mini_corpus
         rows, totals, _ = run_recompress(directory, 8, (3,),
                                          files=tuple(sorted(files)))
-        text = recompress_to_csv(rows + [totals], (3,))
+        text = format_recompress(rows + [totals], (3,), "csv")
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == ["file", "original_bytes", "first_bytes",
                              "chained_L3"]
 
     def test_redundancy_csv(self):
-        text = redundancy_to_csv(redundancy_table(5))
+        text = format_redundancy(redundancy_table(5), "csv")
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == ["L", "m", "min_len", "max_len", "redundancy_pct"]
         assert parsed[1][0] == "2"
+
+    def test_recompress_and_redundancy_text_use_csv_names(self):
+        rows = [bench.RecompressReport("a", 10, 7, {3: 8, 6: 9})]
+        assert format_recompress(rows, (3, 6)).splitlines()[0].split() == [
+            "file", "original_bytes", "first_bytes", "chained_L3", "chained_L6"]
+        lines = format_redundancy(redundancy_table(10)).splitlines()
+        assert lines[0].split() == ["L", "m", "min_len", "max_len",
+                                    "redundancy_pct"]
+        assert lines[-1].startswith("10 ")  # L is left-aligned
+
+
+class TestWriteTable:
+    def test_text_alignment(self):
+        text = write_table(["name", "n", "x"], [["a", 1, "2.50"], ["bcd", 234, "x"]])
+        assert text == ("name    n     x\n"
+                        "a       1  2.50\n"
+                        "bcd   234     x\n")
+
+    def test_csv(self):
+        text = write_table(["name", "n"], [["a,b", 1], ["c", ""]], "csv")
+        assert text == 'name,n\n"a,b",1\nc,\n'
+
+    def test_header_only(self):
+        assert write_table(["a", "bb"], []) == "a  bb\n"
+        assert write_table(["a", "bb"], [], "csv") == "a,bb\n"
+
+    def test_rejects_unknown_report(self):
+        with pytest.raises(ValueError, match="report"):
+            write_table(["a"], [], "json")
+
+
+class TestReproduceTables:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+
+    def run_script(self, *args):
+        return subprocess.run([sys.executable, str(self.SCRIPT), *args],
+                              capture_output=True, text=True, timeout=300)
+
+    def test_skip_bench(self):
+        result = self.run_script("--skip-bench")
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert ["L", "m", "min_len", "max_len", "redundancy_pct"] in [
+            line.split() for line in lines]
+        assert "== Canterbury" not in result.stdout
+
+    def test_corpus_tables(self, tmp_path):
+        rng = random.Random(811)
+        for name in CANTERBURY_FILES:
+            (tmp_path / name).write_bytes(
+                bytes(rng.choice(b"abcdefgh \n\x00\xff") for _ in range(3000)))
+        result = self.run_script("--corpus", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        for title in ("== Canterbury corpus at L=8 and L=16",
+                      "== re-compression of the L=8 outputs ==",
+                      "== alphabet compression at L=16 =="):
+            assert title in result.stdout

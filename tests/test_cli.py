@@ -145,6 +145,8 @@ class TestAnalyze:
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert len(lines) == 1 + 19  # header + L = 2..20
+        assert lines[0].split() == ["L", "m", "min_len", "max_len",
+                                    "redundancy_pct"]
         assert any("23" in line and "5.01" in line for line in lines)
 
     def test_bad_range_syntax(self):
@@ -207,6 +209,27 @@ class TestBenchVerb:
     def test_usage_error_on_unknown_mode(self):
         assert dispatch(["bench", "nonsense", "."]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("mode, flag", [
+        ("recompress", ["--bits", "3"]),
+        ("recompress", ["--jobs", "4"]),
+        ("recompress", ["--compress-alphabet"]),
+        ("corpus", ["--first", "99"]),
+        ("corpus", ["--second", "1"]),
+    ])
+    def test_flag_of_the_other_mode_is_a_usage_error(self, corpus, capsys,
+                                                     mode, flag):
+        assert dispatch(["bench", mode, str(corpus), *flag]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, corpus, capsys, jobs):
+        assert dispatch(["bench", "corpus", str(corpus),
+                         "--jobs", jobs]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_unknown_verb(self):
         assert dispatch(["frobnicate"]) == EXIT_USAGE
 
@@ -243,6 +266,16 @@ def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     code = "import sys, tritcode.cli; print('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, cwd=tmp_path)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
+    # bench --jobs imports multiprocessing on first use, not at start-up
+    code = "import sys, tritcode.cli; print('multiprocessing' in sys.modules)"
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
