@@ -16,7 +16,7 @@ from .codebook import (
     unrank,
 )
 from .codec import Model, build_model, decode, encode, payload_size
-from .container import compress, decompress, describe, recompress
+from .container import compress, decompress, describe
 from .errors import (
     CorruptedDataError,
     FormatError,
@@ -50,7 +50,6 @@ __all__ = [
     "payload_size",
     "rank",
     "read_trits",
-    "recompress",
     "trits_to_bits",
     "unrank",
 ]

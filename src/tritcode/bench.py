@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import container
-from .codebook import code_length, code_set_for_alphabet, signature_total
+from .codebook import code_set_for_alphabet, group_counts
 
 # Canonical file set, in the corpus' conventional order.
 CANTERBURY_FILES = (
@@ -191,7 +191,7 @@ def run_recompress(directory: str | Path, first_bits: int = 8,
     for name in present:
         data = (directory / name).read_bytes()
         first = container.compress(data, first_bits)
-        chained = {bits: len(container.recompress(first, bits))
+        chained = {bits: len(container.compress(first, bits))
                    for bits in second_bits}
         rows.append(RecompressReport(name=name, original_bytes=len(data),
                                      first_bytes=len(first), chained=chained))
@@ -219,12 +219,13 @@ def redundancy_table(max_letter_bits: int) -> list[RedundancyRow]:
     for bits in range(2, max_letter_bits + 1):
         m = 1 << bits
         n = code_set_for_alphabet(m).n
-        avg = signature_total(n, m) / m
+        counts = group_counts(n, m)
+        avg = sum((n + k) * c for k, c in enumerate(counts)) / m
         rows.append(RedundancyRow(
             letter_bits=bits,
             m=m,
-            min_len=code_length(n, 1),
-            max_len=code_length(n, m),
+            min_len=n,
+            max_len=n + len(counts) - 1,
             redundancy_pct=(avg / bits - 1.0) * 100.0,
         ))
     return rows

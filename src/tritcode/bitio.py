@@ -42,13 +42,6 @@ class BitReader:
         self._pos = p + 1
         return self._bits[p]
 
-    def read_bits(self, nbits: int) -> int:
-        """Read ``nbits`` bits as one integer, most significant first."""
-        v = 0
-        for _ in range(nbits):
-            v = (v << 1) | self.read_bit()
-        return v
-
     @property
     def position(self) -> int:
         return self._pos

@@ -146,6 +146,20 @@ def group_params(n: int, z: int) -> GroupParams:
     return GroupParams(z=z, length=2 * n - z, size=sizes[z])
 
 
+def group_counts(n: int, m: int) -> tuple[int, ...]:
+    """How many of the first ``m`` codewords of set ``n`` fall in each group.
+
+    The n-bit group (n zeros) comes first, so entry k counts the codewords
+    of n + k bits; the tuple ends at the last group the m codewords reach.
+    """
+    _check_set_number(n)
+    if not 1 <= m <= 3**n:
+        raise ValueError(f"code count must be in 1..3^{n}, got {m}")
+    _, sizes, before = _ntables(n)
+    return tuple(min(sizes[z], m - before[z])
+                 for z in range(n, -1, -1) if before[z] < m)
+
+
 def trits_to_bits(trits: str) -> str:
     """Bit signature of a trit string: 0 -> '0', 1 -> '10', 2 -> '11'."""
     try:
@@ -418,10 +432,9 @@ def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"code count must be in 1..3^{n}, got {m}")
     table = _signatures.get(n)
     if table is None or table[0].size < m:
-        _, _, before = _ntables(n)
-        # the first m codewords reach the groups that start before m; the
-        # last of them has n - k zeros, so k nonzero trits
-        table = _build_signatures(n, sum(start < m for start in before) - 1)
+        # the last group the first m codewords reach has n - k zeros, so k
+        # nonzero trits
+        table = _build_signatures(n, len(group_counts(n, m)) - 1)
         if table[0].size <= _SIGNATURES_KEPT:
             _signatures[n] = table
     values, lengths = table
@@ -447,33 +460,3 @@ def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     lengths.setflags(write=False)
     return values, lengths
 
-
-def code_length(n: int, index: int) -> int:
-    """Bit length of the codeword at ``index`` without materializing it."""
-    _check_set_number(n)
-    if not 1 <= index <= 3**n:
-        raise ValueError(f"index must be in 1..3^{n}, got {index}")
-    _, sizes, _ = _ntables(n)
-    acc = 0
-    for z in range(n, -1, -1):
-        acc += sizes[z]
-        if index <= acc:
-            return 2 * n - z
-    raise AssertionError("unreachable")
-
-
-def signature_total(n: int, m: int) -> int:
-    """Total bit length of the first ``m`` codewords, by group arithmetic."""
-    _check_set_number(n)
-    if not 1 <= m <= 3**n:
-        raise ValueError(f"code count must be in 1..3^{n}, got {m}")
-    _, sizes, _ = _ntables(n)
-    total = 0
-    taken = 0
-    for z in range(n, -1, -1):
-        take = min(sizes[z], m - taken)
-        total += take * (2 * n - z)
-        taken += take
-        if taken == m:
-            break
-    return total

@@ -52,7 +52,7 @@ from .codebook import (
     Degenerate,
     RANK_BLOCK_TRITS,
     code_set_for_alphabet,
-    group_params,
+    group_counts,
     rank_rows_and_zeros,
     signature_table,
 )
@@ -201,10 +201,6 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     arr = _letter_array(letters)
     if arr.size == 0:
         return b"", 0
-    if model.m == 1:
-        if int(arr.min()) != model.letters[0] or int(arr.max()) != model.letters[0]:
-            raise ValueError("letter absent from model")
-        return _pack_ranks(np.zeros(arr.size, dtype=np.intp), 1)
     return _pack_ranks(_rank0_of(model, arr), model.m)
 
 
@@ -292,11 +288,8 @@ def payload_size(model: Model) -> int:
     cs = model.code_set
     if isinstance(cs, Degenerate):
         return int(counts.sum())
-    n = cs.n
-    sizes = [group_params(n, z).size for z in range(n, -1, -1)]
-    boundaries = np.cumsum(sizes)
-    ranks = np.arange(1, model.m + 1, dtype=np.int64)
-    lengths = n + np.searchsorted(boundaries, ranks, side="left")
+    groups = group_counts(cs.n, model.m)
+    lengths = np.repeat(np.arange(cs.n, cs.n + len(groups), dtype=np.int64), groups)
     return int(np.dot(counts, lengths))
 
 

@@ -15,7 +15,10 @@ in rank order, ceil(L/8) bytes each, little-endian. Compressed alphabets
 store a 4-byte length followed by a nested container holding the raw
 letter bytes recompressed at L = 8; compression is only used when it is
 strictly smaller, since small alphabets usually expand. Nesting is one
-level deep: the nested container stores its own alphabet raw.
+level deep: the nested container stores its own alphabet raw. A decoder
+checks the nested flag and width, then reads the nested container as an
+ordinary v1 container, through the same parser as the outer one; the
+offsets of format errors inside it are file offsets.
 
 Storing the original bit length (not a letter count) lets decompression
 strip the zero bits that padded the final partial letter, so inputs of any
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
+from .codebook import Degenerate, code_set_for_alphabet
 from .errors import CorruptedDataError, FormatError
 
 MAGIC = b"\x42\x33"
@@ -161,6 +165,7 @@ def join_letters(letters, letter_bits: int, original_bit_length: int) -> bytes:
 def _letter_width_bytes(letter_bits: int) -> int:
     return (letter_bits + 7) // 8
 
+
 def _pack_alphabet(letters: np.ndarray, letter_bits: int) -> bytes:
     width = _letter_width_bytes(letter_bits)
     arr = letters.astype("<u4")
@@ -198,70 +203,12 @@ def compress(data: bytes, letter_bits: int = 8, *,
                      alphabet_area, payload])
 
 
-def _read_raw_alphabet(blob: bytes, offset: int, m: int,
-                       header: Header) -> tuple[memoryview, int]:
-    size = m * _letter_width_bytes(header.letter_bits)
-    if len(blob) < offset + size:
-        raise FormatError("truncated alphabet", offset=offset)
-    return memoryview(blob)[offset:offset + size], offset + size
-
-
-def _read_alphabet(blob: bytes, offset: int, m: int,
-                   header: Header) -> tuple[np.ndarray, int]:
-    if header.alphabet_packed:
-        if len(blob) < offset + 4:
-            raise FormatError("truncated alphabet length", offset=offset)
-        (nested_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if len(blob) < offset + nested_len:
-            raise FormatError("truncated packed alphabet", offset=offset)
-        area = _decompress_nested(blob[offset:offset + nested_len], offset)
-        offset += nested_len
-        if len(area) != m * _letter_width_bytes(header.letter_bits):
-            raise FormatError("packed alphabet has the wrong size", offset=offset)
-    else:
-        area, offset = _read_raw_alphabet(blob, offset, m, header)
-    return _check_alphabet(area, m, header, offset), offset
-
-
-def _decompress_nested(nested: bytes, start: int) -> bytes:
-    """Restore the letter bytes of a packed alphabet found at ``start``.
-
-    The nested container must store its own alphabet raw, so this never
-    descends a second level however the input is built, and must use
-    L = 8, the width the letter bytes are compressed at.
-    """
-    header, m, offset = _parse_counts(nested)
-    if header.alphabet_packed:
-        raise FormatError("packed alphabet nested inside a packed alphabet",
-                          offset=start + 2)
-    if header.letter_bits != 8:
-        raise FormatError(f"packed alphabet compressed at L = {header.letter_bits}, "
-                          f"not 8", offset=start + 3)
-    if m == 0:
-        return b""
-    area, offset = _read_raw_alphabet(nested, offset, m, header)
-    letters = _check_alphabet(area, m, header, offset)
-    return _decode_payload(nested[offset:], header, letters)
-
-
-def _check_alphabet(area: bytes, m: int, header: Header,
-                    offset: int) -> np.ndarray:
-    letters = _unpack_alphabet(area, m, header.letter_bits)
-    if header.letter_bits < 32 and letters.size and int(letters.max()) >> header.letter_bits:
-        raise FormatError(f"alphabet letter wider than {header.letter_bits} bits",
-                          offset=offset)
-    ordered = np.sort(letters)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise FormatError("alphabet contains duplicate letters", offset=offset)
-    return letters
-
-
-def _parse_counts(blob: bytes) -> tuple[Header, int, int]:
-    """Validate the header and alphabet power; returns (header, m, offset
-    of the alphabet block)."""
+def _parse(blob: bytes) -> tuple[Header, np.ndarray, int]:
+    """Validate everything up to the payload; returns (header, letters,
+    payload offset). The empty-input container has no letters."""
     header = parse_header(blob)
-    if len(blob) < HEADER_SIZE + 4:
+    offset = HEADER_SIZE + 4
+    if len(blob) < offset:
         raise FormatError("container too short for the alphabet power",
                           offset=HEADER_SIZE)
     (m,) = struct.unpack_from("<I", blob, HEADER_SIZE)
@@ -271,45 +218,78 @@ def _parse_counts(blob: bytes) -> tuple[Header, int, int]:
         if nbits:
             raise FormatError("empty alphabet with a nonzero bit length",
                               offset=HEADER_SIZE)
-    elif nbits == 0:
-        raise FormatError("nonempty alphabet with a zero bit length",
-                          offset=HEADER_SIZE)
-    elif L < 32 and m > 1 << L:
-        raise FormatError(f"alphabet power {m} exceeds 2^{L}", offset=HEADER_SIZE)
-    return header, m, HEADER_SIZE + 4
-
-
-def _parse_structure(blob: bytes) -> tuple[Header, int, np.ndarray | None, int]:
-    """Validate everything up to the payload; returns (header, m, letters,
-    payload offset). ``letters`` is None for the empty-input container."""
-    header, m, offset = _parse_counts(blob)
-    if m == 0:
         if len(blob) > offset:  # an empty input has no payload at all
             raise CorruptedDataError(
                 f"{len(blob) - offset} trailing bytes after an empty container")
-        return header, 0, None, offset
-    letters, offset = _read_alphabet(blob, offset, m, header)
-    return header, m, letters, offset
+        return header, np.empty(0, dtype=letter_dtype(L)), offset
+    if nbits == 0:
+        raise FormatError("nonempty alphabet with a zero bit length",
+                          offset=HEADER_SIZE)
+    if L < 32 and m > 1 << L:
+        raise FormatError(f"alphabet power {m} exceeds 2^{L}", offset=HEADER_SIZE)
+    size = m * _letter_width_bytes(L)
+    if header.alphabet_packed:
+        if len(blob) < offset + 4:
+            raise FormatError("truncated alphabet length", offset=offset)
+        (nested_len,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        if len(blob) < offset + nested_len:
+            raise FormatError("truncated packed alphabet", offset=offset)
+        area = _decompress_nested(blob[offset:offset + nested_len], offset)
+        offset += nested_len
+        if len(area) != size:
+            raise FormatError("packed alphabet has the wrong size", offset=offset)
+    else:
+        if len(blob) < offset + size:
+            raise FormatError("truncated alphabet", offset=offset)
+        area = memoryview(blob)[offset:offset + size]
+        offset += size
+    letters = _unpack_alphabet(area, m, L)
+    if L < 32 and int(letters.max()) >> L:
+        raise FormatError(f"alphabet letter wider than {L} bits", offset=offset)
+    ordered = np.sort(letters)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise FormatError("alphabet contains duplicate letters", offset=offset)
+    return header, letters, offset
+
+
+def _decompress_nested(nested: bytes, start: int) -> bytes:
+    """Restore the letter bytes of a packed alphabet found at ``start``.
+
+    The nested container must store its own alphabet raw, so this never
+    descends a second level however the input is built, and must use
+    L = 8, the width the letter bytes are compressed at. Past those two
+    checks it is an ordinary container; its format errors report file
+    offsets, not offsets within it.
+    """
+    try:
+        header = parse_header(nested)
+        if header.alphabet_packed:
+            raise FormatError("packed alphabet nested inside a packed alphabet",
+                              offset=2)
+        if header.letter_bits != 8:
+            raise FormatError(f"packed alphabet compressed at L = "
+                              f"{header.letter_bits}, not 8", offset=3)
+        return decompress(nested)
+    except FormatError as exc:  # every one the parser raises has an offset
+        raise FormatError(exc.reason, offset=start + exc.offset) from None
 
 
 def _letter_count(header: Header) -> int:
     return -(-header.original_bit_length // header.letter_bits)
 
 
-def _decode_payload(payload: bytes, header: Header, letters: np.ndarray) -> bytes:
-    decoded = codec.decode_packed(payload, letters, _letter_count(header))
+def decompress(blob: bytes) -> bytes:
+    """Restore the exact original bytes from a container."""
+    header, letters, offset = _parse(blob)
+    if letters.size == 0:
+        return b""
+    decoded = codec.decode_packed(memoryview(blob)[offset:], letters,
+                                  _letter_count(header))
     try:
         return join_letters(decoded, header.letter_bits, header.original_bit_length)
     except ValueError as exc:
         raise CorruptedDataError(str(exc)) from exc
-
-
-def decompress(blob: bytes) -> bytes:
-    """Restore the exact original bytes from a container."""
-    header, m, letters, offset = _parse_structure(blob)
-    if m == 0:
-        return b""
-    return _decode_payload(memoryview(blob)[offset:], header, letters)
 
 
 @dataclass(frozen=True)
@@ -334,11 +314,12 @@ def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
     is measured by decoding; without it those fields are None and only the
     structure is validated.
     """
-    header, m, letters, offset = _parse_structure(blob)
+    header, letters, offset = _parse(blob)
+    m = letters.size
     letter_count = _letter_count(header)
     payload_bytes = len(blob) - offset
-    cs = codec.code_set_for_alphabet(m) if m else codec.Degenerate(0)
-    n = 0 if isinstance(cs, codec.Degenerate) else cs.n
+    cs = code_set_for_alphabet(m) if m else Degenerate(0)
+    n = 0 if isinstance(cs, Degenerate) else cs.n
     payload_bits = padding = None
     if decode_payload and m:
         payload = memoryview(blob)[offset:]
@@ -351,7 +332,7 @@ def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
         header=header,
         m=m,
         n=n,
-        letters=tuple(letters.tolist()) if letters is not None else (),
+        letters=tuple(letters.tolist()),
         letter_count=letter_count if m else 0,
         alphabet_block_bytes=offset - HEADER_SIZE,
         payload_bytes=payload_bytes,
@@ -359,8 +340,3 @@ def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
         padding_bits=padding,
     )
 
-
-def recompress(blob: bytes, letter_bits: int, *,
-               compress_alphabet: bool = False) -> bytes:
-    """Compress an existing container (or any bytes) again at a new width."""
-    return compress(blob, letter_bits, compress_alphabet=compress_alphabet)

@@ -14,6 +14,7 @@ class FormatError(TritcodeError):
     """Input bytes do not form a valid container (structure level)."""
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message  # the message without its offset
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .codec import build_model
 from .errors import CorruptedDataError
 
 
@@ -89,17 +90,6 @@ def elementary_codes(b: int) -> tuple[str, ...]:
     return tuple(codes)
 
 
-def _frequency_order(digits: list[int]) -> list[int]:
-    """Distinct digit values by descending count, ties by first occurrence."""
-    count: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for pos, d in enumerate(digits):
-        count[d] = count.get(d, 0) + 1
-        if d not in first:
-            first[d] = pos
-    return sorted(count, key=lambda d: (-count[d], first[d]))
-
-
 def economical_encode(value: int, b: int) -> EconomicalForm:
     """Prefix-coded binary rendering of ``value`` written in base b.
 
@@ -109,7 +99,8 @@ def economical_encode(value: int, b: int) -> EconomicalForm:
     """
     codes = elementary_codes(b)
     digits = to_positional(value, b)
-    code_map = {d: codes[r] for r, d in enumerate(_frequency_order(digits))}
+    ranked = build_model(digits).letters
+    code_map = {d: codes[r] for r, d in enumerate(ranked)}
     bits = "".join(code_map[d] for d in digits)
     return EconomicalForm(b=b, digits=tuple(digits), code_map=code_map, bits=bits)
 

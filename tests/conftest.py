@@ -44,11 +44,22 @@ def oversized_claim() -> bytes:
     return bytes(blob)
 
 
+def _packed_around(nested: bytes) -> bytes:
+    header = serialize_header(Header(1, FLAG_PACKED_ALPHABET, 8, 8))
+    return header + struct.pack("<II", 1, len(nested)) + nested + b"\x00"
+
+
+@pytest.fixture
+def packed_around():
+    """Builds a one-letter L = 8 container whose packed alphabet is a given
+    nested container, which starts at byte 20; every other field is valid."""
+    return _packed_around
+
+
 def _nested_packed_alphabets(levels: int) -> bytes:
     blob = compress(b"A", 8)
     for _ in range(levels):
-        header = serialize_header(Header(1, FLAG_PACKED_ALPHABET, 8, 8))
-        blob = header + struct.pack("<II", 1, len(blob)) + blob + b"\x00"
+        blob = _packed_around(blob)
     return blob
 
 
@@ -69,6 +80,4 @@ def wide_nested_alphabet() -> bytes:
     """A one-letter container whose packed alphabet is compressed at L = 16
     instead of 8; every other field is valid. The nested width byte sits at
     offset 23."""
-    nested = compress(b"A", 16)
-    header = serialize_header(Header(1, FLAG_PACKED_ALPHABET, 8, 8))
-    return header + struct.pack("<II", 1, len(nested)) + nested + b"\x00"
+    return _packed_around(compress(b"A", 16))

@@ -156,7 +156,7 @@ class TestRunRecompress:
             first = container.compress(data, 8)
             assert row.first_bytes == len(first)
             for bits in (3, 6):
-                assert row.chained[bits] == len(container.recompress(first, bits))
+                assert row.chained[bits] == len(container.compress(first, bits))
         assert totals.first_bytes == sum(r.first_bytes for r in rows)
         for bits in (3, 6):
             assert totals.chained[bits] == sum(r.chained[bits] for r in rows)

@@ -251,6 +251,16 @@ class TestHostileContainers:
             assert captured.out == ""
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["decompress", "inspect"])
+    def test_empty_nested_container_with_trailing_bytes_is_corrupt(
+            self, verb, packed_around, tmp_path, capsys):
+        path = tmp_path / "hostile.btn"
+        path.write_bytes(packed_around(container.compress(b"", 8) + b"\x00"))
+        args = [verb, str(path)] + ([str(tmp_path / "out")] if verb == "decompress" else [])
+        assert dispatch(args) == EXIT_CORRUPT
+        assert capsys.readouterr().err == (
+            "corrupt data: 1 trailing bytes after an empty container\n")
+
 
 def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):
     def broken(args):

@@ -14,9 +14,9 @@ from tritcode.bitio import BitReader, pack01
 from tritcode.codebook import (
     RANK_BLOCK_TRITS,
     Degenerate,
-    code_length,
     code_set_for_alphabet,
     generate_codes,
+    group_counts,
     group_params,
     iter_codes,
     rank,
@@ -24,7 +24,6 @@ from tritcode.codebook import (
     rank_rows_and_zeros,
     read_trits,
     signature_table,
-    signature_total,
     trits_to_bits,
     unrank,
 )
@@ -354,7 +353,8 @@ class TestSignatureTable:
                 values, lengths = signature_table(n, m)
                 assert values.tolist() == full_values[:m].tolist()
                 assert lengths.tolist() == full_lengths[:m].tolist()
-                assert int(lengths.sum(dtype=np.int64)) == signature_total(n, m)
+                assert int(lengths.sum(dtype=np.int64)) == sum(
+                    (n + k) * c for k, c in enumerate(group_counts(n, m)))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_cached_slices_equal_fresh_builds(self, n, monkeypatch):
@@ -438,8 +438,9 @@ class TestStructuralInvariants:
 class TestDerivedLengths:
     def test_code_length_matches_generation(self):
         for n in range(1, 7):
+            _, lengths = signature_table(n, 3**n)
             for cw in generate_codes(n, 3**n):
-                assert code_length(n, cw.index) == len(cw.bits)
+                assert int(lengths[cw.index - 1]) == len(cw.bits)
 
     def test_signature_total_matches_generation(self):
         rng = random.Random(7)
@@ -447,4 +448,24 @@ class TestDerivedLengths:
             for _ in range(5):
                 m = rng.randint(1, 3**n)
                 expected = sum(len(cw.bits) for cw in generate_codes(n, m))
-                assert signature_total(n, m) == expected
+                counts = group_counts(n, m)
+                assert sum((n + k) * c for k, c in enumerate(counts)) == expected
+                _, lengths = signature_table(n, m)
+                assert int(lengths.sum(dtype=np.int64)) == expected
+
+
+class TestGroupCounts:
+    def test_matches_generation(self):
+        # the first m codeword lengths are group k's n + k, counts[k] times
+        for n in range(1, 7):
+            lengths = [cw.length for cw in generate_codes(n, 3**n)]
+            for m in range(1, 3**n + 1):
+                counts = group_counts(n, m)
+                assert all(counts)
+                assert lengths[:m] == [n + k for k, c in enumerate(counts)
+                                       for _ in range(c)]
+
+    def test_rejects_bad_set_and_count(self):
+        for n, m in ((0, 1), (40, 1), (3, 0), (3, 28)):
+            with pytest.raises(ValueError):
+                group_counts(n, m)

@@ -244,6 +244,8 @@ class TestOneSortModel:
             codec._rank0_of(model, np.array([3, 70_000, -7]))
         with pytest.raises(ValueError, match="^letter 70000 absent from model$"):
             codec._rank0_of(model, np.array([3, 70_000, 300]))
+        with pytest.raises(ValueError, match="^letter 8 absent from model$"):
+            encode_packed([5, 5, 8], build_model([5]))
         for fn in (build_model, codec._encode):
             with pytest.raises(ValueError, match="^letters must be unsigned integers$"):
                 fn([5, -1])

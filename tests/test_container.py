@@ -19,7 +19,6 @@ from tritcode.container import (
     join_letters,
     letter_dtype,
     parse_header,
-    recompress,
     serialize_header,
     split_letters,
 )
@@ -363,18 +362,14 @@ class TestRecompress:
         rng = random.Random(1234)
         data = bytes(rng.choice(b"aaabbcddddddeefg") for _ in range(5000))
         first = compress(data, 8)
-        second = recompress(first, 9)
+        second = compress(first, 9)
         assert decompress(decompress(second)) == data
-
-    def test_equivalent_to_compress_of_bytes(self):
-        data = b"some container bytes, or anything else"
-        assert recompress(data, 6) == compress(data, 6)
 
     def test_incompressible_chain_may_grow(self):
         rng = random.Random(99)
         data = bytes(rng.getrandbits(8) for _ in range(2000))
         first = compress(data, 8)
-        second = recompress(first, 8)
+        second = compress(first, 8)
         assert len(second) >= len(first)
         assert decompress(decompress(second)) == data
 
@@ -489,6 +484,28 @@ class TestHostileContainers:
             decompress(blob)
         with pytest.raises(FormatError):
             describe(blob, decode_payload=False)
+
+    def test_nested_format_errors_report_file_offsets(self, packed_around):
+        duplicated = bytearray(compress(b"AB", 8))  # m = 2: letters at 16, 17
+        duplicated[17] = duplicated[16]
+        bad_magic = b"XX" + compress(b"A", 8)[2:]
+        for nested, message, offset in (
+                (bytes(duplicated), "alphabet contains duplicate letters", 38),
+                (bad_magic, "bad magic 5858", 20)):
+            blob = packed_around(nested)
+            for check in (decompress, describe):
+                with pytest.raises(FormatError) as caught:
+                    check(blob)
+                assert str(caught.value) == f"{message} (at byte offset {offset})"
+                assert caught.value.offset == offset
+
+    def test_empty_nested_container_with_trailing_bytes_is_corrupt(self, packed_around):
+        # the nested container fails as a top-level empty container does
+        blob = packed_around(compress(b"", 8) + b"\x00")
+        for check in (decompress, describe):
+            with pytest.raises(CorruptedDataError,
+                               match="^1 trailing bytes after an empty container$"):
+                check(blob)
 
 
 def _duplicate_letter(blob: bytes, rng: random.Random) -> bytes:
