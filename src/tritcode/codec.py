@@ -10,8 +10,11 @@ letter for the codeword whose list index equals the letter's rank.
 Pass one is a single stable sort of the letters, radix-sorted in 16-bit
 digits where they fit. The sorted run of each distinct letter gives its
 count and, as its first member, its first occurrence, which breaks ties
-between equal counts; every letter's run then gives its rank. The ranked
-alphabet and the rank of every letter thus come from the same sort.
+between equal counts; the ranked alphabet follows from the distinct
+letters alone. Letters of up to 16 bits then take their ranks by one
+gather from a rank table indexed by letter value, uint8 for up to 256
+letters and uint16 beyond; wider letters take them through their run in
+the sort.
 
 Encoding needs no stored code table either, and never looks at a trit.
 Each codeword is an integer and a bit length, and
@@ -121,19 +124,28 @@ def _letter_array(letters) -> np.ndarray:
 
 def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ranked alphabet of ``letters`` as an array of their dtype, the
-    count of each ranked letter, and the 0-based rank of every letter."""
+    count of each ranked letter, and the 0-based rank of every letter:
+    uint8 or uint16 (the narrowest that holds m - 1) for letters of up to
+    16 bits, intp for wider ones."""
     arr = _letter_array(letters)
     if arr.size == 0:
         raise ValueError("cannot build a model from empty input")
     if arr.dtype.kind == "i" and arr.min() < 0:
         raise ValueError("letters must be unsigned integers")
-    values, first, counts, group = _sort_letters(arr)
+    narrow = arr.dtype.itemsize <= 2
+    values, first, counts, group = _sort_letters(arr, grouped=not narrow)
     # groups in order of first occurrence, then stably by descending count
     by_first = np.argsort(first)
     order = by_first[_stable_argsort(counts.max() - counts[by_first])]
+    alphabet = values[order]
+    if narrow:
+        # values ascend, so the last one bounds the table
+        table = np.empty(int(values[-1]) + 1, dtype=np.min_scalar_type(order.size - 1))
+        table[alphabet] = np.arange(order.size)
+        return alphabet, counts[order], table.take(arr)
     rank_of = np.empty_like(order)
     rank_of[order] = np.arange(order.size)
-    return values[order], counts[order], rank_of[group]
+    return alphabet, counts[order], rank_of[group]
 
 
 def _stable_argsort(arr: np.ndarray) -> np.ndarray:
@@ -154,13 +166,14 @@ def _stable_argsort(arr: np.ndarray) -> np.ndarray:
     return low[np.argsort((arr[low] >> 16).astype(np.uint16), kind="stable")]
 
 
-def _sort_letters(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray, np.ndarray]:
+def _sort_letters(arr: np.ndarray, grouped: bool = True) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Distinct values of a nonempty letter array from one stable sort.
 
     Returns the distinct values in ascending order, in the letters' dtype,
-    the position of each one's first occurrence, each one's count, and
-    every letter's group: the index of its value among the distinct values.
+    the position of each one's first occurrence, each one's count, and, if
+    ``grouped``, every letter's group: the index of its value among the
+    distinct values (else None).
     """
     perm = _stable_argsort(arr)
     ordered = arr[perm]
@@ -168,20 +181,35 @@ def _sort_letters(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     opens[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
     starts = np.flatnonzero(opens)
-    group = np.empty(ordered.size, dtype=np.intp)
-    group[perm] = np.cumsum(opens) - 1
+    group = None
+    if grouped:
+        group = np.empty(ordered.size, dtype=np.intp)
+        group[perm] = np.cumsum(opens) - 1
     # the sort is stable, so each group opens with its first occurrence
     return (ordered[starts], perm[starts],
             np.diff(starts, append=ordered.size), group)
 
 
 def _rank0_of(model: Model, arr: np.ndarray) -> np.ndarray:
-    """0-based rank of every letter in ``arr``; rejects unknown letters.
+    """0-based rank of every letter in ``arr``; rejects unknown letters,
+    naming the smallest.
 
-    Only the distinct letters are searched for in the model; each letter
-    then takes its rank through its group.
+    Letters of up to 16 bits take their ranks from a table indexed by
+    letter value, as in :func:`_ranked`, where rank m marks a letter the
+    model lacks. For wider letters only the distinct letters are searched
+    for in the model; each letter then takes its rank through its group.
     """
     known = np.asarray(model.letters, dtype=np.int64)
+    if arr.dtype.itemsize <= 2:
+        table = np.full(1 << 8 * arr.dtype.itemsize, model.m,
+                        dtype=np.min_scalar_type(model.m))
+        fits = np.flatnonzero((known >= 0) & (known < table.size))
+        table[known[fits]] = fits
+        ranks = table.take(arr)
+        absent = ranks == model.m
+        if absent.any():
+            raise ValueError(f"letter {int(arr[absent].min())} absent from model")
+        return ranks
     order = _stable_argsort(known)
     sorted_known = known[order]
     distinct, _, _, group = _sort_letters(arr)
@@ -212,21 +240,23 @@ def _pack_ranks(ranks0: np.ndarray, m: int) -> tuple[bytes, int]:
     if isinstance(cs, Degenerate):
         if m == 1:
             return bytes((n_letters + 7) // 8), n_letters
-        return np.packbits(ranks0.astype(np.uint8)).tobytes(), n_letters
+        return np.packbits(ranks0.astype(np.uint8, copy=False)).tobytes(), n_letters
     values, lengths = signature_table(cs.n, m)
-    # rank m: an empty codeword that pads the last field
-    values = np.append(values, np.uint64(0))
-    lengths = np.append(lengths, np.uint8(0)).astype(np.uint64)
+    lengths = lengths.astype(np.uint64)
     g = 64 // (2 * cs.n)  # codewords per field
     step = g * max(1, _CHUNK_TRITS // (cs.n * g))
     out = bytearray()
     carry, carry_bits = np.uint64(0), 0
     for start in range(0, n_letters, step):
         ranks = ranks0[start:start + step]
-        if ranks.size % g:
-            ranks = np.append(ranks, np.full(-ranks.size % g, m))
-        fields = ranks.reshape(-1, g).T  # row j: the j-th codeword of each field
-        words, carry, carry_bits = _pack_words(values[fields], lengths[fields],
+        chunk_values, chunk_lengths = values.take(ranks), lengths.take(ranks)
+        if ranks.size % g:  # the last chunk: empty codewords pad its last field
+            pad = np.zeros(-ranks.size % g, dtype=np.uint64)
+            chunk_values = np.concatenate([chunk_values, pad])
+            chunk_lengths = np.concatenate([chunk_lengths, pad])
+        # row j: the j-th codeword of each field
+        words, carry, carry_bits = _pack_words(chunk_values.reshape(-1, g).T,
+                                               chunk_lengths.reshape(-1, g).T,
                                                carry, carry_bits)
         out += words.astype(">u8").tobytes()
     total = len(out) * 8 + carry_bits
@@ -284,11 +314,15 @@ def payload_size(model: Model) -> int:
     Group arithmetic gives each rank's signature length without generating
     any codeword, so the compressed size can be quoted up front.
     """
-    counts = np.asarray(model.counts, dtype=np.int64)
-    cs = model.code_set
+    return _payload_bits(np.asarray(model.counts, dtype=np.int64))
+
+
+def _payload_bits(counts: np.ndarray) -> int:
+    """:func:`payload_size` of the model whose ranked letters have ``counts``."""
+    cs = code_set_for_alphabet(counts.size)
     if isinstance(cs, Degenerate):
         return int(counts.sum())
-    groups = group_counts(cs.n, model.m)
+    groups = group_counts(cs.n, counts.size)
     lengths = np.repeat(np.arange(cs.n, cs.n + len(groups), dtype=np.int64), groups)
     return int(np.dot(counts, lengths))
 

@@ -14,7 +14,9 @@ Flag bit 0 marks a compressed alphabet. Raw alphabets store the m letters
 in rank order, ceil(L/8) bytes each, little-endian. Compressed alphabets
 store a 4-byte length followed by a nested container holding the raw
 letter bytes recompressed at L = 8; compression is only used when it is
-strictly smaller, since small alphabets usually expand. Nesting is one
+strictly smaller, since small alphabets usually expand. The nested size
+is computed exactly from the letter-byte counts, before the nested payload
+is packed, so a losing nested container is never encoded. Nesting is one
 level deep: the nested container stores its own alphabet raw. A decoder
 checks the nested flag and width, then reads the nested container as an
 ordinary v1 container, through the same parser as the outer one; the
@@ -187,20 +189,32 @@ def compress(data: bytes, letter_bits: int = 8, *,
     """Compress ``data`` into a self-contained container."""
     letters, nbits = split_letters(data, letter_bits)
     if letters.size == 0:
-        header = Header(VERSION, 0, letter_bits, 0)
-        return serialize_header(header) + struct.pack("<I", 0)
+        return _assemble(0, letter_bits, 0, 0, b"", b"")
     alphabet, payload, _ = codec._encode(letters)
-    alphabet_area = _pack_alphabet(alphabet, letter_bits)
+    area = _pack_alphabet(alphabet, letter_bits)
     flags = 0
     if compress_alphabet:
-        nested = compress(alphabet_area, 8)
-        candidate = struct.pack("<I", len(nested)) + nested
-        if len(candidate) < len(alphabet_area):
-            alphabet_area = candidate
+        # the nested container is compress(area, 8), packed only if it wins
+        byte_alphabet, counts, ranks0 = codec._ranked(np.frombuffer(area, dtype=np.uint8))
+        if _nested_size(counts) < len(area):
+            nested = _assemble(0, 8, len(area) * 8, counts.size, byte_alphabet.tobytes(),
+                               codec._pack_ranks(ranks0, counts.size)[0])
+            area = struct.pack("<I", len(nested)) + nested
             flags |= FLAG_PACKED_ALPHABET
+    return _assemble(flags, letter_bits, nbits, alphabet.size, area, payload)
+
+
+def _assemble(flags: int, letter_bits: int, nbits: int, m: int, area: bytes,
+              payload: bytes) -> bytes:
     header = Header(VERSION, flags, letter_bits, nbits)
-    return b"".join([serialize_header(header), struct.pack("<I", alphabet.size),
-                     alphabet_area, payload])
+    return b"".join([serialize_header(header), struct.pack("<I", m), area, payload])
+
+
+def _nested_size(counts: np.ndarray) -> int:
+    """Bytes a packed alphabet takes, its length field included, when its
+    letter bytes have the ranked letter counts ``counts``: the nested
+    container's header, m field, raw alphabet and payload."""
+    return 4 + HEADER_SIZE + 4 + counts.size + -(-codec._payload_bits(counts) // 8)
 
 
 def _parse(blob: bytes) -> tuple[Header, np.ndarray, int]:

@@ -207,6 +207,26 @@ model_letters = st.one_of(
 )
 
 
+
+
+def _narrow(width: int):
+    """Letter arrays of ``width`` <= 16 bits, in the dtype split_letters
+    gives them: heavy ties, all distinct, or from one or two letters."""
+    value = st.integers(0, 2**width - 1)
+    dtype = np.uint8 if width <= 8 else np.uint16
+    return st.one_of(
+        st.lists(value, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)),
+        st.tuples(st.integers(1, min(2**width, 700)), st.integers(0, 2**32)).map(
+            lambda t: np.random.default_rng(t[1]).choice(2**width, t[0], replace=False)),
+        st.tuples(value, value).flatmap(
+            lambda pair: st.lists(st.sampled_from(pair), min_size=1, max_size=100)),
+    ).map(lambda letters: np.array(letters, dtype=dtype))
+
+
+narrow_letters = st.integers(1, 16).flatmap(_narrow)
+
+
 class TestOneSortModel:
     """The single-sort model and ranks against the np.unique oracles."""
 
@@ -221,6 +241,30 @@ class TestOneSortModel:
         alphabet, payload, nbits = codec._encode(letters)
         assert alphabet.dtype == np.int64 and alphabet.tolist() == list(model.letters)
         assert (payload, nbits) == encode_packed(arr, model)
+
+    @given(narrow_letters, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_rank_table_matches_unique_oracle(self, arr, data):
+        model = oracle_build_model(arr)
+        alphabet, counts, ranks0 = codec._ranked(arr)
+        assert alphabet.dtype == arr.dtype and alphabet.tolist() == list(model.letters)
+        assert counts.tolist() == list(model.counts)
+        assert ranks0.dtype == (np.uint8 if model.m <= 256 else np.uint16)
+        expected = oracle_rank0_of(model, arr).tolist()
+        assert ranks0.tolist() == expected
+        assert codec._rank0_of(model, arr).tolist() == expected
+        assert build_model(arr) == model
+        probe = np.array(data.draw(st.lists(
+            st.integers(0, np.iinfo(arr.dtype).max), min_size=1, max_size=60),
+            label="probe"), dtype=arr.dtype)
+        assert outcome(lambda: codec._rank0_of(model, probe).tolist()) == \
+            outcome(lambda: oracle_rank0_of(model, probe).tolist())
+
+    @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_rank_table_width(self, m, dtype):
+        arr = np.arange(m, dtype=np.uint16)
+        assert codec._ranked(arr)[2].dtype == dtype
+        assert codec._rank0_of(build_model(arr), arr).tolist() == list(range(m))
 
     @given(model_letters, st.data())
     @settings(max_examples=300, deadline=None)
@@ -246,6 +290,8 @@ class TestOneSortModel:
             codec._rank0_of(model, np.array([3, 70_000, 300]))
         with pytest.raises(ValueError, match="^letter 8 absent from model$"):
             encode_packed([5, 5, 8], build_model([5]))
+        with pytest.raises(ValueError, match="^letter 4 absent from model$"):
+            encode_packed(np.array([9, 5, 8, 4], dtype=np.uint8), build_model([5, 300]))
         for fn in (build_model, codec._encode):
             with pytest.raises(ValueError, match="^letters must be unsigned integers$"):
                 fn([5, -1])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritcode import codec
+from tritcode import codec, container
 from tritcode.container import (
     FLAG_PACKED_ALPHABET,
     HEADER_SIZE,
@@ -356,6 +356,35 @@ class TestAlphabetCompression:
         blob = compress(data, width, compress_alphabet=True)
         assert decompress(blob) == data
 
+    @given(st.binary(min_size=1, max_size=600))
+    @settings(max_examples=150, deadline=None)
+    def test_nested_size_is_known_before_packing(self, area):
+        _, counts, _ = codec._ranked(np.frombuffer(area, dtype=np.uint8))
+        assert container._nested_size(counts) == len(compress(area, 8)) + 4
+
+    def test_losing_nested_container_is_never_packed(self, monkeypatch):
+        packed = []
+        pack_ranks = codec._pack_ranks
+
+        def counted(ranks0, m):
+            packed.append(m)
+            return pack_ranks(ranks0, m)
+
+        monkeypatch.setattr(codec, "_pack_ranks", counted)
+        # every byte value: a 256-byte raw area against 556 bytes nested
+        data = np.random.default_rng(556).permutation(256).astype(np.uint8).tobytes() * 8
+        blob = compress(data, 8, compress_alphabet=True)
+        assert not parse_header(blob).alphabet_packed
+        assert packed == [256]
+        assert len(compress(bytes(range(256)), 8)) + 4 == 556
+        # a winning one is packed once, after the outer payload
+        packed.clear()
+        rng = random.Random(8)
+        text = "".join(rng.choice("etaoin shrdlu\n") for _ in range(20000)).encode()
+        blob = compress(text, 16, compress_alphabet=True)
+        assert parse_header(blob).alphabet_packed
+        assert len(packed) == 2 and decompress(blob) == text
+
 
 class TestRecompress:
     def test_chains_and_unchains(self):
@@ -666,3 +695,26 @@ class TestDecompressMemory:
             tracemalloc.stop()
         assert infos[0] == infos[1] == infos[2]
         assert infos[0].payload_bits > 0
+
+
+class TestCompressMemory:
+    """container.compress holds a bounded multiple of the input bytes."""
+
+    @staticmethod
+    def peak_per_input_byte(width: int, size: int) -> float:
+        data = np.random.default_rng(size + width).bytes(size)
+        tracemalloc.start()
+        try:
+            blob = compress(data, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decompress(blob) == data
+        return peak / size
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_peak_is_bounded_and_flat(self, width):
+        small = self.peak_per_input_byte(width, 1 << 20)
+        large = self.peak_per_input_byte(width, 8 << 20)
+        assert small <= 16 and large <= 16, (small, large)
+        assert large <= small + 0.25, (small, large)
