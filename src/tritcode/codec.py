@@ -191,25 +191,12 @@ def _sort_letters(arr: np.ndarray, grouped: bool = True) -> tuple[
 
 
 def _rank0_of(model: Model, arr: np.ndarray) -> np.ndarray:
-    """0-based rank of every letter in ``arr``; rejects unknown letters,
-    naming the smallest.
+    """0-based rank of every letter in ``arr``; rejects unknown letters.
 
-    Letters of up to 16 bits take their ranks from a table indexed by
-    letter value, as in :func:`_ranked`, where rank m marks a letter the
-    model lacks. For wider letters only the distinct letters are searched
-    for in the model; each letter then takes its rank through its group.
+    Only the distinct letters are searched for in the model; each letter
+    then takes its rank through its group.
     """
     known = np.asarray(model.letters, dtype=np.int64)
-    if arr.dtype.itemsize <= 2:
-        table = np.full(1 << 8 * arr.dtype.itemsize, model.m,
-                        dtype=np.min_scalar_type(model.m))
-        fits = np.flatnonzero((known >= 0) & (known < table.size))
-        table[known[fits]] = fits
-        ranks = table.take(arr)
-        absent = ranks == model.m
-        if absent.any():
-            raise ValueError(f"letter {int(arr[absent].min())} absent from model")
-        return ranks
     order = _stable_argsort(known)
     sorted_known = known[order]
     distinct, _, _, group = _sort_letters(arr)

@@ -189,25 +189,21 @@ def compress(data: bytes, letter_bits: int = 8, *,
     """Compress ``data`` into a self-contained container."""
     letters, nbits = split_letters(data, letter_bits)
     if letters.size == 0:
-        return _assemble(0, letter_bits, 0, 0, b"", b"")
+        header = Header(VERSION, 0, letter_bits, 0)
+        return serialize_header(header) + struct.pack("<I", 0)
     alphabet, payload, _ = codec._encode(letters)
-    area = _pack_alphabet(alphabet, letter_bits)
+    alphabet_area = _pack_alphabet(alphabet, letter_bits)
     flags = 0
     if compress_alphabet:
-        # the nested container is compress(area, 8), packed only if it wins
-        byte_alphabet, counts, ranks0 = codec._ranked(np.frombuffer(area, dtype=np.uint8))
-        if _nested_size(counts) < len(area):
-            nested = _assemble(0, 8, len(area) * 8, counts.size, byte_alphabet.tobytes(),
-                               codec._pack_ranks(ranks0, counts.size)[0])
-            area = struct.pack("<I", len(nested)) + nested
+        # size the nested container from its letter counts; encode it only if it wins
+        _, counts, _ = codec._ranked(np.frombuffer(alphabet_area, dtype=np.uint8))
+        if _nested_size(counts) < len(alphabet_area):
+            nested = compress(alphabet_area, 8)
+            alphabet_area = struct.pack("<I", len(nested)) + nested
             flags |= FLAG_PACKED_ALPHABET
-    return _assemble(flags, letter_bits, nbits, alphabet.size, area, payload)
-
-
-def _assemble(flags: int, letter_bits: int, nbits: int, m: int, area: bytes,
-              payload: bytes) -> bytes:
     header = Header(VERSION, flags, letter_bits, nbits)
-    return b"".join([serialize_header(header), struct.pack("<I", m), area, payload])
+    return b"".join([serialize_header(header), struct.pack("<I", alphabet.size),
+                     alphabet_area, payload])
 
 
 def _nested_size(counts: np.ndarray) -> int:
