@@ -3,7 +3,8 @@
 Letters are plain unsigned ints (an L-bit slice of the input; the container
 layer enforces the width). Letter arrays of uint8, uint16 or uint32 are
 ranked in their own dtype, and an alphabet array of one of those dtypes
-decodes into letters of that dtype; any other input is taken as int64.
+decodes into letters of that dtype; other integer input is taken as int64,
+and anything else is rejected.
 Pass one ranks the alphabet by descending count; pass two swaps each
 letter for the codeword whose list index equals the letter's rank.
 
@@ -11,22 +12,22 @@ Pass one is a single stable sort of the letters, radix-sorted in 16-bit
 digits where they fit. The sorted run of each distinct letter gives its
 count and, as its first member, its first occurrence, which breaks ties
 between equal counts; the ranked alphabet follows from the distinct
-letters alone. Letters of up to 16 bits then take their ranks by one
-gather from a rank table indexed by letter value, uint8 for up to 256
-letters and uint16 beyond; wider letters take them through their run in
-the sort.
+letters alone. Every letter then gathers its rank from one table of the
+narrowest unsigned type that holds m - 1, indexed by letter value up to 16
+bits and by the letter's run in the sort beyond.
 
 Encoding needs no stored code table either, and never looks at a trit.
 Each codeword is an integer and a bit length, and
 :func:`~tritcode.codebook.signature_table` gives both for ranks 1..m in n
-array passes; each letter gathers its pair. A codeword of set n has at
+array passes; each letter gathers its pair. The counts and the lengths
+give the payload's bit count before encoding, so the payload is packed into
+one zeroed buffer of big-endian 64-bit words. A codeword of set n has at
 most 2n bits, so g = 64 // (2n) consecutive codewords fuse into one field
 of at most 64 bits by g shift-or passes. The running sum of field lengths
-places each field in a stream of big-endian 64-bit words: fields that end
-in the same word are ORed into it together, and a field that began in the
-word before ORs its high bits into that one. Chunks of whole fields, about
-a fixed number of trits each, bound the scratch memory; the partial last
-word of a chunk carries into the next.
+gives each field's bit offset: fields that end in the same word are ORed
+into it together, and a field that began in the word before ORs its high
+bits into that one. Chunks of whole fields, about a fixed number of trits
+each, bound the scratch memory.
 
 Decoding needs no code tree and no codeword table search. Every 0 bit ends
 a trit, so the trits of a bit window fall out of its zero positions: a 0
@@ -102,8 +103,8 @@ def _encode(letters) -> tuple[np.ndarray, bytes, int]:
     and its exact bit count, from one sort. The alphabet is
     ``build_model(letters).letters`` and the payload is
     ``encode_packed(letters, build_model(letters))``."""
-    alphabet, _, ranks0 = _ranked(letters)
-    return (alphabet, *_pack_ranks(ranks0, alphabet.size))
+    alphabet, counts, ranks0 = _ranked(letters)
+    return (alphabet, *_pack_ranks(ranks0, counts))
 
 
 def _model(alphabet: np.ndarray, counts: np.ndarray) -> Model:
@@ -113,20 +114,21 @@ def _model(alphabet: np.ndarray, counts: np.ndarray) -> Model:
 
 def _letter_array(letters) -> np.ndarray:
     """``letters`` as an array: uint8, uint16 and uint32 arrays keep their
-    width, in native byte order, and anything else becomes int64."""
+    width, in native byte order, and other integer or bool input becomes
+    int64. Anything else, and letters beyond int64, raise ValueError."""
     arr = np.asarray(letters)
-    if arr.dtype.kind == "u" and arr.dtype.itemsize <= 4:
+    kind = arr.dtype.kind
+    if kind == "u" and arr.dtype.itemsize <= 4:
         return arr.astype(arr.dtype.newbyteorder("="), copy=False)
-    if arr.dtype.kind == "i":
-        return arr.astype(np.int64, copy=False)
-    return np.asarray(letters, dtype=np.int64)
+    if arr.size and (kind not in "biu" or kind == "u" and arr.max() >> 63):
+        raise ValueError("letters must be integers that fit in int64")
+    return arr.astype(np.int64, copy=False)
 
 
 def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ranked alphabet of ``letters`` as an array of their dtype, the
-    count of each ranked letter, and the 0-based rank of every letter:
-    uint8 or uint16 (the narrowest that holds m - 1) for letters of up to
-    16 bits, intp for wider ones."""
+    count of each ranked letter, and the 0-based rank of every letter in
+    the narrowest unsigned type that holds m - 1."""
     arr = _letter_array(letters)
     if arr.size == 0:
         raise ValueError("cannot build a model from empty input")
@@ -135,17 +137,15 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     narrow = arr.dtype.itemsize <= 2
     values, first, counts, group = _sort_letters(arr, grouped=not narrow)
     # groups in order of first occurrence, then stably by descending count
-    by_first = np.argsort(first)
+    by_first = _stable_argsort(first)
     order = by_first[_stable_argsort(counts.max() - counts[by_first])]
     alphabet = values[order]
-    if narrow:
-        # values ascend, so the last one bounds the table
-        table = np.empty(int(values[-1]) + 1, dtype=np.min_scalar_type(order.size - 1))
-        table[alphabet] = np.arange(order.size)
-        return alphabet, counts[order], table.take(arr)
-    rank_of = np.empty_like(order)
-    rank_of[order] = np.arange(order.size)
-    return alphabet, counts[order], rank_of[group]
+    # indexed by letter value up to 16 bits (values ascend, so the last one
+    # bounds the table), else by group
+    table = np.empty(int(values[-1]) + 1 if narrow else order.size,
+                     dtype=np.min_scalar_type(order.size - 1))
+    table[alphabet if narrow else order] = np.arange(order.size)
+    return alphabet, counts[order], table.take(arr if narrow else group)
 
 
 def _stable_argsort(arr: np.ndarray) -> np.ndarray:
@@ -216,24 +216,27 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     arr = _letter_array(letters)
     if arr.size == 0:
         return b"", 0
-    return _pack_ranks(_rank0_of(model, arr), model.m)
+    ranks0 = _rank0_of(model, arr)
+    return _pack_ranks(ranks0, np.bincount(ranks0, minlength=model.m))
 
 
-def _pack_ranks(ranks0: np.ndarray, m: int) -> tuple[bytes, int]:
-    """Packed payload and bit count of letters with 0-based ranks ``ranks0``
-    in an alphabet of ``m`` letters."""
+def _pack_ranks(ranks0: np.ndarray, counts: np.ndarray) -> tuple[bytes, int]:
+    """Packed payload and bit count of letters with 0-based ranks ``ranks0``,
+    where rank r occurs ``counts[r]`` times."""
     n_letters = ranks0.size
+    m = counts.size
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
         if m == 1:
             return bytes((n_letters + 7) // 8), n_letters
         return np.packbits(ranks0.astype(np.uint8, copy=False)).tobytes(), n_letters
     values, lengths = signature_table(cs.n, m)
+    nbits = int(counts @ lengths)
+    words = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
     lengths = lengths.astype(np.uint64)
     g = 64 // (2 * cs.n)  # codewords per field
     step = g * max(1, _CHUNK_TRITS // (cs.n * g))
-    out = bytearray()
-    carry, carry_bits = np.uint64(0), 0
+    end = 0
     for start in range(0, n_letters, step):
         ranks = ranks0[start:start + step]
         chunk_values, chunk_lengths = values.take(ranks), lengths.take(ranks)
@@ -242,27 +245,26 @@ def _pack_ranks(ranks0: np.ndarray, m: int) -> tuple[bytes, int]:
             chunk_values = np.concatenate([chunk_values, pad])
             chunk_lengths = np.concatenate([chunk_lengths, pad])
         # row j: the j-th codeword of each field
-        words, carry, carry_bits = _pack_words(chunk_values.reshape(-1, g).T,
-                                               chunk_lengths.reshape(-1, g).T,
-                                               carry, carry_bits)
-        out += words.astype(">u8").tobytes()
-    total = len(out) * 8 + carry_bits
-    out += int(carry).to_bytes(8, "big")[:(carry_bits + 7) // 8]
-    return bytes(out), total
+        end = _pack_words(words, end, chunk_values.reshape(-1, g).T,
+                          chunk_lengths.reshape(-1, g).T)
+    if end != nbits:
+        raise ValueError(f"codewords end at bit {end}, not at the {nbits} of the counts")
+    payload = words.astype(">u8", copy=False).view(np.uint8)[:(nbits + 7) >> 3]
+    return payload.tobytes(), nbits
 
 
-def _pack_words(values: np.ndarray, lengths: np.ndarray, carry: np.uint64,
-                carry_bits: int) -> tuple[np.ndarray, np.uint64, int]:
-    """64-bit words holding the top ``carry_bits`` bits of ``carry``, then
-    the codewords ``values`` of bit lengths ``lengths``.
+def _pack_words(words: np.ndarray, start: int, values: np.ndarray,
+                lengths: np.ndarray) -> int:
+    """OR the codewords ``values`` of bit lengths ``lengths`` into the
+    64-bit ``words`` of a big-endian bit stream, from bit ``start`` on;
+    returns the bit where they end.
 
     Both are (g, k) uint64 arrays: column f holds the g codewords that fuse,
     first to last, into field f of at most 64 bits. The running sum of field
     lengths gives the end of each field: fields that end in the same word
     are ORed into it together, and a field that began in the word before
-    ORs its high bits into that one. Returns the whole words, then the
-    partial last word and its bit count, which the next call takes as its
-    carry.
+    ORs its high bits into that one. Raises ValueError, and writes nothing,
+    if the codewords would run past the last word.
     """
     field = values[0].copy()
     for j in range(1, values.shape[0]):
@@ -270,12 +272,11 @@ def _pack_words(values: np.ndarray, lengths: np.ndarray, carry: np.uint64,
         field |= values[j]
     size = lengths.sum(axis=0, dtype=np.int64)
     end = np.cumsum(size)
-    end += carry_bits
+    end += start
+    if end[-1] > 64 * words.size:
+        raise ValueError(f"codewords end at bit {end[-1]}, past the buffer")
     word = (end - 1) >> 6
     shift = -end & 63  # from the field's last bit to the word's last bit
-    total = int(end[-1])
-    words = np.zeros((total + 63) >> 6, dtype=np.uint64)
-    words[0] = carry
     opens = np.empty(word.size, dtype=bool)
     opens[0] = True
     np.not_equal(word[1:], word[:-1], out=opens[1:])
@@ -283,10 +284,7 @@ def _pack_words(values: np.ndarray, lengths: np.ndarray, carry: np.uint64,
     words[word[opens]] |= np.bitwise_or.reduceat(field << shift.astype(np.uint64), opens)
     spill = np.flatnonzero(size + shift > 64)
     words[word[spill] - 1] |= field[spill] >> (64 - shift[spill]).astype(np.uint64)
-    whole = total >> 6
-    if total & 63:
-        return words[:whole], words[whole], total & 63
-    return words, np.uint64(0), 0
+    return int(end[-1])
 
 
 def encode(letters, model: Model) -> str:

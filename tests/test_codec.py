@@ -144,15 +144,20 @@ def field_rows(signatures, g):
     return values.reshape(-1, g).T, lengths.reshape(-1, g).T
 
 
-def word_bits(words, carry, carry_bits):
-    """The bit string of codec._pack_words output."""
-    return ("".join(format(int(w), "064b") for w in words)
-            + format(int(carry), "064b")[:carry_bits])
+def head_words(bits, nbits):
+    """A buffer of 64-bit words for a stream of ``nbits`` bits, zeroed but
+    for a first word that holds ``bits`` (at most 64) at its top."""
+    words = np.zeros(-(-nbits // 64), dtype=np.uint64)
+    words[0] = int(bits.ljust(64, "0"), 2)
+    return words
 
 
-def head_word(bits):
-    """A carry word holding ``bits`` at its top."""
-    return np.uint64(int(bits.ljust(64, "0"), 2)), len(bits)
+def word_bits(words, end):
+    """The first ``end`` bits of the stream in ``words``, whose later bits
+    must all be zero."""
+    bits = "".join(format(int(w), "064b") for w in words)
+    assert "1" not in bits[end:]
+    return bits[:end]
 
 
 class TestBuildModel:
@@ -253,9 +258,17 @@ class TestOneSortModel:
         assert codec._rank0_of(model, arr).tolist() == expected
         assert build_model(arr) == model
 
-    @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16)])
+    @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
     def test_rank_table_width(self, m, dtype):
-        assert codec._ranked(np.arange(m, dtype=np.uint16))[2].dtype == dtype
+        # uint16 letters rank by value; uint32 and int64 ones, spread beyond
+        # 16 bits, by sort group
+        arrays = [np.arange(m, dtype=letters) * 3 + (1 << 20) for letters in (np.uint32, np.int64)]
+        if m <= 1 << 16:
+            arrays.append(np.arange(m, dtype=np.uint16))
+        for arr in arrays:
+            alphabet, _, ranks0 = codec._ranked(arr)
+            assert ranks0.dtype == dtype
+            assert np.array_equal(alphabet[ranks0], arr)
 
     @given(model_letters, st.data())
     @settings(max_examples=300, deadline=None)
@@ -286,6 +299,17 @@ class TestOneSortModel:
                 fn([5, -1])
             with pytest.raises(ValueError, match="^cannot build a model from empty input$"):
                 fn([])
+        # only integers within int64 are letters: nothing is truncated or wraps
+        not_letters = [[1.5, 2.7, 1.5], [1.9, 2.2], [2**63], [2**64], [2**63, -1],
+                       [-2**63 - 1], np.array([2**63], dtype=np.uint64), ["a"], [None]]
+        model = build_model([1, 2])
+        for fn in (build_model, codec._encode, lambda letters: encode_packed(letters, model)):
+            for letters in not_letters:
+                with pytest.raises(ValueError,
+                                   match="^letters must be integers that fit in int64$"):
+                    fn(letters)
+        assert build_model([True, False, True]).letters == (1, 0)
+        assert build_model(np.array([2**63 - 1, 7], dtype=np.uint64)).letters == (2**63 - 1, 7)
 
 
 class TestEncode:
@@ -363,9 +387,10 @@ class TestArrayEncoder:
         trits = np.array([int(t) for t in "".join(strings)], dtype=np.int8)
         values, lengths = field_rows([trits_to_bits(w) for w in strings],
                                      64 // (2 * n))
-        out = codec._pack_words(values, lengths, *head_word("101"))
-        bits = word_bits(*out)
-        assert bits == "101" + "".join(trits_to_bits(w) for w in strings)
+        bits = "101" + "".join(trits_to_bits(w) for w in strings)
+        words = head_words("101", len(bits))
+        assert codec._pack_words(words, 3, values, lengths) == len(bits)
+        assert word_bits(words, len(bits)) == bits
         window = np.array([int(b) for b in bits[3:]], dtype=np.uint8)
         assert codec._scan_trits(window).tolist() == trits.tolist()
 
@@ -381,14 +406,16 @@ class TestArrayEncoder:
         assert ((ends - np.array(sizes)) // 64 < (ends - 1) // 64).sum() > 50
         values, lengths = field_rows(fields, 1)
         expected = head + "".join(fields)
-        out = codec._pack_words(values, lengths, *head_word(head))
-        assert word_bits(*out) == expected
-        assert out[2] == len(expected) % 64
-        # the partial last word carries into a second call
+        words = head_words(head, len(expected))
+        assert codec._pack_words(words, len(head), values, lengths) == len(expected)
+        assert word_bits(words, len(expected)) == expected
+        # two calls into one buffer: the second starts inside the first's last word
         cut = 150
-        first = codec._pack_words(values[:, :cut], lengths[:, :cut], *head_word(head))
-        second = codec._pack_words(values[:, cut:], lengths[:, cut:], *first[1:])
-        assert word_bits(first[0], 0, 0) + word_bits(*second) == expected
+        words = head_words(head, len(expected))
+        middle = codec._pack_words(words, len(head), values[:, :cut], lengths[:, :cut])
+        assert middle == len(head) + sum(sizes[:cut]) and middle % 64
+        assert codec._pack_words(words, middle, values[:, cut:], lengths[:, cut:]) == len(expected)
+        assert word_bits(words, len(expected)) == expected
 
     def test_fused_fields_match_string_join(self):
         rng = random.Random(3)
@@ -396,8 +423,28 @@ class TestArrayEncoder:
             width = 64 // g
             codewords = [format(rng.getrandbits(w), "b").zfill(w)
                          for w in (rng.randint(1, width) for _ in range(401))]
-            out = codec._pack_words(*field_rows(codewords, g), *head_word("11"))
-            assert word_bits(*out) == "11" + "".join(codewords)
+            expected = "11" + "".join(codewords)
+            words = head_words("11", len(expected))
+            assert codec._pack_words(words, 2, *field_rows(codewords, g)) == len(expected)
+            assert word_bits(words, len(expected)) == expected
+
+    def test_counts_that_disagree_with_the_ranks_raise(self):
+        ranks0 = np.random.default_rng(5).integers(0, 40, 1000)
+        counts = np.bincount(ranks0, minlength=40)
+        _, nbits = codec._pack_ranks(ranks0, counts)
+        assert nbits == payload_size(codec._model(np.arange(40), counts))
+        for rank, change in [(0, 1), (39, 1), (0, -1), (39, -1), (3, 700), (3, -counts[3])]:
+            wrong = counts.copy()
+            wrong[rank] += change
+            with pytest.raises(ValueError, match="^codewords end at bit "):
+                codec._pack_ranks(ranks0, wrong)
+
+    def test_overrun_writes_nothing(self):
+        values, lengths = field_rows(["1" * 40, "1" * 30], 1)
+        words = head_words("1", 64)
+        with pytest.raises(ValueError, match="^codewords end at bit 71, past the buffer$"):
+            codec._pack_words(words, 1, values, lengths)
+        assert word_bits(words, 1) == "1"
 
 
 class TestPayloadSize:
@@ -588,7 +635,7 @@ class TestDecoderMemory:
         """Peak traced bytes of one decode, beyond the letters it returns."""
         rng = np.random.default_rng(payload_bytes)
         ranks0 = rng.integers(0, m, size=payload_bytes * 8 // bits_per_letter)
-        payload, nbits = codec._pack_ranks(ranks0, m)
+        payload, nbits = codec._pack_ranks(ranks0, np.bincount(ranks0, minlength=m))
         alphabet = np.arange(m, dtype=np.int64)
         tracemalloc.start()
         try:

@@ -366,9 +366,9 @@ class TestAlphabetCompression:
         packed = []
         pack_ranks = codec._pack_ranks
 
-        def counted(ranks0, m):
-            packed.append(m)
-            return pack_ranks(ranks0, m)
+        def counted(ranks0, counts):
+            packed.append(counts.size)
+            return pack_ranks(ranks0, counts)
 
         monkeypatch.setattr(codec, "_pack_ranks", counted)
         # every byte value: a 256-byte raw area against 556 bytes nested
@@ -654,7 +654,7 @@ class TestDecompressMemory:
         else:
             alphabet = rng.permutation(2**width).astype(letter_dtype(width))
             ranks0 = rng.integers(0, alphabet.size, count, dtype=np.int32)
-        payload, _ = codec._pack_ranks(ranks0, alphabet.size)
+        payload, _ = codec._pack_ranks(ranks0, np.bincount(ranks0, minlength=alphabet.size))
         area = alphabet.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :width // 8]
         blob = b"".join([serialize_header(Header(1, 0, width, size * 8)),
                          struct.pack("<I", alphabet.size), area.tobytes(), payload])
