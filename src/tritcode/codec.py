@@ -120,7 +120,7 @@ def _letter_array(letters) -> np.ndarray:
     kind = arr.dtype.kind
     if kind == "u" and arr.dtype.itemsize <= 4:
         return arr.astype(arr.dtype.newbyteorder("="), copy=False)
-    if arr.size and (kind not in "biu" or kind == "u" and arr.max() >> 63):
+    if arr.size and (kind not in "biu" or kind == "u" and int(arr.max()) >> 63):
         raise ValueError("letters must be integers that fit in int64")
     return arr.astype(np.int64, copy=False)
 
@@ -263,8 +263,7 @@ def _pack_words(words: np.ndarray, start: int, values: np.ndarray,
     first to last, into field f of at most 64 bits. The running sum of field
     lengths gives the end of each field: fields that end in the same word
     are ORed into it together, and a field that began in the word before
-    ORs its high bits into that one. Raises ValueError, and writes nothing,
-    if the codewords would run past the last word.
+    ORs its high bits into that one.
     """
     field = values[0].copy()
     for j in range(1, values.shape[0]):
@@ -273,8 +272,6 @@ def _pack_words(words: np.ndarray, start: int, values: np.ndarray,
     size = lengths.sum(axis=0, dtype=np.int64)
     end = np.cumsum(size)
     end += start
-    if end[-1] > 64 * words.size:
-        raise ValueError(f"codewords end at bit {end[-1]}, past the buffer")
     word = (end - 1) >> 6
     shift = -end & 63  # from the field's last bit to the word's last bit
     opens = np.empty(word.size, dtype=bool)
