@@ -29,15 +29,20 @@ into it together, and a field that began in the word before ORs its high
 bits into that one. Chunks of whole fields, about a fixed number of trits
 each, bound the scratch memory.
 
-Decoding needs no code tree and no codeword table search. Every 0 bit ends
-a trit, so the trits of a bit window fall out of its zero positions: a 0
-after r ones closes r // 2 trits 2 and then a 1 (r odd) or a 0 (r even).
-Grouped n at a time, the trits give each codeword's list index by
-:func:`~tritcode.codebook.rank_rows`, one table lookup per block of six
-trit positions, and the index picks the letter. The same lookups count each
-codeword's zeros, and so the bits it took. Windows of a fixed number of
-bits, each starting on a codeword boundary and unpacking only the payload
-bytes it covers, bound the scratch memory.
+Decoding needs no code tree and no codeword table search. A trit is 0, 10
+or 11: a 1 that opens a trit takes the next bit as its second, as a
+backslash escapes the next character, so the trit starts of a bit window
+are found 64 bits at a time by the escape scanner of Langdale and Lemire
+(simdjson), one subtraction per word. A word takes in a carry of one bit,
+set when the word before ends on the first bit of a trit; only an all-ones
+word passes its carry-in on, so every carry follows from a prefix maximum
+over the words, with no loop. The bit that opens each trit and the one
+after it give its value. Grouped n at a time, the trits give each
+codeword's list index by :func:`~tritcode.codebook.rank_rows`, one table
+lookup per block of six trit positions, and the index picks the letter.
+The same lookups count each codeword's zeros, and so the bits it took.
+Windows of a fixed number of bits, each starting on a codeword boundary and
+unpacking only the payload bytes it covers, bound the scratch memory.
 
 One- and two-letter alphabets bypass the ternary scheme: with two letters
 each letter is its rank bit, with one letter every occurrence is a '0' bit
@@ -65,14 +70,22 @@ from .errors import CorruptedDataError, TruncatedDataError
 # Bits the decoder scans at a time. A window must hold more than the longest
 # codeword (2n bits, at most 42 for a 32-bit alphabet) so that each one
 # yields at least one codeword; its size caps the decoder's scratch arrays,
-# the unpacked bits included, whatever the payload size: 5.3 MiB at most,
-# for a window of zero bits at n = 1.
+# the unpacked bits included, whatever the payload size: 3.3 MiB at most,
+# for a window of zero bits at n = 1, where rank_rows_and_zeros on 2^17
+# one-trit codewords sets the peak (the trit scan peaks at 1.5 MiB).
 _WINDOW_BITS = 1 << 17
 
 # Trits the encoder packs at a time (n per codeword), in whole fields of g
 # codewords. The chunk caps the encoder's scratch arrays whatever the input
 # size, as _WINDOW_BITS does for the decoder.
 _CHUNK_TRITS = 1 << 16
+
+# Word constants of the trit scan, as numpy scalars: numpy 1.x promotes a
+# uint64 array combined with a Python int to float64.
+_ONE = np.uint64(1)
+_TOP_BIT = np.uint64(63)
+_ODD_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 @dataclass(frozen=True)
@@ -190,8 +203,9 @@ def _sort_letters(arr: np.ndarray, grouped: bool = True) -> tuple[
             np.diff(starts, append=ordered.size), group)
 
 
-def _rank0_of(model: Model, arr: np.ndarray) -> np.ndarray:
-    """0-based rank of every letter in ``arr``; rejects unknown letters.
+def _rank0_of(model: Model, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based rank of every letter in ``arr``, and how many letters take
+    each of the model's m ranks; rejects unknown letters.
 
     Only the distinct letters are searched for in the model; each letter
     then takes its rank through its group.
@@ -199,12 +213,15 @@ def _rank0_of(model: Model, arr: np.ndarray) -> np.ndarray:
     known = np.asarray(model.letters, dtype=np.int64)
     order = _stable_argsort(known)
     sorted_known = known[order]
-    distinct, _, _, group = _sort_letters(arr)
+    distinct, _, counts, group = _sort_letters(arr)
     pos = np.minimum(np.searchsorted(sorted_known, distinct), len(known) - 1)
     absent = sorted_known[pos] != distinct
     if absent.any():
         raise ValueError(f"letter {int(distinct[absent][0])} absent from model")
-    return order[pos][group]
+    ranks = order[pos]  # distinct, as the letters are
+    rank_counts = np.zeros(known.size, dtype=counts.dtype)
+    rank_counts[ranks] = counts
+    return ranks[group], rank_counts
 
 
 def encode_packed(letters, model: Model) -> tuple[bytes, int]:
@@ -216,8 +233,7 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     arr = _letter_array(letters)
     if arr.size == 0:
         return b"", 0
-    ranks0 = _rank0_of(model, arr)
-    return _pack_ranks(ranks0, np.bincount(ranks0, minlength=model.m))
+    return _pack_ranks(*_rank0_of(model, arr))
 
 
 def _pack_ranks(ranks0: np.ndarray, counts: np.ndarray) -> tuple[bytes, int]:
@@ -428,19 +444,45 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
     A trailing run of ones yields its complete ``11`` pairs as trits 2; an
     odd one left over is the unfinished start of the next trit.
     """
-    zeros = np.flatnonzero(window == 0).astype(np.int32)
-    if zeros.size == 0:
-        return np.full(window.size // 2, 2, dtype=np.int8)
-    ones = np.empty_like(zeros)  # length of the run of ones before each 0
-    ones[0] = zeros[0]
-    np.subtract(zeros[1:], zeros[:-1], out=ones[1:])
-    ones[1:] -= 1
-    closing = np.cumsum((ones >> 1) + 1, dtype=np.int32)  # 1-based, per 0-ended trit
-    tail = window.size - 1 - int(zeros[-1])
-    trits = np.full(int(closing[-1]) + tail // 2, 2, dtype=np.int8)
-    closing -= 1
-    trits[closing] = ones & 1
-    return trits
+    size = window.size
+    if size == 0:
+        return np.empty(0, dtype=np.int8)
+    packed = np.zeros(-(-size // 64) * 8, dtype=np.uint8)
+    packed[:(size + 7) >> 3] = np.packbits(window, bitorder="little")
+    words = packed.view("<u8")  # bit j of word i is window bit 64 i + j
+    # After its first 0 bit a word's trits do not depend on its carry-in, so
+    # neither does its carry-out, unless the word is all ones: then it passes
+    # its carry-in on unchanged, 64 being even. So each word's carry-in is the
+    # carry-out, with carry-in 0, of the last word before it not all ones, or
+    # of word 0, whose carry-in is 0.
+    carry = np.zeros_like(words)
+    ends = (_escape_code(words, carry) & words) >> _TOP_BIT
+    last = np.maximum.accumulate(np.where(words != _ALL_ONES, np.arange(words.size), 0))
+    carry[1:] = ends[last[:-1]]
+    second = _escape_code(words, carry) ^ (words | carry)
+    starts = np.unpackbits((~second).astype("<u8", copy=False).view(np.uint8),
+                           count=size, bitorder="little").view(bool)
+    if window[-1]:
+        starts[-1] = False  # an unfinished trit
+    value = np.empty(size, dtype=np.int8)  # of the trit each bit would open
+    np.bitwise_and(window[:-1], window[1:], out=value[:-1].view(np.uint8))
+    value[-1] = 0
+    value += window.view(np.int8)
+    # a bool condition: a uint8 one, or value[starts], is slower
+    return np.compress(starts, value)
+
+
+def _escape_code(words: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """The escape code of Langdale and Lemire's backslash scanner (simdjson)
+    for the 64-bit ``words`` of a bit stream, first bit lowest, where a 1
+    bit that opens a trit is a backslash that escapes the next bit.
+
+    ``carry`` is 1 for a word whose bit 0 is the second bit of a trit begun
+    in the word before. ``code ^ (words | carry)`` marks the second bits, and
+    bit 63 of ``code & words`` is the carry into the next word.
+    """
+    first = words & ~carry  # 1 bits that may open a trit
+    return (((first << _ONE) | _ODD_BITS) - first) ^ _ODD_BITS
 
 
 def decode(bits: str, alphabet, letter_count: int) -> list[int]:

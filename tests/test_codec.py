@@ -240,7 +240,9 @@ class TestOneSortModel:
         model = build_model(arr)
         assert model == oracle_build_model(arr)
         assert all(type(v) is int for v in model.letters + model.counts)
-        assert codec._rank0_of(model, arr).tolist() == oracle_rank0_of(model, arr).tolist()
+        ranks0, rank_counts = codec._rank0_of(model, arr)
+        assert ranks0.tolist() == oracle_rank0_of(model, arr).tolist()
+        assert rank_counts.tolist() == np.bincount(ranks0, minlength=model.m).tolist()
         alphabet, payload, nbits = codec._encode(letters)
         assert alphabet.dtype == np.int64 and alphabet.tolist() == list(model.letters)
         assert (payload, nbits) == encode_packed(arr, model)
@@ -255,7 +257,9 @@ class TestOneSortModel:
         assert ranks0.dtype == (np.uint8 if model.m <= 256 else np.uint16)
         expected = oracle_rank0_of(model, arr).tolist()
         assert ranks0.tolist() == expected
-        assert codec._rank0_of(model, arr).tolist() == expected
+        ranks0, rank_counts = codec._rank0_of(model, arr)
+        assert ranks0.tolist() == expected
+        assert rank_counts.tolist() == list(model.counts)
         assert build_model(arr) == model
 
     @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
@@ -283,7 +287,7 @@ class TestOneSortModel:
         def ranks(rank0_of):
             return outcome(lambda: rank0_of(model, probe).tolist())
 
-        assert ranks(codec._rank0_of) == ranks(oracle_rank0_of)
+        assert ranks(lambda *args: codec._rank0_of(*args)[0]) == ranks(oracle_rank0_of)
         assert outcome(build_model, probe) == outcome(oracle_build_model, probe)
 
     def test_rejections_name_the_letter(self):
@@ -343,6 +347,19 @@ class TestEncode:
             encode([ord("Z")], model)
         with pytest.raises(ValueError):
             encode([ord("A"), 0], model)
+
+    @pytest.mark.parametrize("known", [(5, 9, 5, 7), (1, 1), (4, 4, 4), (2, 3, 2, 3, 8)])
+    def test_model_that_repeats_a_letter(self, known):
+        # a hand-built model may list a letter twice: it takes its first rank,
+        # and the payload is sized by the ranks taken
+        model = codec.Model(letters=known, counts=(1,) * len(known),
+                            code_set=code_set_for_alphabet(len(known)))
+        letters = [v for v in known for _ in range(3)][::-1]
+        codes = (["0", "1"] if len(known) == 2 else
+                 [c.bits for c in generate_codes(model.code_set.n, model.m)])
+        expected = "".join(codes[known.index(v)] for v in letters)
+        assert encode_packed(np.array(letters, dtype=np.uint16), model) == (
+            pack01(expected), len(expected))
 
     def test_empty_input_encodes_to_nothing(self):
         model = build_model(SAMPLE_LETTERS)
@@ -440,6 +457,66 @@ class TestArrayEncoder:
             with pytest.raises(ValueError if change > 0 else (ValueError, IndexError),
                                match="^codewords end at bit |out of bounds"):
                 codec._pack_ranks(ranks0, wrong)
+
+
+def reference_trits(window):
+    """The scan's scalar reference: read_trits on a BitReader until the bits
+    run out, dropping an unfinished trailing trit."""
+    reader = BitReader(np.packbits(window).tobytes(), window.size)
+    trits = []
+    while reader.remaining:
+        try:
+            trits.append(int(read_trits(reader, 1)))
+        except TruncatedDataError:
+            break
+    return trits
+
+
+def assert_scan_matches_reference(window):
+    window = np.asarray(window, dtype=np.uint8)
+    trits = codec._scan_trits(window)
+    assert trits.dtype == np.int8
+    assert trits.tolist() == reference_trits(window), window.tolist()
+
+
+class TestTritScan:
+    """The word-parallel trit scan against read_trits."""
+
+    @pytest.mark.parametrize("size", [*range(131), 511, 512, 513])
+    def test_every_small_size(self, size):
+        rng = np.random.default_rng(size)
+        for window in (np.zeros(size), np.ones(size), np.arange(size) % 2,
+                       1 - np.arange(size) % 2, rng.random(size) < 0.5,
+                       rng.random(size) < 0.9):
+            assert_scan_matches_reference(window)
+
+    def test_runs_of_ones_through_whole_words(self):
+        # runs from every offset mod 64; many fill a whole word, which passes
+        # on the carry it takes in, set or not by the run's parity so far
+        rng = np.random.default_rng(64)
+        tail = (rng.random(70) < 0.6).astype(np.uint8)
+        for offset in range(64, 128):
+            for run in range(63, 131):
+                window = np.zeros(offset + run + tail.size, dtype=np.uint8)
+                window[offset:offset + run] = 1
+                window[offset + run + 1:] = tail[1:]
+                assert_scan_matches_reference(window)
+
+    @pytest.mark.parametrize("bits", ["1", "01", "111", "0" * 63 + "1",
+                                      "0" * 64 + "1", "1" * 127, "1" * 129,
+                                      "10" * 40 + "1"])
+    def test_lone_trailing_one_is_dropped(self, bits):
+        assert_scan_matches_reference([int(b) for b in bits])
+
+    @given(st.lists(st.tuples(st.integers(0, 200), st.integers(1, 3)), max_size=12),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_biased_windows(self, runs, trailing_one):
+        # runs of ones, each closed by one to three zeros
+        bits = []
+        for ones, zeros in runs:
+            bits += [1] * ones + [0] * zeros
+        assert_scan_matches_reference(bits + [1] * trailing_one)
 
 
 class TestPayloadSize:
@@ -649,6 +726,18 @@ class TestDecoderMemory:
         before = self.scratch_bytes(m, bits_per_letter, small)
         after = self.scratch_bytes(m, bits_per_letter, 8 * small)
         assert after <= before + (64 << 10), (before, after)
+
+    def test_scan_peak(self):
+        # every bit opens a trit: the most trits, so np.compress's index is largest
+        window = np.zeros(codec._WINDOW_BITS, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            trits = codec._scan_trits(window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trits.size == window.size and not trits.any()
+        assert peak <= 2.2 * (1 << 20), peak
 
 
 def _mutate(payload: bytes, data) -> tuple[bytes, int | None]:
