@@ -33,6 +33,7 @@ are immutable; the module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -114,13 +115,8 @@ def code_set_for_alphabet(m: int) -> CodeSet | Degenerate:
 
 # Per-n combinatorial tables, built once and reused. Index [k][j] counts the
 # length-k trit strings containing exactly j zeros: C(k,j) * 2^(k-j).
-_tables: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]] = {}
-
-
+@functools.cache
 def _ntables(n: int):
-    cached = _tables.get(n)
-    if cached is not None:
-        return cached
     counts = []
     row = [1]  # Pascal row for k = 0
     for k in range(n + 1):
@@ -133,9 +129,7 @@ def _ntables(n: int):
     for z in range(n, -1, -1):
         before[z] = acc
         acc += sizes[z]
-    result = (tuple(counts), sizes, tuple(before))
-    _tables[n] = result
-    return result
+    return tuple(counts), sizes, tuple(before)
 
 
 def group_params(n: int, z: int) -> GroupParams:
@@ -216,11 +210,8 @@ def rank(n: int, trits: str) -> int:
     Computed combinatorially: the sizes of all groups with more zeros, plus
     the count of same-group strings that sort lexicographically earlier.
     """
-    tables = _tables.get(n)
-    if tables is None:
-        _check_set_number(n)
-        tables = _ntables(n)
-    counts, _, before = tables
+    _check_set_number(n)
+    counts, _, before = _ntables(n)
     if len(trits) != n:
         raise ValueError(f"expected {n} trits, got {len(trits)}")
     zeros_left = trits.count("0")
@@ -241,10 +232,6 @@ def rank(n: int, trits: str) -> int:
     return idx + 1
 
 
-# Per-n step tables for _rank_blocks, built once and reused; see _rank_steps.
-_steps: dict[int, np.ndarray] = {}
-
-
 def _rank_steps(n: int) -> np.ndarray:
     """Index increments of :func:`rank`, one row per trit position.
 
@@ -253,9 +240,6 @@ def _rank_steps(n: int) -> np.ndarray:
     (including any at p): nothing for a 0, the strings placing a 0 there for
     a 1, and those plus the strings placing a 1 there for a 2.
     """
-    cached = _steps.get(n)
-    if cached is not None:
-        return cached
     counts, _, _ = _ntables(n)
     steps = np.zeros((n, 3 * (n + 1)), dtype=np.int64)
     for p in range(n):
@@ -265,8 +249,6 @@ def _rank_steps(n: int) -> np.ndarray:
             below = rest[zeros_left - 1] if zeros_left else 0
             steps[p, 3 * zeros_left + 1] = below
             steps[p, 3 * zeros_left + 2] = below + rest[zeros_left]
-    steps.setflags(write=False)
-    _steps[n] = steps
     return steps
 
 
@@ -276,10 +258,7 @@ def _rank_steps(n: int) -> np.ndarray:
 # slower, and each added trit triples the tables.
 RANK_BLOCK_TRITS = 6
 
-# Per-n block tables for rank_rows, built once and reused; see _rank_blocks.
-_blocks: dict[int, tuple[tuple[int, int, np.ndarray, np.ndarray], ...]] = {}
-
-
+@functools.cache
 def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
     """The trit blocks of set ``n`` with their lookup tables, first to last.
 
@@ -295,9 +274,6 @@ def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
     The tables hold partial ranks, not codewords: their size depends on n
     alone. All arrays are read-only.
     """
-    cached = _blocks.get(n)
-    if cached is not None:
-        return cached
     steps = _rank_steps(n)
     _, _, before = _ntables(n)
     blocks = []
@@ -319,9 +295,7 @@ def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
         share.setflags(write=False)
         zeros.setflags(write=False)
         blocks.append((s, h, share, zeros))
-    result = tuple(blocks)
-    _blocks[n] = result
-    return result
+    return tuple(blocks)
 
 
 def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
@@ -332,15 +306,10 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     :data:`RANK_BLOCK_TRITS` trits: one vector lookup per block in a fixed
     table, ceil(n / RANK_BLOCK_TRITS) in all, with no search and no
     per-codeword Python work. Results are exact int64 values for every set.
-    """
-    return rank_rows_and_zeros(n, trits)[0]
-
-
-def rank_rows_and_zeros(n: int, trits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rank_rows`, also returning the count of 0-trits in each row.
 
     The blocks are read from the last to the first, since each lookup needs
-    the zeros that follow its block.
+    the zeros that follow its block; the first block's zeros are never
+    counted, so a set of one block counts none.
     """
     _check_set_number(n)
     if trits.ndim != 2 or trits.shape[1] != n:
@@ -355,13 +324,13 @@ def rank_rows_and_zeros(n: int, trits: np.ndarray) -> tuple[np.ndarray, np.ndarr
         value = value.astype(np.intp)
         if zeros is None:  # the last block: no zeros follow it
             idx = share[value]
-            zeros = block_zeros[value]
         else:
             key = zeros * 3**h
             key += value
             idx += share[key]
-            zeros += block_zeros[value]
-    return idx, zeros
+        if s:  # the blocks before this one key on the zeros from here on
+            zeros = block_zeros[value] if zeros is None else zeros + block_zeros[value]
+    return idx
 
 
 def unrank(n: int, index: int) -> str:

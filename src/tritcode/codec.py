@@ -40,7 +40,8 @@ over the words, with no loop. The bit that opens each trit and the one
 after it give its value. Grouped n at a time, the trits give each
 codeword's list index by :func:`~tritcode.codebook.rank_rows`, one table
 lookup per block of six trit positions, and the index picks the letter.
-The same lookups count each codeword's zeros, and so the bits it took.
+A 0 trit is one bit and a 1 or 2 trit two, so k codewords take k n bits
+plus one for each nonzero trit among them.
 Windows of a fixed number of bits, each starting on a codeword boundary and
 unpacking only the payload bytes it covers, bound the scratch memory.
 
@@ -62,7 +63,7 @@ from .codebook import (
     RANK_BLOCK_TRITS,
     code_set_for_alphabet,
     group_counts,
-    rank_rows_and_zeros,
+    rank_rows,
     signature_table,
 )
 from .errors import CorruptedDataError, TruncatedDataError
@@ -70,9 +71,9 @@ from .errors import CorruptedDataError, TruncatedDataError
 # Bits the decoder scans at a time. A window must hold more than the longest
 # codeword (2n bits, at most 42 for a 32-bit alphabet) so that each one
 # yields at least one codeword; its size caps the decoder's scratch arrays,
-# the unpacked bits included, whatever the payload size: 3.3 MiB at most,
-# for a window of zero bits at n = 1, where rank_rows_and_zeros on 2^17
-# one-trit codewords sets the peak (the trit scan peaks at 1.5 MiB).
+# the unpacked bits included, whatever the payload size: 2.3 MiB at most,
+# for a window of zero bits at n = 1, where rank_rows on 2^17 one-trit
+# codewords sets the peak (the trit scan peaks at 1.5 MiB).
 _WINDOW_BITS = 1 << 17
 
 # Trits the encoder packs at a time (n per codeword), in whole fields of g
@@ -420,7 +421,7 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
         trits = _scan_trits(_bits(buf, pos, end))
         k = min(trits.size // n, left)
         block = trits[:k * n].reshape(k, n)
-        idx, zeros = rank_rows_and_zeros(n, block)
+        idx = rank_rows(n, block)
         windows += 1
         bad = np.flatnonzero(idx > m)
         if bad.size:
@@ -434,7 +435,7 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
         idx -= 1
         np.take(alphabet, idx, out=letters[done:done + k], mode="clip")
         done += k
-        pos += 2 * k * n - int(zeros.sum())
+        pos += k * n + np.count_nonzero(block)
     return letters, pos, -(-n // RANK_BLOCK_TRITS) * windows, windows
 
 

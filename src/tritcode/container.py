@@ -235,6 +235,9 @@ def _parse(blob: bytes) -> tuple[Header, np.ndarray, int]:
     if nbits == 0:
         raise FormatError("nonempty alphabet with a zero bit length",
                           offset=HEADER_SIZE)
+    if nbits % 8:
+        raise FormatError(
+            f"original bit length {nbits} is not a whole number of bytes", offset=4)
     if L < 32 and m > 1 << L:
         raise FormatError(f"alphabet power {m} exceeds 2^{L}", offset=HEADER_SIZE)
     size = m * _letter_width_bytes(L)

@@ -88,6 +88,17 @@ class TestInspect:
         assert dispatch(["inspect", str(path)]) == EXIT_FORMAT
         assert "format error" in capsys.readouterr().err
 
+    def test_bit_length_not_whole_bytes_is_format_error(self, tmp_path, capsys):
+        blob = bytearray(container.compress(SAMPLE, 8))
+        blob[4:12] = (127).to_bytes(8, "little")
+        path = tmp_path / "odd.btn"
+        path.write_bytes(bytes(blob))
+        assert dispatch(["inspect", str(path)]) == EXIT_FORMAT
+        assert dispatch(["decompress", str(path), str(tmp_path / "out")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.count("not a whole number of bytes (at byte offset 4)") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_corrupt_payload_exit_code(self, tmp_path):
         blob = bytearray(container.compress(b"abcde", 8))
         blob[-1] ^= 0xFF

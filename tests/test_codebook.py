@@ -21,7 +21,6 @@ from tritcode.codebook import (
     iter_codes,
     rank,
     rank_rows,
-    rank_rows_and_zeros,
     read_trits,
     signature_table,
     trits_to_bits,
@@ -267,31 +266,23 @@ class TestRankRows:
         assert got.tolist() == [rank(n, s) for s in strings]
         assert got[2] == 3**n
 
-    def test_zero_counts(self):
-        rng = np.random.default_rng(6)
-        for n in (5, 6, 7, 21):
-            block = rng.integers(0, 3, size=(200, n), dtype=np.int8)
-            idx, zeros = rank_rows_and_zeros(n, block)
-            assert idx.tolist() == rank_rows(n, block).tolist()
-            assert zeros.tolist() == (block == 0).sum(axis=1).tolist()
-
     def test_block_tables_are_read_only_and_built_once(self, monkeypatch):
-        monkeypatch.setattr(codebook, "_blocks", {})
+        codebook._rank_blocks.cache_clear()
         built = []
         steps = codebook._rank_steps
         monkeypatch.setattr(codebook, "_rank_steps",
                             lambda n: built.append(n) or steps(n))
         for n in (5, 6, 7, 21, 5, 6, 7, 21):
             rank_rows(n, np.zeros((3, n), dtype=np.int8))
-        assert built == [5, 6, 7, 21]
-        for n, blocks in codebook._blocks.items():
-            assert codebook._rank_blocks(n) is blocks
+        for n in (5, 6, 7, 21):
+            blocks = codebook._rank_blocks(n)
             assert len(blocks) == -(-n // RANK_BLOCK_TRITS)
             for s, h, share, zeros in blocks:
                 # one row of 3^h partial ranks per count of zeros after it
                 assert share.shape == ((n - s - h + 1) * 3**h,)
                 assert zeros.shape == (3**h,)
                 assert not share.flags.writeable and not zeros.flags.writeable
+        assert built == [5, 6, 7, 21]
 
     def test_empty_block(self):
         assert rank_rows(4, np.empty((0, 4), dtype=np.int8)).size == 0
@@ -312,7 +303,8 @@ class TestUnrankRows:
         # largest whose indices fit an int64
         idx = group_boundaries(n)
         strings = [unrank(n, int(i)) for i in idx]
-        got, zeros = rank_rows_and_zeros(n, trit_rows(strings))
+        rows = trit_rows(strings)
+        got, zeros = rank_rows(n, rows), (rows == 0).sum(axis=1)
         assert got.tolist() == idx.tolist()
         assert [rank(n, t) for t in strings] == idx.tolist()
         # groups run from n zeros down to none, each in lexicographic order

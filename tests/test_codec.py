@@ -14,6 +14,7 @@ from tritcode.codebook import (
     Degenerate,
     code_set_for_alphabet,
     generate_codes,
+    group_counts,
     rank,
     read_trits,
     trits_to_bits,
@@ -637,6 +638,25 @@ class TestDecode:
             with pytest.raises(ValueError, match="^bit_length must be non-negative$"):
                 decoder(b"\x00\x00", alphabet, 1, bit_length=-5)
 
+    @pytest.mark.parametrize("n", [6, 7, 12, 13])
+    @mock.patch.object(codec, "_WINDOW_BITS", 1 << 10)
+    def test_rank_block_layouts_across_windows(self, n):
+        # one whole rank block, a whole one and 1 trit, two whole ones, and
+        # two whole ones and 1 trit; windows of 2^10 bits end mid-stream
+        alphabet = np.arange(3**(n - 1) + 1, dtype=np.uint32)
+        m = alphabet.size
+        ends = np.cumsum(group_counts(n, m))
+        rng = np.random.default_rng(n)
+        # the first and last rank of every group the alphabet reaches
+        ranks0 = np.concatenate([np.r_[0, ends[:-1]], ends - 1,
+                                 rng.integers(0, m, size=3000)])
+        rng.shuffle(ranks0)
+        payload, nbits = codec._pack_ranks(ranks0, np.bincount(ranks0, minlength=m))
+        letters, stats = decode_with_stats(payload, alphabet, ranks0.size, nbits)
+        assert letters.tolist() == alphabet[ranks0].tolist()
+        assert stats.bits_consumed == nbits
+        assert stats.windows > 2
+
 
 class TestPackedForms:
     @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1,
@@ -738,6 +758,20 @@ class TestDecoderMemory:
             tracemalloc.stop()
         assert trits.size == window.size and not trits.any()
         assert peak <= 2.2 * (1 << 20), peak
+
+    def test_one_trit_codewords_peak(self):
+        # 2^14 zero bytes at m = 3 are 2^17 one-trit codewords: the most a
+        # window holds, so rank_rows ranks its largest block
+        payload = bytes(1 << 14)
+        alphabet = np.arange(3, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            letters = decode_packed(payload, alphabet, 1 << 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert letters.size == 1 << 17 and not letters.any()
+        assert peak - letters.nbytes <= 2.5 * (1 << 20), peak
 
 
 def _mutate(payload: bytes, data) -> tuple[bytes, int | None]:

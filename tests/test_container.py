@@ -459,6 +459,17 @@ class TestDecompressErrors:
         with pytest.raises(FormatError):
             decompress(bytes(blob))
 
+    def test_bit_length_not_whole_bytes(self):
+        # the field is 8 times a byte count; the parser rejects the rest
+        # before any payload is decoded
+        blob = bytearray(compress(SAMPLE, 8))
+        struct.pack_into("<Q", blob, 4, 127)
+        for parse in (decompress, describe):
+            with pytest.raises(FormatError, match="^original bit length 127 is not "
+                               "a whole number of bytes") as caught:
+                parse(bytes(blob))
+            assert caught.value.offset == 4
+
     def test_bit_exhaustion_reports_truncation(self):
         blob = bytearray(compress(SAMPLE, 8))
         # declare more input bits than the payload can decode
