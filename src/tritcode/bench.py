@@ -1,10 +1,10 @@
 """Benchmark harness: corpus runs, recompression chains, redundancy analysis.
 
-The harness compresses each corpus file, verifies the round trip bit for
-bit, and reports size and timing metrics. Nothing is reported as a success
-unless its round trip held. The "price of economy" metric divides the
-compression time by the bytes it freed, so machine-dependent timings become
-comparable across letter widths on the same machine.
+The harness compresses each corpus file at each distinct letter width in
+the calling process, verifies the round trip bit for bit, and reports size
+and timing metrics; nothing counts as a success unless its round trip held.
+The "price of economy" metric divides the compression time by the bytes it
+freed, so timings compare across letter widths on one machine.
 
 Every table is drawn by one writer, write_table, as CSV or as aligned text;
 format_corpus, format_recompress and format_redundancy turn each table's
@@ -14,9 +14,7 @@ see scripts/fetch_corpus.py for obtaining it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
-import functools
 import io
 import time
 from dataclasses import dataclass
@@ -146,31 +144,28 @@ def _totals_row(reports: list[FileReport], letter_bits: int) -> FileReport:
     )
 
 
+def _check_distinct(widths: tuple[int, ...]) -> None:
+    if len(set(widths)) < len(widths):
+        raise ValueError(f"letter widths must be distinct, got {widths}")
+
+
 def run_corpus(directory: str | Path,
                letter_bits_values: tuple[int, ...] = (8, 16), *,
                files: tuple[str, ...] = CANTERBURY_FILES,
                compress_alphabet: bool = False,
-               jobs: int = 1) -> tuple[list[FileReport], list[FileReport], list[str]]:
+               ) -> tuple[list[FileReport], list[FileReport], list[str]]:
     """Benchmark every corpus file at every letter width.
 
     Returns (per-file reports, one totals row per width, missing files).
-    Missing files are skipped and reported; present files still run.
-    At most one worker process runs per task, however large jobs is.
+    Missing files are skipped and reported; present files still run, one
+    after another in the calling process. Widths must be distinct.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_distinct(letter_bits_values)
     directory = Path(directory)
     present = [f for f in files if (directory / f).is_file()]
     missing = [f for f in files if f not in present]
-    paths = [directory / f for _ in letter_bits_values for f in present]
-    widths = [bits for bits in letter_bits_values for _ in present]
-    run = functools.partial(bench_file, compress_alphabet=compress_alphabet)
-    workers = min(jobs, len(paths))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, paths, widths))
-    else:
-        reports = list(map(run, paths, widths))
+    reports = [bench_file(directory / f, bits, compress_alphabet=compress_alphabet)
+               for bits in letter_bits_values for f in present]
     totals = [_totals_row(reports, bits) for bits in letter_bits_values]
     return reports, totals, missing
 
@@ -182,8 +177,9 @@ def run_recompress(directory: str | Path, first_bits: int = 8,
     """Compress at one width, then compress each result again at others.
 
     Chained sizes may exceed the single-pass size; that is data, not an
-    error. Returns (rows, totals row, missing files).
+    error. Second widths must be distinct. Returns (rows, totals, missing).
     """
+    _check_distinct(second_bits)
     directory = Path(directory)
     present = [f for f in files if (directory / f).is_file()]
     missing = [f for f in files if f not in present]

@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, nargs="+", default=[8, 16],
                    help="letter widths (default 8 16)")
     p.add_argument("--compress-alphabet", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers, at most one per file and width "
-                        "(1 = sequential, stable timings)")
     p = modes.add_parser("recompress", parents=[table],
                          help="compress each first-pass output again at other widths")
     p.add_argument("--first", type=int, default=8,
@@ -151,8 +148,7 @@ def _cmd_codebook(args) -> int:
 def _cmd_bench(args) -> int:
     if args.mode == "corpus":
         reports, totals, missing = bench.run_corpus(
-            args.directory, tuple(args.bits),
-            compress_alphabet=args.compress_alphabet, jobs=args.jobs)
+            args.directory, tuple(args.bits), compress_alphabet=args.compress_alphabet)
         sys.stdout.write(bench.format_corpus(reports + totals, args.report))
         failed = [r.name for r in reports if not r.roundtrip_ok]
     else:

@@ -244,8 +244,6 @@ def _pack_ranks(ranks0: np.ndarray, counts: np.ndarray) -> tuple[bytes, int]:
     m = counts.size
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
-        if m == 1:
-            return bytes((n_letters + 7) // 8), n_letters
         return np.packbits(ranks0.astype(np.uint8, copy=False)).tobytes(), n_letters
     values, lengths = signature_table(cs.n, m)
     nbits = int(counts @ lengths)

@@ -79,7 +79,8 @@ class TestRunCorpus:
         names = tuple(sorted(files))
         reports, totals, missing = run_corpus(directory, (8, 16), files=names)
         assert not missing
-        assert len(reports) == len(names) * 2
+        assert [(r.letter_bits, r.name) for r in reports] == \
+               [(bits, name) for bits in (8, 16) for name in names]
         assert all(r.roundtrip_ok for r in reports)
         for total in totals:
             group = [r for r in reports if r.letter_bits == total.letter_bits]
@@ -97,51 +98,10 @@ class TestRunCorpus:
         assert missing == ["absent.xyz"]
         assert len(reports) == len(files)
 
-    def test_parallel_matches_sequential_sizes(self, mini_corpus):
+    def test_repeated_widths_rejected(self, mini_corpus):
         directory, files = mini_corpus
-        names = tuple(sorted(files))
-        seq, _, _ = run_corpus(directory, (8,), files=names, jobs=1)
-        par, _, _ = run_corpus(directory, (8,), files=names, jobs=2)
-        assert [(r.name, r.compressed_bytes) for r in seq] == \
-               [(r.name, r.compressed_bytes) for r in par]
-
-    @pytest.mark.parametrize("jobs, tasks, workers", [
-        (64, 3, [3]),  # capped at one worker per task
-        (2, 3, [2]),
-        (8, 1, []),    # a single task runs in-process
-        (1, 3, []),
-    ])
-    def test_workers_capped_at_task_count(self, mini_corpus, monkeypatch,
-                                          jobs, tasks, workers):
-        requested = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor",
-                            InlineExecutor)
-        directory, files = mini_corpus
-        names = tuple(sorted(files))[:tasks]
-        reports, _, _ = run_corpus(directory, (8,), files=names, jobs=jobs)
-        assert requested == workers
-        assert [r.name for r in reports] == list(names)
-        assert all(r.roundtrip_ok for r in reports)
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_rejects_jobs_below_one(self, mini_corpus, jobs):
-        directory, files = mini_corpus
-        with pytest.raises(ValueError, match="jobs"):
-            run_corpus(directory, (8,), files=tuple(files), jobs=jobs)
+        with pytest.raises(ValueError, match=r"^letter widths must be distinct, got \(8, 16, 8\)$"):
+            run_corpus(directory, (8, 16, 8), files=tuple(files))
 
 
 class TestRunRecompress:
@@ -160,6 +120,11 @@ class TestRunRecompress:
         assert totals.first_bytes == sum(r.first_bytes for r in rows)
         for bits in (3, 6):
             assert totals.chained[bits] == sum(r.chained[bits] for r in rows)
+
+    def test_repeated_second_widths_rejected(self, mini_corpus):
+        directory, files = mini_corpus
+        with pytest.raises(ValueError, match=r"^letter widths must be distinct, got \(3, 3\)$"):
+            run_recompress(directory, 8, (3, 3), files=tuple(files))
 
 
 class TestRedundancyTable:

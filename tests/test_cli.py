@@ -235,11 +235,26 @@ class TestBenchVerb:
         assert "usage:" in captured.err
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "2"])
     def test_jobs_below_one_is_a_usage_error(self, corpus, capsys, jobs):
+        # there is no --jobs: every value, below one or not, is unrecognized
         assert dispatch(["bench", "corpus", str(corpus),
                          "--jobs", jobs]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --jobs {jobs}" in captured.err
+
+    @pytest.mark.parametrize("mode, flag, widths", [
+        ("corpus", "--bits", "8"),
+        ("recompress", "--second", "3"),
+    ])
+    def test_repeated_widths_are_a_usage_error(self, corpus, capsys, mode, flag,
+                                               widths):
+        assert dispatch(["bench", mode, str(corpus), flag, widths, widths]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: letter widths must be distinct, "
+                                f"got ({widths}, {widths})\n")
 
     def test_unknown_verb(self):
         assert dispatch(["frobnicate"]) == EXIT_USAGE
@@ -295,10 +310,11 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
-    # bench --jobs imports multiprocessing on first use, not at start-up
-    code = "import sys, tritcode.cli; print('multiprocessing' in sys.modules)"
+    # the corpus bench runs in-process: nothing imports a process pool
+    code = ("import sys, tritcode.cli; "
+            "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env, cwd=tmp_path)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -446,6 +446,12 @@ class TestArrayEncoder:
             assert codec._pack_words(words, 2, *field_rows(codewords, g)) == len(expected)
             assert word_bits(words, len(expected)) == expected
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 70001])
+    def test_one_letter_packs_to_zero_bits(self, n):
+        # one letter is rank 0 everywhere: one 0 bit per letter, padded
+        ranks0 = np.zeros(n, np.uint8)
+        assert codec._pack_ranks(ranks0, np.array([n])) == (bytes(-(-n // 8)), n)
+
     def test_counts_that_disagree_with_the_ranks_raise(self):
         ranks0 = np.random.default_rng(5).integers(0, 40, 1000)
         counts = np.bincount(ranks0, minlength=40)
