@@ -144,9 +144,14 @@ def _totals_row(reports: list[FileReport], letter_bits: int) -> FileReport:
     )
 
 
-def _check_distinct(widths: tuple[int, ...]) -> None:
+def _check_widths(widths: tuple[int, ...]) -> None:
+    """Reject repeated letter widths and widths outside 1..32, whether or
+    not any corpus file is present."""
     if len(set(widths)) < len(widths):
         raise ValueError(f"letter widths must be distinct, got {widths}")
+    for bits in widths:
+        if not 1 <= bits <= 32:
+            raise ValueError(f"letter width {bits} out of range 1..32")
 
 
 def run_corpus(directory: str | Path,
@@ -158,9 +163,10 @@ def run_corpus(directory: str | Path,
 
     Returns (per-file reports, one totals row per width, missing files).
     Missing files are skipped and reported; present files still run, one
-    after another in the calling process. Widths must be distinct.
+    after another in the calling process. Widths must be distinct and in
+    1..32.
     """
-    _check_distinct(letter_bits_values)
+    _check_widths(letter_bits_values)
     directory = Path(directory)
     present = [f for f in files if (directory / f).is_file()]
     missing = [f for f in files if f not in present]
@@ -177,9 +183,11 @@ def run_recompress(directory: str | Path, first_bits: int = 8,
     """Compress at one width, then compress each result again at others.
 
     Chained sizes may exceed the single-pass size; that is data, not an
-    error. Second widths must be distinct. Returns (rows, totals, missing).
+    error. Widths must be in 1..32, and second widths distinct. Returns
+    (rows, totals, missing).
     """
-    _check_distinct(second_bits)
+    _check_widths((first_bits,))
+    _check_widths(second_bits)
     directory = Path(directory)
     present = [f for f in files if (directory / f).is_file()]
     missing = [f for f in files if f not in present]

@@ -166,8 +166,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.mode == "compactness":
+        table = numeral.compactness_table(args.bases, args.digits)
         print("b,c_b,c_2,e_bar")
-        for point in numeral.compactness_table(args.bases, args.digits):
+        for point in table:
             print(f"{point.b},{point.c_b},{point.c_2},{point.e_bar:.3f}")
     elif args.mode == "minimum":
         b_star, e_star = numeral.continuous_minimum()

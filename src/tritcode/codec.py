@@ -8,13 +8,13 @@ and anything else is rejected.
 Pass one ranks the alphabet by descending count; pass two swaps each
 letter for the codeword whose list index equals the letter's rank.
 
-Pass one is a single stable sort of the letters, radix-sorted in 16-bit
-digits where they fit. The sorted run of each distinct letter gives its
-count and, as its first member, its first occurrence, which breaks ties
-between equal counts; the ranked alphabet follows from the distinct
-letters alone. Every letter then gathers its rank from one table of the
-narrowest unsigned type that holds m - 1, indexed by letter value up to 16
-bits and by the letter's run in the sort beyond.
+Pass one is a single stable sort of the letters, radix up to 16 bits and
+of (value, position) keys beyond. The sorted run of each distinct letter
+gives its count and, as its first member, its first occurrence, which
+breaks count ties in one sort of (count, first) keys. The ranks, of the
+narrowest unsigned type that holds m - 1, spread to every letter through a
+table indexed by letter value up to 16 bits and through the sorted
+positions beyond; the encoder ranks by a given model's letters alike.
 
 Encoding needs no stored code table either, and never looks at a trit.
 Each codeword is an integer and a bit length, and
@@ -88,6 +88,11 @@ _TOP_BIT = np.uint64(63)
 _ODD_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
+# Pass one sorts by uint64 keys of two 32-bit halves: letters and inputs of
+# this bound or more take numpy's stable argsort and lexsort instead.
+_KEY_LIMIT = 1 << 32
+_HALF = np.uint64(32)
+
 
 @dataclass(frozen=True)
 class Model:
@@ -148,81 +153,65 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("cannot build a model from empty input")
     if arr.dtype.kind == "i" and arr.min() < 0:
         raise ValueError("letters must be unsigned integers")
-    narrow = arr.dtype.itemsize <= 2
-    values, first, counts, group = _sort_letters(arr, grouped=not narrow)
-    # groups in order of first occurrence, then stably by descending count
-    by_first = _stable_argsort(first)
-    order = by_first[_stable_argsort(counts.max() - counts[by_first])]
-    alphabet = values[order]
-    # indexed by letter value up to 16 bits (values ascend, so the last one
-    # bounds the table), else by group
-    table = np.empty(int(values[-1]) + 1 if narrow else order.size,
-                     dtype=np.min_scalar_type(order.size - 1))
-    table[alphabet if narrow else order] = np.arange(order.size)
-    return alphabet, counts[order], table.take(arr if narrow else group)
+    values, first, counts, perm = _sort_letters(arr)
+    if arr.size < _KEY_LIMIT:  # the keys are distinct, so any sort is stable
+        order = np.argsort(_keys(counts.max() - counts, first))
+    else:
+        order = np.lexsort((first, counts.max() - counts))
+    rank = np.empty(order.size, dtype=np.min_scalar_type(order.size - 1))
+    rank[order] = np.arange(order.size)
+    ranks0 = _spread(arr, values, rank, counts, perm)
+    return values[order], counts[order], ranks0
 
 
-def _stable_argsort(arr: np.ndarray) -> np.ndarray:
-    """Stable argsort of a nonempty 1-D integer array.
-
-    numpy radix-sorts 8- and 16-bit keys under ``kind="stable"`` but
-    merge-sorts wider ones, so values up to 16 bits are sorted in uint8 or
-    uint16, and values up to 32 bits as two 16-bit passes, the low half
-    first. Negative values and values beyond 32 bits are sorted as int64.
-    """
-    top = int(arr.max())
-    if top >> 32 or (arr.dtype.kind == "i" and arr.min() < 0):
-        return np.argsort(arr, kind="stable")
-    if top >> 16 == 0:
-        return np.argsort(arr.astype(np.uint8 if top >> 8 == 0 else np.uint16,
-                                     copy=False), kind="stable")
-    low = np.argsort((arr & 0xFFFF).astype(np.uint16), kind="stable")
-    return low[np.argsort((arr[low] >> 16).astype(np.uint16), kind="stable")]
-
-
-def _sort_letters(arr: np.ndarray, grouped: bool = True) -> tuple[
+def _sort_letters(arr: np.ndarray) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Distinct values of a nonempty letter array from one stable sort.
 
     Returns the distinct values in ascending order, in the letters' dtype,
-    the position of each one's first occurrence, each one's count, and, if
-    ``grouped``, every letter's group: the index of its value among the
-    distinct values (else None).
+    the position of each one's first occurrence, each one's count, and, for
+    letters wider than 16 bits, their positions in sorted order (else None).
+    Distinct keys ``letter << 32 | position`` sort stably in any sort; numpy's
+    stable argsort radix-sorts 8- and 16-bit letters.
     """
-    perm = _stable_argsort(arr)
-    ordered = arr[perm]
+    wide = arr.dtype.itemsize > 2
+    if wide and arr.size < _KEY_LIMIT and arr.min() >= 0 and arr.max() < _KEY_LIMIT:
+        ordered = _keys(arr, np.arange(arr.size, dtype=np.uint64))
+        ordered.sort()
+        perm = ordered.astype(np.uint32)  # the low halves
+        ordered >>= _HALF
+    else:
+        perm = np.argsort(arr, kind="stable")
+        ordered = arr[perm]
     opens = np.empty(ordered.size, dtype=bool)
     opens[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
     starts = np.flatnonzero(opens)
-    group = None
-    if grouped:
-        group = np.empty(ordered.size, dtype=np.intp)
-        group[perm] = np.cumsum(opens) - 1
-    # the sort is stable, so each group opens with its first occurrence
-    return (ordered[starts], perm[starts],
-            np.diff(starts, append=ordered.size), group)
+    # the sort is stable, so each value's run opens with its first occurrence
+    return (ordered[starts].astype(arr.dtype, copy=False), perm[starts],
+            np.diff(starts, append=ordered.size), perm if wide else None)
 
 
-def _rank0_of(model: Model, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based rank of every letter in ``arr``, and how many letters take
-    each of the model's m ranks; rejects unknown letters.
+def _keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """uint64 keys ``high << 32 | low``, built in place: no new array per operator."""
+    keys = high.astype(np.uint64)
+    keys <<= _HALF
+    keys |= low.astype(np.uint64, copy=False)
+    return keys
 
-    Only the distinct letters are searched for in the model; each letter
-    then takes its rank through its group.
-    """
-    known = np.asarray(model.letters, dtype=np.int64)
-    order = _stable_argsort(known)
-    sorted_known = known[order]
-    distinct, _, counts, group = _sort_letters(arr)
-    pos = np.minimum(np.searchsorted(sorted_known, distinct), len(known) - 1)
-    absent = sorted_known[pos] != distinct
-    if absent.any():
-        raise ValueError(f"letter {int(distinct[absent][0])} absent from model")
-    ranks = order[pos]  # distinct, as the letters are
-    rank_counts = np.zeros(known.size, dtype=counts.dtype)
-    rank_counts[ranks] = counts
-    return ranks[group], rank_counts
+
+def _spread(arr: np.ndarray, values: np.ndarray, rank: np.ndarray,
+            counts: np.ndarray, perm: np.ndarray | None) -> np.ndarray:
+    """Every letter's rank from each distinct value's ``rank``: by letter
+    value up to 16 bits (``perm`` None), else through the sorted ``perm``."""
+    if perm is None:
+        # values ascend, so the last one bounds the table
+        table = np.empty(int(values[-1]) + 1, dtype=rank.dtype)
+        table[values] = rank
+        return table.take(arr)
+    out = np.empty(arr.size, dtype=rank.dtype)
+    out[perm] = np.repeat(rank, counts)
+    return out
 
 
 def encode_packed(letters, model: Model) -> tuple[bytes, int]:
@@ -234,7 +223,17 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     arr = _letter_array(letters)
     if arr.size == 0:
         return b"", 0
-    return _pack_ranks(*_rank0_of(model, arr))
+    # a letter the model repeats takes its lowest rank, the first in a stable sort
+    known, lowest, _, _ = _sort_letters(np.asarray(model.letters, dtype=np.int64))
+    values, _, counts, perm = _sort_letters(arr)
+    pos = np.minimum(np.searchsorted(known, values), known.size - 1)
+    absent = known[pos] != values
+    if absent.any():
+        raise ValueError(f"letter {int(values[absent][0])} absent from model")
+    rank = lowest[pos].astype(np.min_scalar_type(model.m - 1))
+    rank_counts = np.zeros(model.m, dtype=counts.dtype)
+    rank_counts[rank] = counts
+    return _pack_ranks(_spread(arr, values, rank, counts, perm), rank_counts)
 
 
 def _pack_ranks(ranks0: np.ndarray, counts: np.ndarray) -> tuple[bytes, int]:

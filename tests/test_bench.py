@@ -103,6 +103,12 @@ class TestRunCorpus:
         with pytest.raises(ValueError, match=r"^letter widths must be distinct, got \(8, 16, 8\)$"):
             run_corpus(directory, (8, 16, 8), files=tuple(files))
 
+    @pytest.mark.parametrize("bits", [0, 33, 40, -8])
+    def test_width_out_of_range_rejected_without_files(self, tmp_path, bits):
+        # checked before any file is read: an empty directory is no way round it
+        with pytest.raises(ValueError, match=f"^letter width {bits} out of range 1..32$"):
+            run_corpus(tmp_path, (8, bits))
+
 
 class TestRunRecompress:
     def test_chained_sizes(self, mini_corpus):
@@ -125,6 +131,13 @@ class TestRunRecompress:
         directory, files = mini_corpus
         with pytest.raises(ValueError, match=r"^letter widths must be distinct, got \(3, 3\)$"):
             run_recompress(directory, 8, (3, 3), files=tuple(files))
+
+    @pytest.mark.parametrize("first, second, bad", [
+        (0, (3, 6), 0), (33, (3,), 33), (8, (3, 99), 99), (0, (99,), 0)])
+    def test_width_out_of_range_rejected_without_files(self, tmp_path, first,
+                                                       second, bad):
+        with pytest.raises(ValueError, match=f"^letter width {bad} out of range 1..32$"):
+            run_recompress(tmp_path, first, second)
 
 
 class TestRedundancyTable:

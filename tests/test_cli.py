@@ -163,6 +163,13 @@ class TestAnalyze:
     def test_bad_range_syntax(self):
         assert dispatch(["analyze", "compactness", "--bases", "3-8"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, bad", [("--digits", "0..2"), ("--bases", "2..3")])
+    def test_compactness_rejection_prints_no_table(self, capsys, flag, bad):
+        assert dispatch(["analyze", "compactness", flag, bad]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestTabular:
     def test_output_shows_forms(self, capsys):
@@ -255,6 +262,20 @@ class TestBenchVerb:
         assert captured.out == ""
         assert captured.err == (f"error: letter widths must be distinct, "
                                 f"got ({widths}, {widths})\n")
+
+    @pytest.mark.parametrize("args, bad", [
+        (["corpus", "--bits", "40"], 40),
+        (["corpus", "--bits", "0"], 0),
+        (["corpus", "--bits", "8", "33"], 33),
+        (["recompress", "--first", "0", "--second", "99"], 0),
+        (["recompress", "--second", "3", "99"], 99),
+    ])
+    def test_width_out_of_range_is_a_usage_error_without_files(self, tmp_path, capsys,
+                                                                args, bad):
+        assert dispatch(["bench", args[0], str(tmp_path), *args[1:]]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: letter width {bad} out of range 1..32\n"
 
     def test_unknown_verb(self):
         assert dispatch(["frobnicate"]) == EXIT_USAGE

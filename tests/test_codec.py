@@ -116,6 +116,13 @@ def oracle_rank0_of(model, arr):
     return order[pos][inverse.reshape(-1)]
 
 
+def oracle_packed(model, arr):
+    """encode_packed's payload and bit count, packed from the oracle ranks
+    and their counts."""
+    ranks0 = oracle_rank0_of(model, arr)
+    return codec._pack_ranks(ranks0, np.bincount(ranks0, minlength=model.m))
+
+
 def outcome(decoder, *args):
     """Letters and bits used, or the exception class and message."""
     try:
@@ -241,12 +248,11 @@ class TestOneSortModel:
         model = build_model(arr)
         assert model == oracle_build_model(arr)
         assert all(type(v) is int for v in model.letters + model.counts)
-        ranks0, rank_counts = codec._rank0_of(model, arr)
-        assert ranks0.tolist() == oracle_rank0_of(model, arr).tolist()
-        assert rank_counts.tolist() == np.bincount(ranks0, minlength=model.m).tolist()
+        packed = oracle_packed(model, arr)
+        assert encode_packed(arr, model) == packed
         alphabet, payload, nbits = codec._encode(letters)
         assert alphabet.dtype == np.int64 and alphabet.tolist() == list(model.letters)
-        assert (payload, nbits) == encode_packed(arr, model)
+        assert (payload, nbits) == packed
 
     @given(narrow_letters)
     @settings(max_examples=400, deadline=None)
@@ -256,17 +262,16 @@ class TestOneSortModel:
         assert alphabet.dtype == arr.dtype and alphabet.tolist() == list(model.letters)
         assert counts.tolist() == list(model.counts)
         assert ranks0.dtype == (np.uint8 if model.m <= 256 else np.uint16)
-        expected = oracle_rank0_of(model, arr).tolist()
-        assert ranks0.tolist() == expected
-        ranks0, rank_counts = codec._rank0_of(model, arr)
-        assert ranks0.tolist() == expected
-        assert rank_counts.tolist() == list(model.counts)
+        expected = oracle_rank0_of(model, arr)
+        assert ranks0.tolist() == expected.tolist()
+        assert np.bincount(expected, minlength=model.m).tolist() == list(model.counts)
+        assert encode_packed(arr, model) == oracle_packed(model, arr)
         assert build_model(arr) == model
 
     @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
     def test_rank_table_width(self, m, dtype):
         # uint16 letters rank by value; uint32 and int64 ones, spread beyond
-        # 16 bits, by sort group
+        # 16 bits, through the sorted positions
         arrays = [np.arange(m, dtype=letters) * 3 + (1 << 20) for letters in (np.uint32, np.int64)]
         if m <= 1 << 16:
             arrays.append(np.arange(m, dtype=np.uint16))
@@ -284,19 +289,15 @@ class TestOneSortModel:
         probe = np.array(data.draw(st.lists(
             st.one_of(st.sampled_from(model.letters), strange), min_size=1, max_size=60),
             label="probe"), dtype=np.int64)
-
-        def ranks(rank0_of):
-            return outcome(lambda: rank0_of(model, probe).tolist())
-
-        assert ranks(lambda *args: codec._rank0_of(*args)[0]) == ranks(oracle_rank0_of)
+        assert outcome(encode_packed, probe, model) == outcome(oracle_packed, model, probe)
         assert outcome(build_model, probe) == outcome(oracle_build_model, probe)
 
     def test_rejections_name_the_letter(self):
         model = build_model([3, 300, 3])
         with pytest.raises(ValueError, match="^letter -7 absent from model$"):
-            codec._rank0_of(model, np.array([3, 70_000, -7]))
+            encode_packed(np.array([3, 70_000, -7]), model)
         with pytest.raises(ValueError, match="^letter 70000 absent from model$"):
-            codec._rank0_of(model, np.array([3, 70_000, 300]))
+            encode_packed(np.array([3, 70_000, 300]), model)
         with pytest.raises(ValueError, match="^letter 8 absent from model$"):
             encode_packed([5, 5, 8], build_model([5]))
         for fn in (build_model, codec._encode):
@@ -315,6 +316,41 @@ class TestOneSortModel:
                     fn(letters)
         assert build_model([True, False, True]).letters == (1, 0)
         assert build_model(np.array([2**63 - 1, 7], dtype=np.uint64)).letters == (2**63 - 1, 7)
+
+    @pytest.mark.parametrize("limit", [8, 2**32 - 1, 2**32])
+    def test_key_limit_branches_agree(self, limit):
+        """Letters of _KEY_LIMIT or more, or inputs of as many letters, sort
+        by numpy's stable argsort and order their groups by lexsort instead
+        of by uint64 keys; patched down, the bound moves small inputs to the
+        other side of each branch, and every result stays."""
+        edge = [0, 1, 6, 7, 8, 9, 2**32 - 2, 2**32 - 1]
+        # counts that rank letters against their first occurrences
+        cases = [np.array(letters, dtype=np.uint32) for letters in (
+            [0, 7, 7], [5, 3, 6, 1, 6, 1, 3], [5, 1, 6, 1, 6, 0, 3, 0, 6], [2, 8, 8],
+            edge, edge[::-1] * 2, [2**32 - 2] + edge * 2)]
+        cases += [np.array(letters, dtype=np.int64) for letters in (
+            [7, 2**32 - 1, 2**32 - 1], [9, 2**32, 0, 2**32], [7, 2**32 - 1, 2**32, 2**32] * 3)]
+        probes = [np.array(probe, dtype=np.int64) for probe in (
+            [-1, 7], [0, -2**40, 2**32 - 1], [2**32, 0], [2**32 - 1, 2**32 + 1])]
+        with mock.patch.object(codec, "_KEY_LIMIT", limit):
+            for arr in cases:
+                model = oracle_build_model(arr)
+                alphabet, counts, ranks0 = codec._ranked(arr)
+                assert alphabet.tolist() == list(model.letters)
+                assert counts.tolist() == list(model.counts)
+                assert ranks0.tolist() == oracle_rank0_of(model, arr).tolist()
+                assert build_model(arr) == model
+                assert encode_packed(arr, model) == oracle_packed(model, arr)
+                for probe in probes:
+                    assert (outcome(encode_packed, probe, model)
+                            == outcome(oracle_packed, model, probe))
+            # the key sort's positions are uint32, the argsort's intp
+            keyed = {codec._sort_letters(arr)[3].dtype == np.uint32 for arr in cases}
+            with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+                for arr in cases:
+                    codec._ranked(arr)
+        assert keyed == {True, False}
+        assert lexsort.called == (limit == 8)
 
 
 class TestEncode:

@@ -723,7 +723,7 @@ class TestCompressMemory:
         assert decompress(blob) == data
         return peak / size
 
-    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("width", [8, 16, 32])
     def test_peak_is_bounded_and_flat(self, width):
         small = self.peak_per_input_byte(width, 1 << 20)
         large = self.peak_per_input_byte(width, 8 << 20)
