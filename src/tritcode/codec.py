@@ -8,13 +8,18 @@ and anything else is rejected.
 Pass one ranks the alphabet by descending count; pass two swaps each
 letter for the codeword whose list index equals the letter's rank.
 
-Pass one is a single stable sort of the letters, radix up to 16 bits and
-of (value, position) keys beyond. The sorted run of each distinct letter
-gives its count and, as its first member, its first occurrence, which
-breaks count ties in one sort of (count, first) keys. The ranks, of the
-narrowest unsigned type that holds m - 1, spread to every letter through a
-table indexed by letter value up to 16 bits and through the sorted
-positions beyond; the encoder ranks by a given model's letters alike.
+Pass one needs each distinct letter's count and first occurrence. Byte
+letters are counted, with no sort: one bincount per chunk gives the 256
+counts, and a running minimum of positions over a prefix that doubles until
+at most a few counted values are unseen gives the first occurrences; one
+compare-and-argmax search per value finds the rest. Wider letters take one
+stable sort, radix for 16 bits and of (value, position) keys beyond, and
+the sorted run of each distinct letter gives its count and, as its first
+member, its first occurrence. The first occurrence breaks count ties in one
+sort of (count, first) keys. The ranks, of the narrowest unsigned type that
+holds m - 1, spread to every letter through a table indexed by letter value
+up to 16 bits, a chunk at a time, and through the sorted positions beyond;
+the encoder ranks by a given model's letters alike.
 
 Encoding needs no stored code table either, and never looks at a trit.
 Each codeword is an integer and a bit length, and
@@ -88,6 +93,19 @@ _TOP_BIT = np.uint64(63)
 _ODD_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
+# Pass one counts byte letters, and gathers ranks from a value table, this
+# many letters at a time: bincount and take cast their indices to intp, so
+# the chunk bounds that scratch whatever the input size.
+_COUNT_CHUNK = 1 << 16
+
+# First occurrences of byte values come from np.minimum.at over a prefix
+# that doubles from _FIRST_STEP letters until at most _FEW counted values
+# are unseen; a compare-and-argmax search then finds each of those, some 40
+# times cheaper per letter than minimum.at but a few numpy calls per value.
+# Smaller first steps cost more calls than they save on 8-32 KiB inputs.
+_FIRST_STEP = 1 << 11
+_FEW = 8
+
 # Pass one sorts by uint64 keys of two 32-bit halves: letters and inputs of
 # this bound or more take numpy's stable argsort and lexsort instead.
 _KEY_LIMIT = 1 << 32
@@ -153,7 +171,11 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("cannot build a model from empty input")
     if arr.dtype.kind == "i" and arr.min() < 0:
         raise ValueError("letters must be unsigned integers")
-    values, first, counts, perm = _sort_letters(arr)
+    if arr.dtype == np.uint8:
+        values, counts = _byte_counts(arr)
+        first, perm = _first_seen(arr, values), None
+    else:
+        values, first, counts, perm = _sort_letters(arr)
     if arr.size < _KEY_LIMIT:  # the keys are distinct, so any sort is stable
         order = np.argsort(_keys(counts.max() - counts, first))
     else:
@@ -164,6 +186,36 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values[order], counts[order], ranks0
 
 
+def _byte_counts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a nonempty uint8 letter array, ascending and
+    in uint8, and each one's count, from one bincount per chunk."""
+    counts = np.zeros(256, dtype=np.intp)
+    for start in range(0, arr.size, _COUNT_CHUNK):
+        counts += np.bincount(arr[start:start + _COUNT_CHUNK], minlength=256)
+    values = np.flatnonzero(counts)
+    return values.astype(np.uint8), counts[values]
+
+
+def _first_seen(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The position of the first occurrence in the uint8 letter array
+    ``arr`` of each of ``values``, every one of which occurs in it."""
+    first = np.full(256, arr.size, dtype=np.intp)
+    unseen, stop = values, 0
+    while unseen.size > _FEW:  # stops by the end: every value occurs
+        start = stop
+        stop = min(arr.size, start + min(max(start, _FIRST_STEP), _COUNT_CHUNK))
+        np.minimum.at(first, arr[start:stop], np.arange(start, stop))
+        unseen = values[first[values] == arr.size]
+    for value in unseen:
+        for start in range(stop, arr.size, _COUNT_CHUNK):
+            hit = arr[start:start + _COUNT_CHUNK] == value
+            at = int(hit.argmax())
+            if hit[at]:
+                first[value] = start + at
+                break
+    return first[values]
+
+
 def _sort_letters(arr: np.ndarray) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Distinct values of a nonempty letter array from one stable sort.
@@ -172,7 +224,9 @@ def _sort_letters(arr: np.ndarray) -> tuple[
     the position of each one's first occurrence, each one's count, and, for
     letters wider than 16 bits, their positions in sorted order (else None).
     Distinct keys ``letter << 32 | position`` sort stably in any sort; numpy's
-    stable argsort radix-sorts 8- and 16-bit letters.
+    stable argsort radix-sorts 16-bit letters. Byte letters are counted by
+    :func:`_byte_counts` and :func:`_first_seen` instead: their 256 values
+    need no sort.
     """
     wide = arr.dtype.itemsize > 2
     if wide and arr.size < _KEY_LIMIT and arr.min() >= 0 and arr.max() < _KEY_LIMIT:
@@ -203,14 +257,18 @@ def _keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
 def _spread(arr: np.ndarray, values: np.ndarray, rank: np.ndarray,
             counts: np.ndarray, perm: np.ndarray | None) -> np.ndarray:
     """Every letter's rank from each distinct value's ``rank``: by letter
-    value up to 16 bits (``perm`` None), else through the sorted ``perm``."""
+    value up to 16 bits (``perm`` None), a chunk at a time, else through the
+    sorted ``perm``."""
+    out = np.empty(arr.size, dtype=rank.dtype)
     if perm is None:
         # values ascend, so the last one bounds the table
         table = np.empty(int(values[-1]) + 1, dtype=rank.dtype)
         table[values] = rank
-        return table.take(arr)
-    out = np.empty(arr.size, dtype=rank.dtype)
-    out[perm] = np.repeat(rank, counts)
+        for start in range(0, arr.size, _COUNT_CHUNK):
+            end = start + _COUNT_CHUNK
+            np.take(table, arr[start:end], out=out[start:end], mode="clip")
+    else:
+        out[perm] = np.repeat(rank, counts)
     return out
 
 
@@ -225,7 +283,10 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
         return b"", 0
     # a letter the model repeats takes its lowest rank, the first in a stable sort
     known, lowest, _, _ = _sort_letters(np.asarray(model.letters, dtype=np.int64))
-    values, _, counts, perm = _sort_letters(arr)
+    if arr.dtype == np.uint8:
+        (values, counts), perm = _byte_counts(arr), None
+    else:
+        values, _, counts, perm = _sort_letters(arr)
     pos = np.minimum(np.searchsorted(known, values), known.size - 1)
     absent = known[pos] != values
     if absent.any():
@@ -263,8 +324,9 @@ def _pack_ranks(ranks0: np.ndarray, counts: np.ndarray) -> tuple[bytes, int]:
                           chunk_lengths.reshape(-1, g).T)
     if end != nbits:
         raise ValueError(f"codewords end at bit {end}, not at the {nbits} of the counts")
-    payload = words.astype(">u8", copy=False).view(np.uint8)[:(nbits + 7) >> 3]
-    return payload.tobytes(), nbits
+    if np.little_endian:
+        words.byteswap(inplace=True)  # to big-endian: no payload-sized copy
+    return words.view(np.uint8)[:(nbits + 7) >> 3].tobytes(), nbits
 
 
 def _pack_words(words: np.ndarray, start: int, values: np.ndarray,

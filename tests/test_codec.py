@@ -353,6 +353,79 @@ class TestOneSortModel:
         assert lexsort.called == (limit == 8)
 
 
+def sorted_ranked(arr):
+    """Oracle: ``codec._ranked`` of byte letters by the sort path, with the
+    letters widened to uint16 and the alphabet cast back."""
+    alphabet, counts, ranks0 = codec._ranked(arr.astype(np.uint16))
+    return alphabet.astype(np.uint8), counts, ranks0
+
+
+def shuffled(rng, values, copies):
+    """``copies`` of each of ``values``, as uint8 letters in random order."""
+    return rng.permutation(np.repeat(np.asarray(values, dtype=np.uint8), copies))
+
+
+byte_letters = st.one_of(
+    st.binary(min_size=1, max_size=3000).map(lambda b: np.frombuffer(b, dtype=np.uint8)),
+    # skewed: rare letters first seen late, past several doubling steps
+    st.tuples(st.integers(1, 20_000), st.integers(1, 256), st.floats(0, 3),
+              st.integers(0, 2**32)).map(
+        lambda t: (np.random.default_rng(t[3]).zipf(1 + t[2] + 0.01, t[0]) % t[1]).astype(
+            np.uint8)),
+)
+
+
+class TestByteCounting:
+    """Byte letters are counted, not sorted: their ranked alphabet, counts,
+    ranks and rank dtype equal those of the sort path."""
+
+    @staticmethod
+    def assert_matches_sort(arr):
+        arr = np.asarray(arr, dtype=np.uint8)
+        with mock.patch.object(codec, "_sort_letters", wraps=codec._sort_letters) as sort:
+            got = codec._ranked(arr)
+        assert not sort.called
+        for counted, ranked in zip(got, sorted_ranked(arr)):
+            assert counted.dtype == ranked.dtype
+            assert np.array_equal(counted, ranked)
+
+    def test_ties_across_doubling_steps_and_chunks(self):
+        step, chunk = codec._FIRST_STEP, codec._COUNT_CHUNK
+        copies = step // 16
+        rng = np.random.default_rng(19)
+        # letters first seen in each of the first three prefix steps, of
+        # step, step and 2 step letters, all with one count
+        head = np.concatenate([shuffled(rng, range(lo, hi), copies)
+                               for lo, hi in ((0, 16), (16, 32), (32, 64))])
+        assert head.size == 4 * step
+        filler = np.full(chunk + 100, 90, dtype=np.uint8)
+        # then, a chunk past the prefix, more than _FEW letters of that count
+        # and three letters seen once, the last at the very end
+        late = shuffled(rng, range(100, 100 + codec._FEW + 4), copies)
+        self.assert_matches_sort(np.concatenate([head, filler, late, [200, 201, 250]]))
+        # only a few unseen after the prefix, each found by its own search:
+        # a tie of two letters seen in one order in the first chunk searched
+        # and in the other in the next
+        filler[[1000, 5000]] = 101, 100
+        self.assert_matches_sort(np.concatenate([head, filler, [100, 101, 250]]))
+
+    @pytest.mark.parametrize("m", [1, 2, 256])
+    def test_sizes_at_the_chunk_edges(self, m):
+        chunk = codec._COUNT_CHUNK
+        rng = np.random.default_rng(m)
+        for size in (1, chunk - 1, chunk, chunk + 1):
+            arr = rng.integers(0, m, size, dtype=np.uint8)
+            self.assert_matches_sort(arr)
+            arr[-1] = 255  # first seen at the very last position
+            self.assert_matches_sort(arr)
+            self.assert_matches_sort(np.sort(arr))
+
+    @given(byte_letters)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sort_path(self, arr):
+        self.assert_matches_sort(arr)
+
+
 class TestEncode:
     def test_worked_example_bits(self):
         model = build_model(SAMPLE_LETTERS)
