@@ -17,8 +17,8 @@ compare it against:
 
 - the encoder's :func:`signature_table` gives the signatures of the first m
   codewords as (value, length) integer pairs, built group by group in n
-  array passes with no sort; its reference is :func:`unrank` followed by
-  :func:`trits_to_bits`;
+  array passes with no sort, or as one word each by :func:`signature_words`;
+  its reference is :func:`unrank` followed by :func:`trits_to_bits`;
 - the decoder's :func:`rank_rows` ranks many codewords at once with one
   numpy lookup per block of six trit positions, in tables of partial ranks
   whose size depends on n alone; its reference is :func:`rank`.
@@ -364,13 +364,21 @@ def unrank(n: int, index: int) -> str:
     return "".join(out)
 
 
-# Per-n signature tables for signature_table, built once and reused; each
-# holds the groups up to the furthest one any caller has reached. A table of
-# more than _SIGNATURES_KEPT entries (9 bytes each) is built per call
-# instead: it serves an input so large that the build costs little beside
-# encoding it, and keeping it would pin its memory for good.
+# Per-n signature words and lengths for signature_words and signature_table,
+# built once and reused; each holds the groups up to the furthest one any
+# caller has reached. A table of more than _SIGNATURES_KEPT entries (9 bytes
+# each) is built per call instead: it serves an input so large that the
+# build costs little beside encoding it, and keeping it would pin its memory
+# for good.
 _signatures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _SIGNATURES_KEPT = 1 << 20
+
+# A signature word holds a codeword's length in its low SIGNATURE_LENGTH_BITS
+# bits and the codeword above them, so it holds codewords of up to 2n bits
+# up to set MAX_WORD_SET_NUMBER.
+SIGNATURE_LENGTH_BITS = 6
+MAX_WORD_SET_NUMBER = (64 - SIGNATURE_LENGTH_BITS) // 2
+_LENGTH_BITS = np.uint64(SIGNATURE_LENGTH_BITS)
 
 
 def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -390,28 +398,58 @@ def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     3^n entries, fewer than 3m for the set that covers an alphabet of m
     letters.
 
-    A group does not depend on how many follow it, so the table of each n
-    is kept, up to a size limit, and every shorter request is served from
-    its prefix. The returned arrays are read-only.
+    Up to set 29 the values are the kept :func:`signature_words` shifted
+    down; wider sets are built per call. The returned arrays are read-only.
     """
     if not 1 <= n <= MAX_SIGNATURE_SET_NUMBER:
         raise ValueError(
             f"code set number must be in 1..{MAX_SIGNATURE_SET_NUMBER}, got {n}")
-    if not 1 <= m <= 3**n:
-        raise ValueError(f"code count must be in 1..3^{n}, got {m}")
+    if n > MAX_WORD_SET_NUMBER:
+        _check_code_count(n, m)
+        values, lengths = _build_signatures(n, len(group_counts(n, m)) - 1)
+        values = values[:m]
+    else:
+        words, lengths = signature_words(n, m)
+        values = words >> _LENGTH_BITS
+    values.setflags(write=False)
+    return values, lengths[:m]
+
+
+def signature_words(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``m`` codewords of set ``n`` as one uint64 word each,
+    ``value << 6 | length`` of the :func:`signature_table` pair, and their
+    uint8 lengths. A codeword has at most 2n bits, so a word holds it up to
+    set 29; the encoder needs no more than 21, 42 bits.
+
+    A group does not depend on how many follow it, so the words of each n
+    are kept, up to a size limit, and every shorter request is served from
+    their prefix. The returned arrays are read-only.
+    """
+    if not 1 <= n <= MAX_WORD_SET_NUMBER:
+        raise ValueError(f"code set number must be in 1..{MAX_WORD_SET_NUMBER}, got {n}")
+    _check_code_count(n, m)
     table = _signatures.get(n)
     if table is None or table[0].size < m:
         # the last group the first m codewords reach has n - k zeros, so k
         # nonzero trits
-        table = _build_signatures(n, len(group_counts(n, m)) - 1)
-        if table[0].size <= _SIGNATURES_KEPT:
+        words, lengths = _build_signatures(n, len(group_counts(n, m)) - 1)
+        words <<= _LENGTH_BITS  # in place: the values become the words
+        words |= lengths
+        words.setflags(write=False)
+        table = words, lengths
+        if words.size <= _SIGNATURES_KEPT:
             _signatures[n] = table
-    values, lengths = table
-    return values[:m], lengths[:m]
+    words, lengths = table
+    return words[:m], lengths[:m]
+
+
+def _check_code_count(n: int, m: int) -> None:
+    if not 1 <= m <= 3**n:
+        raise ValueError(f"code count must be in 1..3^{n}, got {m}")
 
 
 def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only signature values and lengths of the groups of set ``n``
+    """Signature values and read-only lengths of the groups of set ``n``
     with n down to n - k zeros, as :func:`signature_table` describes."""
     buckets = [np.zeros(1, dtype=np.uint64)]  # the empty string
     for p in range(n):
@@ -424,8 +462,5 @@ def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         buckets = grown
     lengths = np.repeat(np.arange(n, n + k + 1, dtype=np.uint8),
                         [b.size for b in buckets])
-    values = np.concatenate(buckets)
-    values.setflags(write=False)
     lengths.setflags(write=False)
-    return values, lengths
-
+    return np.concatenate(buckets), lengths

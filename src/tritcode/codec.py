@@ -16,23 +16,28 @@ compare-and-argmax search per value finds the rest. Wider letters take one
 stable sort, radix for 16 bits and of (value, position) keys beyond, and
 the sorted run of each distinct letter gives its count and, as its first
 member, its first occurrence. The first occurrence breaks count ties in one
-sort of (count, first) keys. The ranks, of the narrowest unsigned type that
-holds m - 1, spread to every letter through a table indexed by letter value
-up to 16 bits, a chunk at a time, and through the sorted positions beyond;
-the encoder ranks by a given model's letters alike.
+sort of (count, first) keys. A model needs no more: pass one gives no
+letter its rank.
 
 Encoding needs no stored code table either, and never looks at a trit.
 Each codeword is an integer and a bit length, and
-:func:`~tritcode.codebook.signature_table` gives both for ranks 1..m in n
-array passes; each letter gathers its pair. The counts and the lengths
-give the payload's bit count before encoding, so the payload is packed into
-one zeroed buffer of big-endian 64-bit words. A codeword of set n has at
-most 2n bits, so g = 64 // (2n) consecutive codewords fuse into one field
-of at most 64 bits by g shift-or passes. The running sum of field lengths
-gives each field's bit offset: fields that end in the same word are ORed
-into it together, and a field that began in the word before ORs its high
-bits into that one. Chunks of whole fields, about a fixed number of trits
-each, bound the scratch memory.
+:func:`~tritcode.codebook.signature_words` gives both for ranks 1..m as one
+signature word each, ``value << 6 | length``. Byte letters index a table
+of those words by letter value, and 16-bit letters a table of their ranks,
+of the narrowest unsigned type that holds m - 1, which then index the
+words. Wider letters take their ranks through the sorted positions; the
+encoder ranks by a given model's letters alike. The counts and the lengths
+give the payload's bit count before encoding, so the payload is packed
+into one zeroed buffer of big-endian 64-bit words. Each chunk of letters
+gathers its words into one reused buffer, which one mask and one shift
+split into values and lengths.
+A codeword of set n has at most 2n bits, so g = 2^floor(log2(64 / 2n))
+consecutive codewords fit one field of at most 64 bits: adjacent pairs fuse
+log2 g times, the left one shifted by the right one's length. The running
+sum of field lengths gives each field's bit offset: fields that end in the
+same word are ORed into it together, and a field that began in the word
+before ORs its high bits into that one. Chunks of whole fields, about a
+fixed number of trits each, bound the scratch memory.
 
 Decoding needs no code tree and no codeword table search. A trit is 0, 10
 or 11: a 1 that opens a trit takes the next bit as its second, as a
@@ -52,7 +57,8 @@ unpacking only the payload bytes it covers, bound the scratch memory.
 
 One- and two-letter alphabets bypass the ternary scheme: with two letters
 each letter is its rank bit, with one letter every occurrence is a '0' bit
-(costing a bit per letter, but keeping the stream self-delimiting).
+(costing a bit per letter, but keeping the stream self-delimiting); either
+way a letter's bit says whether it differs from the letter of rank 0.
 """
 
 from __future__ import annotations
@@ -66,10 +72,11 @@ from .codebook import (
     CodeSet,
     Degenerate,
     RANK_BLOCK_TRITS,
+    SIGNATURE_LENGTH_BITS,
     code_set_for_alphabet,
     group_counts,
     rank_rows,
-    signature_table,
+    signature_words,
 )
 from .errors import CorruptedDataError, TruncatedDataError
 
@@ -86,16 +93,18 @@ _WINDOW_BITS = 1 << 17
 # size, as _WINDOW_BITS does for the decoder.
 _CHUNK_TRITS = 1 << 16
 
-# Word constants of the trit scan, as numpy scalars: numpy 1.x promotes a
-# uint64 array combined with a Python int to float64.
+# Word constants of the packer and the trit scan, as numpy scalars: numpy 1.x
+# promotes a uint64 array combined with a Python int to float64.
+_LENGTH_BITS = np.uint64(SIGNATURE_LENGTH_BITS)
+_LENGTH_MASK = np.uint64((1 << SIGNATURE_LENGTH_BITS) - 1)
+_WORD = np.uint64(64)
 _ONE = np.uint64(1)
 _TOP_BIT = np.uint64(63)
 _ODD_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
-# Pass one counts byte letters, and gathers ranks from a value table, this
-# many letters at a time: bincount and take cast their indices to intp, so
-# the chunk bounds that scratch whatever the input size.
+# Pass one counts byte letters this many letters at a time: bincount casts
+# its input to intp, so the chunk bounds that scratch whatever the input size.
 _COUNT_CHUNK = 1 << 16
 
 # First occurrences of byte values come from np.minimum.at over a prefix
@@ -132,16 +141,25 @@ def build_model(letters) -> Model:
     the model deterministic. The decoder does not depend on the tie rule:
     the ranked alphabet travels with the compressed stream.
     """
-    return _model(*_ranked(letters)[:2])
+    arr, values, counts, order, perm = _ranked(letters)
+    alphabet, counts = values[order], counts[order]
+    del arr, values, order, perm  # gone before the model's Python ints are made
+    return _model(alphabet, counts)
 
 
 def _encode(letters) -> tuple[np.ndarray, bytes, int]:
     """The ranked alphabet of ``letters``, in their dtype, then the payload
-    and its exact bit count, from one sort. The alphabet is
+    and its exact bit count, from one pass one. The alphabet is
     ``build_model(letters).letters`` and the payload is
     ``encode_packed(letters, build_model(letters))``."""
-    alphabet, counts, ranks0 = _ranked(letters)
-    return (alphabet, *_pack_ranks(ranks0, counts))
+    arr, values, counts, order, perm = _ranked(letters)
+    alphabet = values[order]
+    rank = np.empty(order.size, dtype=np.min_scalar_type(order.size - 1))
+    rank[order] = np.arange(order.size)
+    del order  # each m-sized array goes once spent: the packer needs none
+    job = _indexed(arr, alphabet[0], rank.size, values, counts, rank, perm)
+    del values, counts, rank, perm
+    return (alphabet, *_pack(*job))
 
 
 def _model(alphabet: np.ndarray, counts: np.ndarray) -> Model:
@@ -162,10 +180,12 @@ def _letter_array(letters) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ranked alphabet of ``letters`` as an array of their dtype, the
-    count of each ranked letter, and the 0-based rank of every letter in
-    the narrowest unsigned type that holds m - 1."""
+def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray | None]:
+    """Pass one over ``letters``: them as an array, their distinct values in
+    ascending order and in their dtype, each one's count, the order of those
+    values by rank, and, for letters wider than 16 bits, the letters'
+    positions in sorted order (else None)."""
     arr = _letter_array(letters)
     if arr.size == 0:
         raise ValueError("cannot build a model from empty input")
@@ -180,10 +200,7 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.argsort(_keys(counts.max() - counts, first))
     else:
         order = np.lexsort((first, counts.max() - counts))
-    rank = np.empty(order.size, dtype=np.min_scalar_type(order.size - 1))
-    rank[order] = np.arange(order.size)
-    ranks0 = _spread(arr, values, rank, counts, perm)
-    return values[order], counts[order], ranks0
+    return arr, values, counts, order, perm
 
 
 def _byte_counts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,24 +271,6 @@ def _keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _spread(arr: np.ndarray, values: np.ndarray, rank: np.ndarray,
-            counts: np.ndarray, perm: np.ndarray | None) -> np.ndarray:
-    """Every letter's rank from each distinct value's ``rank``: by letter
-    value up to 16 bits (``perm`` None), a chunk at a time, else through the
-    sorted ``perm``."""
-    out = np.empty(arr.size, dtype=rank.dtype)
-    if perm is None:
-        # values ascend, so the last one bounds the table
-        table = np.empty(int(values[-1]) + 1, dtype=rank.dtype)
-        table[values] = rank
-        for start in range(0, arr.size, _COUNT_CHUNK):
-            end = start + _COUNT_CHUNK
-            np.take(table, arr[start:end], out=out[start:end], mode="clip")
-    else:
-        out[perm] = np.repeat(rank, counts)
-    return out
-
-
 def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     """Encode to packed bytes; returns (payload, exact bit count).
 
@@ -292,36 +291,74 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     if absent.any():
         raise ValueError(f"letter {int(values[absent][0])} absent from model")
     rank = lowest[pos].astype(np.min_scalar_type(model.m - 1))
-    rank_counts = np.zeros(model.m, dtype=counts.dtype)
-    rank_counts[rank] = counts
-    return _pack_ranks(_spread(arr, values, rank, counts, perm), rank_counts)
+    del known, lowest, pos, absent
+    job = _indexed(arr, model.letters[0], model.m, values, counts, rank, perm)
+    del values, counts, rank, perm  # m-sized: freed before packing
+    return _pack(*job)
 
 
-def _pack_ranks(ranks0: np.ndarray, counts: np.ndarray) -> tuple[bytes, int]:
-    """Packed payload and bit count of letters with 0-based ranks ``ranks0``,
-    where rank r occurs ``counts[r]`` times."""
-    n_letters = ranks0.size
-    m = counts.size
+def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
+             counts: np.ndarray, rank: np.ndarray, perm: np.ndarray | None
+             ) -> tuple[np.ndarray, tuple[np.ndarray, ...], int, int]:
+    """What :func:`_pack` takes for the letters ``arr`` under an alphabet of
+    ``m`` letters, ``first`` the one of rank 0: an index array, the tables
+    it goes through to its signature words, the payload's bit count and the
+    code set number.
+
+    ``values`` are the distinct letters in ascending order, each with its
+    count and its 0-based ``rank``, and ``perm`` the letters' positions in
+    sorted order, or None for letters of 16 bits or fewer. Byte letters
+    index a table of words by letter value. 16-bit letters index a table of
+    ranks by value, a quarter the size, and the ranks index the words. Wider
+    letters spread their ranks through ``perm`` to index the words. One- and
+    two-letter alphabets get no table: their index is each letter's bit.
+    """
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
-        return np.packbits(ranks0.astype(np.uint8, copy=False)).tobytes(), n_letters
-    values, lengths = signature_table(cs.n, m)
-    nbits = int(counts @ lengths)
+        return arr != first, (), arr.size, 0
+    words, lengths = signature_words(cs.n, m)
+    nbits = int(counts @ lengths[rank])
+    if perm is not None:
+        ranks = np.empty(arr.size, dtype=rank.dtype)
+        ranks[perm] = np.repeat(rank, counts)
+        return ranks, (words,), nbits, cs.n
+    # values ascend, so the last one bounds a table by value
+    if arr.dtype == np.uint8:
+        table = np.empty(int(values[-1]) + 1, dtype=np.uint64)
+        table[values] = words[rank]
+        return arr, (table,), nbits, cs.n
+    table = np.empty(int(values[-1]) + 1, dtype=rank.dtype)
+    table[values] = rank
+    return arr, (table, words), nbits, cs.n
+
+
+def _pack(index: np.ndarray, tables: tuple[np.ndarray, ...], nbits: int,
+          n: int) -> tuple[bytes, int]:
+    """The packed payload of the codewords that ``index`` reaches through
+    ``tables``, first to last, the last of them signature words
+    ``value << 6 | length`` of set ``n``, and its bit count ``nbits``; with
+    no tables, ``index`` holds the payload's bits.
+
+    Each chunk of g-codeword fields gathers its words into one buffer,
+    reused from chunk to chunk, and :func:`_fuse` and :func:`_place` OR
+    them into one zeroed buffer of ``nbits`` bits.
+    """
+    if not tables:
+        return np.packbits(index).tobytes(), nbits
+    *through, signatures = tables
+    g = 1 << (32 // n).bit_length() - 1  # codewords per field: 2^floor(log2(64 / 2n))
+    step = g * max(1, _CHUNK_TRITS // (n * g))
     words = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
-    lengths = lengths.astype(np.uint64)
-    g = 64 // (2 * cs.n)  # codewords per field
-    step = g * max(1, _CHUNK_TRITS // (cs.n * g))
+    buf = np.empty(min(step, -(-index.size // g) * g), dtype=np.uint64)
     end = 0
-    for start in range(0, n_letters, step):
-        ranks = ranks0[start:start + step]
-        chunk_values, chunk_lengths = values.take(ranks), lengths.take(ranks)
-        if ranks.size % g:  # the last chunk: empty codewords pad its last field
-            pad = np.zeros(-ranks.size % g, dtype=np.uint64)
-            chunk_values = np.concatenate([chunk_values, pad])
-            chunk_lengths = np.concatenate([chunk_lengths, pad])
-        # row j: the j-th codeword of each field
-        end = _pack_words(words, end, chunk_values.reshape(-1, g).T,
-                          chunk_lengths.reshape(-1, g).T)
+    for start in range(0, index.size, step):
+        chunk = index[start:start + step]
+        for table in through:  # 16-bit letters: their ranks by value first
+            chunk = table.take(chunk)
+        fields = buf[:-(-chunk.size // g) * g]
+        np.take(signatures, chunk, out=fields[:chunk.size], mode="clip")
+        fields[chunk.size:] = 0  # the last chunk: empty codewords pad its last field
+        end = _place(words, end, *_fuse(fields, g))
     if end != nbits:
         raise ValueError(f"codewords end at bit {end}, not at the {nbits} of the counts")
     if np.little_endian:
@@ -329,34 +366,47 @@ def _pack_ranks(ranks0: np.ndarray, counts: np.ndarray) -> tuple[bytes, int]:
     return words.view(np.uint8)[:(nbits + 7) >> 3].tobytes(), nbits
 
 
-def _pack_words(words: np.ndarray, start: int, values: np.ndarray,
-                lengths: np.ndarray) -> int:
-    """OR the codewords ``values`` of bit lengths ``lengths`` into the
-    64-bit ``words`` of a big-endian bit stream, from bit ``start`` on;
-    returns the bit where they end.
+def _fuse(words: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fields of ``g`` codewords each, a power of two, from the uint64
+    signature words ``value << 6 | length`` of their codewords, first to
+    last; returns each field's value and bit length, both uint64.
 
-    Both are (g, k) uint64 arrays: column f holds the g codewords that fuse,
-    first to last, into field f of at most 64 bits. The running sum of field
-    lengths gives the end of each field: fields that end in the same word
-    are ORed into it together, and a field that began in the word before
-    ORs its high bits into that one.
+    ``words`` is split in place into its values. Then adjacent pairs fuse
+    log2 g times, the left one shifted by the right one's length, so the
+    codewords a field takes may have 64 bits in all.
     """
-    field = values[0].copy()
-    for j in range(1, values.shape[0]):
-        field <<= lengths[j]
-        field |= values[j]
-    size = lengths.sum(axis=0, dtype=np.int64)
-    end = np.cumsum(size)
+    size = words & _LENGTH_MASK
+    words >>= _LENGTH_BITS
+    field = words
+    while g > 1:
+        fused = field[0::2] << size[1::2]
+        fused |= field[1::2]
+        field, size = fused, size[0::2] + size[1::2]
+        g >>= 1
+    return field, size
+
+
+def _place(words: np.ndarray, start: int, field: np.ndarray,
+           size: np.ndarray) -> int:
+    """OR the uint64 fields ``field`` of bit lengths ``size`` (uint64, at
+    most 64 each) into the 64-bit ``words`` of a big-endian bit stream, from
+    bit ``start`` on; returns the bit where they end.
+
+    The running sum of field lengths gives the end of each field: fields
+    that end in the same word are ORed into it together, and a field that
+    began in the word before ORs its high bits into that one.
+    """
+    end = np.cumsum(size, dtype=np.int64)
     end += start
     word = (end - 1) >> 6
-    shift = -end & 63  # from the field's last bit to the word's last bit
+    shift = (-end & 63).astype(np.uint64)  # from the field's last bit to the word's last bit
     opens = np.empty(word.size, dtype=bool)
     opens[0] = True
     np.not_equal(word[1:], word[:-1], out=opens[1:])
     opens = np.flatnonzero(opens)
-    words[word[opens]] |= np.bitwise_or.reduceat(field << shift.astype(np.uint64), opens)
-    spill = np.flatnonzero(size + shift > 64)
-    words[word[spill] - 1] |= field[spill] >> (64 - shift[spill]).astype(np.uint64)
+    words[word[opens]] |= np.bitwise_or.reduceat(field << shift, opens)
+    spill = np.flatnonzero(size + shift > _WORD)
+    words[word[spill] - 1] |= field[spill] >> (_WORD - shift[spill])
     return int(end[-1])
 
 
@@ -372,11 +422,7 @@ def payload_size(model: Model) -> int:
     Group arithmetic gives each rank's signature length without generating
     any codeword, so the compressed size can be quoted up front.
     """
-    return _payload_bits(np.asarray(model.counts, dtype=np.int64))
-
-
-def _payload_bits(counts: np.ndarray) -> int:
-    """:func:`payload_size` of the model whose ranked letters have ``counts``."""
+    counts = np.asarray(model.counts, dtype=np.int64)
     cs = code_set_for_alphabet(counts.size)
     if isinstance(cs, Degenerate):
         return int(counts.sum())

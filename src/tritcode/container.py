@@ -195,9 +195,9 @@ def compress(data: bytes, letter_bits: int = 8, *,
     alphabet_area = _pack_alphabet(alphabet, letter_bits)
     flags = 0
     if compress_alphabet:
-        # size the nested container from its letter counts; encode it only if it wins
-        _, counts, _ = codec._ranked(np.frombuffer(alphabet_area, dtype=np.uint8))
-        if _nested_size(counts) < len(alphabet_area):
+        # size the nested container from its model; encode it only if it wins
+        nested_model = codec.build_model(np.frombuffer(alphabet_area, dtype=np.uint8))
+        if _nested_size(nested_model) < len(alphabet_area):
             nested = compress(alphabet_area, 8)
             alphabet_area = struct.pack("<I", len(nested)) + nested
             flags |= FLAG_PACKED_ALPHABET
@@ -206,11 +206,11 @@ def compress(data: bytes, letter_bits: int = 8, *,
                      alphabet_area, payload])
 
 
-def _nested_size(counts: np.ndarray) -> int:
+def _nested_size(model: codec.Model) -> int:
     """Bytes a packed alphabet takes, its length field included, when its
-    letter bytes have the ranked letter counts ``counts``: the nested
-    container's header, m field, raw alphabet and payload."""
-    return 4 + HEADER_SIZE + 4 + counts.size + -(-codec._payload_bits(counts) // 8)
+    letter bytes have the model ``model``: the nested container's header,
+    m field, raw alphabet and payload."""
+    return 4 + HEADER_SIZE + 4 + model.m + -(-codec.payload_size(model) // 8)
 
 
 def _parse(blob: bytes) -> tuple[Header, np.ndarray, int]:

@@ -23,6 +23,7 @@ from tritcode.codebook import (
     rank_rows,
     read_trits,
     signature_table,
+    signature_words,
     trits_to_bits,
     unrank,
 )
@@ -389,7 +390,26 @@ class TestSignatureTable:
         assert self.signatures(values, lengths) == [
             trits_to_bits(unrank(n, i)) for i in range(1, 2 * n + 2)]
 
+    @pytest.mark.parametrize("n", [1, 5, 21, 29])
+    def test_words_hold_the_value_above_the_length(self, n):
+        # 21 is the largest set a 32-bit alphabet power reaches; 29 the
+        # largest whose signatures fit a word beside their 6-bit length
+        m = 3**n if n <= 5 else 2 * n + 1
+        values, lengths = signature_table(n, m)
+        words, word_lengths = signature_words(n, m)
+        assert words.dtype == np.uint64 and word_lengths.dtype == np.uint8
+        assert (words >> np.uint64(6)).tolist() == values.tolist()
+        assert (words & np.uint64(63)).tolist() == lengths.tolist() == word_lengths.tolist()
+        for table in (words, word_lengths):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
     def test_rejects_bad_set_and_count(self):
+        for n in (0, 30):
+            with pytest.raises(ValueError):
+                signature_words(n, 1)
+        with pytest.raises(ValueError):
+            signature_words(3, 28)
         for n in (0, 33):
             with pytest.raises(ValueError):
                 signature_table(n, 1)

@@ -17,6 +17,7 @@ from tritcode.codebook import (
     group_counts,
     rank,
     read_trits,
+    signature_table,
     trits_to_bits,
 )
 from tritcode.codec import (
@@ -117,10 +118,49 @@ def oracle_rank0_of(model, arr):
 
 
 def oracle_packed(model, arr):
-    """encode_packed's payload and bit count, packed from the oracle ranks
-    and their counts."""
+    """encode_packed's payload and bit count: the oracle ranks, each swapped
+    for its codeword's bit string."""
     ranks0 = oracle_rank0_of(model, arr)
-    return codec._pack_ranks(ranks0, np.bincount(ranks0, minlength=model.m))
+    if isinstance(model.code_set, Degenerate):
+        codes = ["0", "1"]
+    else:
+        codes = [c.bits for c in generate_codes(model.code_set.n, model.m)]
+    bits = "".join(codes[r] for r in ranks0)
+    return pack01(bits), len(bits)
+
+
+def table_encode(letters, model):
+    """Oracle encoder for large alphabets: each letter's codeword is the
+    bit string of its rank's signature_table entry (which test_codebook
+    checks against unrank), joined as strings."""
+    if isinstance(model.code_set, Degenerate):
+        return naive_encode(letters, model)
+    values, lengths = signature_table(model.code_set.n, model.m)
+    codes = {v: format(int(value), "b").zfill(int(length)) if length else ""
+             for v, value, length in zip(model.letters, values, lengths)}
+    return "".join(codes[v] for v in letters)
+
+
+def pack_ranks(ranks0, m):
+    """The payload and bit count of the 0-based ranks ``ranks0`` under an
+    alphabet of ``m`` letters: encoded under the model whose ranked letters
+    are 0 .. m - 1, every letter is its own rank."""
+    model = codec.Model(letters=tuple(range(m)), counts=(1,) * m,
+                        code_set=code_set_for_alphabet(m))
+    return encode_packed(np.asarray(ranks0).astype(np.min_scalar_type(m - 1)), model)
+
+
+def pack_calls(monkeypatch):
+    """Record the (index, tables) of every codec._pack call."""
+    calls = []
+    pack = codec._pack
+
+    def recorded(index, tables, nbits, n):
+        calls.append((index, tables))
+        return pack(index, tables, nbits, n)
+
+    monkeypatch.setattr(codec, "_pack", recorded)
+    return calls
 
 
 def outcome(decoder, *args):
@@ -143,13 +183,19 @@ def random_letters(rng, width, count):
     return [rng.getrandbits(width) for _ in range(count)]
 
 
-def field_rows(signatures, g):
-    """codec._pack_words input for bit strings: (g, k) values and lengths,
-    column f holding signatures g*f to g*f + g - 1, padded with empty ones."""
+def fused(signatures, g):
+    """codec._fuse of bit strings of at most 58 bits, g to a field and
+    padded with empty ones: their fields' values and lengths."""
     padded = signatures + [""] * (-len(signatures) % g)
-    values = np.array([int(b or "0", 2) for b in padded], dtype=np.uint64)
-    lengths = np.array([len(b) for b in padded], dtype=np.uint64)
-    return values.reshape(-1, g).T, lengths.reshape(-1, g).T
+    words = np.array([int(b or "0", 2) << 6 | len(b) for b in padded], dtype=np.uint64)
+    return codec._fuse(words, g)
+
+
+def fields(bit_strings):
+    """codec._place input for bit strings of at most 64 bits: their values
+    and lengths, one field each."""
+    return (np.array([int(b, 2) for b in bit_strings], dtype=np.uint64),
+            np.array([len(b) for b in bit_strings], dtype=np.uint64))
 
 
 def head_words(bits, nbits):
@@ -257,28 +303,44 @@ class TestOneSortModel:
     @given(narrow_letters)
     @settings(max_examples=400, deadline=None)
     def test_rank_table_matches_unique_oracle(self, arr):
+        # letters of 16 bits or fewer index a table by letter value: of
+        # signature words for bytes, of ranks for 16-bit letters. No rank
+        # array of every letter exists, and the payload, which a prefix-free
+        # code makes fix every rank, equals the oracle's
         model = oracle_build_model(arr)
-        alphabet, counts, ranks0 = codec._ranked(arr)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = pack_calls(patch)
+            alphabet, payload, nbits = codec._encode(arr)
+            assert encode_packed(arr, model) == (payload, nbits)
         assert alphabet.dtype == arr.dtype and alphabet.tolist() == list(model.letters)
-        assert counts.tolist() == list(model.counts)
-        assert ranks0.dtype == (np.uint8 if model.m <= 256 else np.uint16)
-        expected = oracle_rank0_of(model, arr)
-        assert ranks0.tolist() == expected.tolist()
-        assert np.bincount(expected, minlength=model.m).tolist() == list(model.counts)
-        assert encode_packed(arr, model) == oracle_packed(model, arr)
+        assert (payload, nbits) == oracle_packed(model, arr)
         assert build_model(arr) == model
+        if not isinstance(model.code_set, Degenerate):
+            assert len(calls) == 2
+            for index, tables in calls:
+                assert index is arr and tables[0].size == int(arr.max()) + 1
+                if arr.dtype == np.uint8:
+                    assert [table.dtype for table in tables] == [np.uint64]
+                else:
+                    assert tables[0].dtype == np.min_scalar_type(model.m - 1)
+                    assert tables[1].dtype == np.uint64 and tables[1].size == model.m
 
     @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
-    def test_rank_table_width(self, m, dtype):
-        # uint16 letters rank by value; uint32 and int64 ones, spread beyond
-        # 16 bits, through the sorted positions
+    def test_rank_table_width(self, m, dtype, monkeypatch):
+        # uint16 letters index a table of ranks by value; uint32 and int64
+        # ones, spread beyond 16 bits, take their ranks through the sorted
+        # positions; either way the ranks are of the narrowest type that
+        # holds m - 1
         arrays = [np.arange(m, dtype=letters) * 3 + (1 << 20) for letters in (np.uint32, np.int64)]
         if m <= 1 << 16:
             arrays.append(np.arange(m, dtype=np.uint16))
+        calls = pack_calls(monkeypatch)
         for arr in arrays:
-            alphabet, _, ranks0 = codec._ranked(arr)
-            assert ranks0.dtype == dtype
-            assert np.array_equal(alphabet[ranks0], arr)
+            alphabet, payload, nbits = codec._encode(arr)
+            index, tables = calls.pop()
+            ranks = tables[0] if arr.dtype == np.uint16 else index
+            assert ranks.dtype == dtype
+            assert np.array_equal(decode_packed(payload, alphabet, arr.size, nbits), arr)
 
     @given(model_letters, st.data())
     @settings(max_examples=300, deadline=None)
@@ -335,10 +397,9 @@ class TestOneSortModel:
         with mock.patch.object(codec, "_KEY_LIMIT", limit):
             for arr in cases:
                 model = oracle_build_model(arr)
-                alphabet, counts, ranks0 = codec._ranked(arr)
+                alphabet, payload, nbits = codec._encode(arr)
                 assert alphabet.tolist() == list(model.letters)
-                assert counts.tolist() == list(model.counts)
-                assert ranks0.tolist() == oracle_rank0_of(model, arr).tolist()
+                assert (payload, nbits) == oracle_packed(model, arr)
                 assert build_model(arr) == model
                 assert encode_packed(arr, model) == oracle_packed(model, arr)
                 for probe in probes:
@@ -353,11 +414,11 @@ class TestOneSortModel:
         assert lexsort.called == (limit == 8)
 
 
-def sorted_ranked(arr):
-    """Oracle: ``codec._ranked`` of byte letters by the sort path, with the
+def sorted_encoded(arr):
+    """Oracle: ``codec._encode`` of byte letters by the sort path, with the
     letters widened to uint16 and the alphabet cast back."""
-    alphabet, counts, ranks0 = codec._ranked(arr.astype(np.uint16))
-    return alphabet.astype(np.uint8), counts, ranks0
+    alphabet, payload, nbits = codec._encode(arr.astype(np.uint16))
+    return alphabet.astype(np.uint8), payload, nbits
 
 
 def shuffled(rng, values, copies):
@@ -376,18 +437,20 @@ byte_letters = st.one_of(
 
 
 class TestByteCounting:
-    """Byte letters are counted, not sorted: their ranked alphabet, counts,
-    ranks and rank dtype equal those of the sort path."""
+    """Byte letters are counted, not sorted: their model, ranked alphabet
+    and payload equal those of the sort path."""
 
     @staticmethod
     def assert_matches_sort(arr):
         arr = np.asarray(arr, dtype=np.uint8)
         with mock.patch.object(codec, "_sort_letters", wraps=codec._sort_letters) as sort:
-            got = codec._ranked(arr)
+            model = build_model(arr)
+            alphabet, payload, nbits = codec._encode(arr)
         assert not sort.called
-        for counted, ranked in zip(got, sorted_ranked(arr)):
-            assert counted.dtype == ranked.dtype
-            assert np.array_equal(counted, ranked)
+        assert model == build_model(arr.astype(np.uint16))
+        expected = sorted_encoded(arr)
+        assert alphabet.dtype == np.uint8 and np.array_equal(alphabet, expected[0])
+        assert (payload, nbits) == expected[1:]
 
     def test_ties_across_doubling_steps_and_chunks(self):
         step, chunk = codec._FIRST_STEP, codec._COUNT_CHUNK
@@ -487,10 +550,31 @@ class TestArrayEncoder:
         letters, _ = split_letters(data, width)
         model = build_model(letters)
         with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
-            payload, nbits = encode_packed(letters, model)
+            packed = encode_packed(letters, model)
+            alphabet, *encoded = codec._encode(letters)
         expected = naive_encode(letters.tolist(), model)
-        assert (payload, nbits) == (pack01(expected), len(expected))
-        assert payload_size(model) == nbits
+        assert packed == tuple(encoded) == (pack01(expected), len(expected))
+        assert alphabet.tolist() == list(model.letters)
+        assert payload_size(model) == packed[1]
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_every_fuse_depth(self, n):
+        # the first and last alphabet of set n, with fields of g = 32
+        # codewords at n = 1 down to 2 at n = 9..11; an odd letter count
+        # leaves a last field short of g codewords
+        for m in sorted({max(3, 3 ** (n - 1) + 1), 3 ** n}):
+            rng = np.random.default_rng(m)
+            letters = np.concatenate([rng.permutation(m), rng.integers(0, m, 101 + m % 2)])
+            letters = letters.astype(np.uint16 if m <= 1 << 16 else np.uint32)
+            model = build_model(letters)
+            assert model.code_set.n == n and letters.size % 2
+            expected = table_encode(letters.tolist(), model)
+            chunks = [7, 1 << 16] if n <= 6 else [1 << 16]
+            for chunk in chunks:
+                with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
+                    _, *encoded = codec._encode(letters)
+                    packed = encode_packed(letters, model)
+                assert packed == tuple(encoded) == (pack01(expected), len(expected))
 
     @pytest.mark.parametrize("chunk", [1000, 1 << 16])
     def test_multi_chunk_input(self, chunk):
@@ -512,11 +596,11 @@ class TestArrayEncoder:
         strings = ["2" * n, "0" * n] + [
             "".join(rng.choice("012") for _ in range(n)) for _ in range(200)]
         trits = np.array([int(t) for t in "".join(strings)], dtype=np.int8)
-        values, lengths = field_rows([trits_to_bits(w) for w in strings],
-                                     64 // (2 * n))
+        field, size = fused([trits_to_bits(w) for w in strings],
+                            1 << (32 // n).bit_length() - 1)
         bits = "101" + "".join(trits_to_bits(w) for w in strings)
         words = head_words("101", len(bits))
-        assert codec._pack_words(words, 3, values, lengths) == len(bits)
+        assert codec._place(words, 3, field, size) == len(bits)
         assert word_bits(words, len(bits)) == bits
         window = np.array([int(b) for b in bits[3:]], dtype=np.uint8)
         assert codec._scan_trits(window).tolist() == trits.tolist()
@@ -527,52 +611,67 @@ class TestArrayEncoder:
         # fields ending exactly on word boundaries (64, then 32 + 32), one
         # bit at a time, and random lengths that spill into the word before
         sizes = [64, 32, 32] + [1] * 70 + [rng.randint(1, 64) for _ in range(300)]
-        fields = [format(rng.getrandbits(w), "b").zfill(w) for w in sizes]
+        bit_strings = [format(rng.getrandbits(w), "b").zfill(w) for w in sizes]
         ends = np.cumsum([len(head)] + sizes)[1:]
         assert (ends % 64 == 0).sum() >= 2
         assert ((ends - np.array(sizes)) // 64 < (ends - 1) // 64).sum() > 50
-        values, lengths = field_rows(fields, 1)
-        expected = head + "".join(fields)
+        values, lengths = fields(bit_strings)
+        expected = head + "".join(bit_strings)
         words = head_words(head, len(expected))
-        assert codec._pack_words(words, len(head), values, lengths) == len(expected)
+        assert codec._place(words, len(head), values, lengths) == len(expected)
         assert word_bits(words, len(expected)) == expected
         # two calls into one buffer: the second starts inside the first's last word
         cut = 150
         words = head_words(head, len(expected))
-        middle = codec._pack_words(words, len(head), values[:, :cut], lengths[:, :cut])
+        middle = codec._place(words, len(head), values[:cut], lengths[:cut])
         assert middle == len(head) + sum(sizes[:cut]) and middle % 64
-        assert codec._pack_words(words, middle, values[:, cut:], lengths[:, cut:]) == len(expected)
+        assert codec._place(words, middle, values[cut:], lengths[cut:]) == len(expected)
         assert word_bits(words, len(expected)) == expected
 
     def test_fused_fields_match_string_join(self):
         rng = random.Random(3)
-        for g in (2, 3, 32):
-            width = 64 // g
-            codewords = [format(rng.getrandbits(w), "b").zfill(w)
-                         for w in (rng.randint(1, width) for _ in range(401))]
+        for g in (1, 2, 4, 32):
+            width = min(58, 64 // g)  # a word holds a codeword of up to 58 bits
+            # a first field of g * width bits, all 64 from g = 2 on
+            lengths = [width] * g + [rng.randint(1, width) for _ in range(401 - g)]
+            codewords = [format(rng.getrandbits(w), "b").zfill(w) for w in lengths]
             expected = "11" + "".join(codewords)
             words = head_words("11", len(expected))
-            assert codec._pack_words(words, 2, *field_rows(codewords, g)) == len(expected)
+            field, size = fused(codewords, g)
+            assert field.size == -(-401 // g)
+            assert size.tolist() == [sum(map(len, codewords[i:i + g]))
+                                     for i in range(0, 401, g)]
+            assert codec._place(words, 2, field, size) == len(expected)
             assert word_bits(words, len(expected)) == expected
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 70001])
     def test_one_letter_packs_to_zero_bits(self, n):
         # one letter is rank 0 everywhere: one 0 bit per letter, padded
-        ranks0 = np.zeros(n, np.uint8)
-        assert codec._pack_ranks(ranks0, np.array([n])) == (bytes(-(-n // 8)), n)
+        for letters in (np.full(n, 7, np.uint8), np.full(n, 2**32 - 1, np.uint32)):
+            assert codec._encode(letters)[1:] == (bytes(-(-n // 8)), n)
+            assert encode_packed(letters, build_model([int(letters[0])])) == (
+                bytes(-(-n // 8)), n)
 
     def test_counts_that_disagree_with_the_ranks_raise(self):
-        ranks0 = np.random.default_rng(5).integers(0, 40, 1000)
-        counts = np.bincount(ranks0, minlength=40)
-        _, nbits = codec._pack_ranks(ranks0, counts)
-        assert nbits == payload_size(codec._model(np.arange(40), counts))
-        for rank, change in [(0, 1), (39, 1), (0, -1), (39, -1), (3, 700), (3, -counts[3])]:
+        arr = np.random.default_rng(5).integers(0, 40, 1000).astype(np.uint8)
+        _, values, counts, order, perm = codec._ranked(arr)
+        assert values.size == 40
+        rank = np.empty(40, dtype=np.uint8)
+        rank[order] = np.arange(40)
+
+        def pack(counts):
+            return codec._pack(*codec._indexed(arr, values[order[0]], 40, values,
+                                               counts, rank, perm))
+
+        assert pack(counts) == codec._encode(arr)[1:]
+        assert pack(counts)[1] == payload_size(build_model(arr))
+        for value, change in [(0, 1), (39, 1), (0, -1), (39, -1), (3, 700), (3, -counts[3])]:
             wrong = counts.copy()
-            wrong[rank] += change
+            wrong[value] += change
             # too few counted bits may also run the codewords past the last word
             with pytest.raises(ValueError if change > 0 else (ValueError, IndexError),
                                match="^codewords end at bit |out of bounds"):
-                codec._pack_ranks(ranks0, wrong)
+                pack(wrong)
 
 
 def reference_trits(window):
@@ -766,7 +865,7 @@ class TestDecode:
         ranks0 = np.concatenate([np.r_[0, ends[:-1]], ends - 1,
                                  rng.integers(0, m, size=3000)])
         rng.shuffle(ranks0)
-        payload, nbits = codec._pack_ranks(ranks0, np.bincount(ranks0, minlength=m))
+        payload, nbits = pack_ranks(ranks0, m)
         letters, stats = decode_with_stats(payload, alphabet, ranks0.size, nbits)
         assert letters.tolist() == alphabet[ranks0].tolist()
         assert stats.bits_consumed == nbits
@@ -842,7 +941,7 @@ class TestDecoderMemory:
         """Peak traced bytes of one decode, beyond the letters it returns."""
         rng = np.random.default_rng(payload_bytes)
         ranks0 = rng.integers(0, m, size=payload_bytes * 8 // bits_per_letter)
-        payload, nbits = codec._pack_ranks(ranks0, np.bincount(ranks0, minlength=m))
+        payload, nbits = pack_ranks(ranks0, m)
         alphabet = np.arange(m, dtype=np.int64)
         tracemalloc.start()
         try:

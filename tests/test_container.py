@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritcode import codec, container
+from tritcode.codebook import code_set_for_alphabet
 from tritcode.container import (
     FLAG_PACKED_ALPHABET,
     HEADER_SIZE,
@@ -359,18 +360,18 @@ class TestAlphabetCompression:
     @given(st.binary(min_size=1, max_size=600))
     @settings(max_examples=150, deadline=None)
     def test_nested_size_is_known_before_packing(self, area):
-        _, counts, _ = codec._ranked(np.frombuffer(area, dtype=np.uint8))
-        assert container._nested_size(counts) == len(compress(area, 8)) + 4
+        model = codec.build_model(np.frombuffer(area, dtype=np.uint8))
+        assert container._nested_size(model) == len(compress(area, 8)) + 4
 
     def test_losing_nested_container_is_never_packed(self, monkeypatch):
         packed = []
-        pack_ranks = codec._pack_ranks
+        pack = codec._pack
 
-        def counted(ranks0, counts):
-            packed.append(counts.size)
-            return pack_ranks(ranks0, counts)
+        def counted(index, tables, nbits, n):
+            packed.append(tables[0].size)  # byte letters index a table by value
+            return pack(index, tables, nbits, n)
 
-        monkeypatch.setattr(codec, "_pack_ranks", counted)
+        monkeypatch.setattr(codec, "_pack", counted)
         # every byte value: a 256-byte raw area against 556 bytes nested
         data = np.random.default_rng(556).permutation(256).astype(np.uint8).tobytes() * 8
         blob = compress(data, 8, compress_alphabet=True)
@@ -654,8 +655,9 @@ class TestDecompressMemory:
 
         At L = 8 and 16 every letter value occurs; at L = 32 every letter is
         distinct, so the alphabet is as large as the output. The container
-        is assembled around codec._pack_ranks as docs/format.md lays it out,
-        which keeps the encoder's own memory out of the test.
+        is assembled around codec.encode_packed under a model of that
+        alphabet, as docs/format.md lays it out, which keeps the encoder's
+        own memory out of the test.
         """
         rng = np.random.default_rng(size + width)
         count = size * 8 // width
@@ -665,7 +667,9 @@ class TestDecompressMemory:
         else:
             alphabet = rng.permutation(2**width).astype(letter_dtype(width))
             ranks0 = rng.integers(0, alphabet.size, count, dtype=np.int32)
-        payload, _ = codec._pack_ranks(ranks0, np.bincount(ranks0, minlength=alphabet.size))
+        model = codec.Model(letters=tuple(alphabet.tolist()), counts=(1,) * alphabet.size,
+                            code_set=code_set_for_alphabet(alphabet.size))
+        payload, _ = codec.encode_packed(alphabet[ranks0], model)
         area = alphabet.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :width // 8]
         blob = b"".join([serialize_header(Header(1, 0, width, size * 8)),
                          struct.pack("<I", alphabet.size), area.tobytes(), payload])
@@ -725,9 +729,11 @@ class TestCompressMemory:
 
     @pytest.mark.parametrize("width", [1, 8, 16, 32])
     def test_peak_is_bounded_and_flat(self, width):
-        # byte letters are counted a chunk at a time, not sorted: at most 4
-        # bytes per letter, of which an input byte holds 8 / width
-        bound = 4 * 8 / width if width <= 8 else 16
+        # byte letters are counted a chunk at a time, not sorted, and packed
+        # from a table of signature words by letter value: at L = 8 the
+        # words buffer, the returned bytes and a fixed scratch; at L = 1 the
+        # letters and their bits, 8 of each per input byte
+        bound = {1: 32, 8: 2.5}.get(width, 16)
         small = self.peak_per_input_byte(width, 1 << 20)
         large = self.peak_per_input_byte(width, 8 << 20)
         assert small <= bound and large <= bound, (small, large)
