@@ -15,10 +15,10 @@ fall outside the scheme and are marked :class:`Degenerate`.
 The codec runs two array kernels, each with one scalar reference that tests
 compare it against:
 
-- the encoder's :func:`signature_table` gives the signatures of the first m
-  codewords as (value, length) integer pairs, built group by group in n
-  array passes with no sort, or as one word each by :func:`signature_words`;
-  its reference is :func:`unrank` followed by :func:`trits_to_bits`;
+- the encoder's :func:`signature_words` gives the signatures of the first m
+  codewords as one uint64 word each, ``value << 6 | length``, built group
+  by group in n array passes with no sort; its reference is :func:`unrank`
+  followed by :func:`trits_to_bits`;
 - the decoder's :func:`rank_rows` ranks many codewords at once with one
   numpy lookup per block of six trit positions, in tables of partial ranks
   whose size depends on n alone; its reference is :func:`rank`.
@@ -44,8 +44,6 @@ from .bitio import BitReader
 # Largest set whose indices (up to 3^n) fit an int64: 3^39 < 2^63 < 3^40.
 # A container's alphabet power is a 32-bit field, so it never needs n > 21.
 MAX_SET_NUMBER = 39
-# Largest set whose signatures (up to 2n bits) fit a uint64.
-MAX_SIGNATURE_SET_NUMBER = 32
 
 _TRIT_BITS = {"0": "0", "1": "10", "2": "11"}
 
@@ -364,12 +362,11 @@ def unrank(n: int, index: int) -> str:
     return "".join(out)
 
 
-# Per-n signature words and lengths for signature_words and signature_table,
-# built once and reused; each holds the groups up to the furthest one any
-# caller has reached. A table of more than _SIGNATURES_KEPT entries (9 bytes
-# each) is built per call instead: it serves an input so large that the
-# build costs little beside encoding it, and keeping it would pin its memory
-# for good.
+# Per-n signature words and lengths for signature_words, built once and
+# reused; each holds the groups up to the furthest one any caller has
+# reached. A table of more than _SIGNATURES_KEPT entries (9 bytes each) is
+# built per call instead: it serves an input so large that the build costs
+# little beside encoding it, and keeping it would pin its memory for good.
 _signatures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _SIGNATURES_KEPT = 1 << 20
 
@@ -381,76 +378,47 @@ MAX_WORD_SET_NUMBER = (64 - SIGNATURE_LENGTH_BITS) // 2
 _LENGTH_BITS = np.uint64(SIGNATURE_LENGTH_BITS)
 
 
-def signature_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bit signatures of the first ``m`` codewords of set ``n`` as integers.
-
-    Entry i - 1 of the uint64 array holds the signature of list index i as a
-    binary number, its first bit most significant, and entry i - 1 of the
-    uint8 array its length in bits. The strings are grown from the last trit
-    position to the first, kept in buckets by their count j of nonzero
-    trits, lexicographically ordered inside each bucket and all p + j bits
-    long after p positions. Bucket j then grows into the strings with a
-    leading 0 from bucket j, then those with a leading 1 (bits 10) and a
-    leading 2 (bits 11) from bucket j - 1: three contiguous blocks, each one
-    OR with a constant. The finished buckets j = 0, 1, ... are the groups in
-    list order, so no sort is needed. Buckets past the last group that the
-    first ``m`` codewords reach are never built, so the table holds at most
-    3^n entries, fewer than 3m for the set that covers an alphabet of m
-    letters.
-
-    Up to set 29 the values are the kept :func:`signature_words` shifted
-    down; wider sets are built per call. The returned arrays are read-only.
-    """
-    if not 1 <= n <= MAX_SIGNATURE_SET_NUMBER:
-        raise ValueError(
-            f"code set number must be in 1..{MAX_SIGNATURE_SET_NUMBER}, got {n}")
-    if n > MAX_WORD_SET_NUMBER:
-        _check_code_count(n, m)
-        values, lengths = _build_signatures(n, len(group_counts(n, m)) - 1)
-        values = values[:m]
-    else:
-        words, lengths = signature_words(n, m)
-        values = words >> _LENGTH_BITS
-    values.setflags(write=False)
-    return values, lengths[:m]
-
-
 def signature_words(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``m`` codewords of set ``n`` as one uint64 word each,
-    ``value << 6 | length`` of the :func:`signature_table` pair, and their
-    uint8 lengths. A codeword has at most 2n bits, so a word holds it up to
-    set 29; the encoder needs no more than 21, 42 bits.
+    """The bit signatures of the first ``m`` codewords of set ``n`` as one
+    uint64 word each, ``value << 6 | length``, and their uint8 lengths.
 
+    Entry i - 1 is list index i; its value is the signature read as a binary
+    number, first bit most significant. A codeword has at most 2n bits, so
+    a word holds it up to set 29; the encoder needs no more than 21, 42 bits.
     A group does not depend on how many follow it, so the words of each n
     are kept, up to a size limit, and every shorter request is served from
     their prefix. The returned arrays are read-only.
     """
     if not 1 <= n <= MAX_WORD_SET_NUMBER:
         raise ValueError(f"code set number must be in 1..{MAX_WORD_SET_NUMBER}, got {n}")
-    _check_code_count(n, m)
+    if not 1 <= m <= 3**n:
+        raise ValueError(f"code count must be in 1..3^{n}, got {m}")
     table = _signatures.get(n)
     if table is None or table[0].size < m:
         # the last group the first m codewords reach has n - k zeros, so k
         # nonzero trits
-        words, lengths = _build_signatures(n, len(group_counts(n, m)) - 1)
-        words <<= _LENGTH_BITS  # in place: the values become the words
-        words |= lengths
-        words.setflags(write=False)
-        table = words, lengths
-        if words.size <= _SIGNATURES_KEPT:
+        table = _build_signatures(n, len(group_counts(n, m)) - 1)
+        if table[0].size <= _SIGNATURES_KEPT:
             _signatures[n] = table
     words, lengths = table
     return words[:m], lengths[:m]
 
 
-def _check_code_count(n: int, m: int) -> None:
-    if not 1 <= m <= 3**n:
-        raise ValueError(f"code count must be in 1..3^{n}, got {m}")
-
-
 def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signature values and read-only lengths of the groups of set ``n``
-    with n down to n - k zeros, as :func:`signature_table` describes."""
+    """Read-only signature words and lengths of the groups of set ``n``
+    with n down to n - k zeros, as :func:`signature_words` gives them.
+
+    The signatures are grown from the last trit position to the first, kept
+    in buckets by their count j of nonzero trits, lexicographically ordered
+    inside each bucket and all p + j bits long after p positions. Bucket j
+    then grows into the strings with a leading 0 from bucket j, then those
+    with a leading 1 (bits 10) and a leading 2 (bits 11) from bucket j - 1:
+    three contiguous blocks, each one OR with a constant. The finished
+    buckets j = 0, 1, ..., k are the groups in list order, so no sort is
+    needed, and buckets past k are never built: for the set that covers an
+    alphabet of m letters, the groups its first m codewords reach hold fewer
+    than 3m entries.
+    """
     buckets = [np.zeros(1, dtype=np.uint64)]  # the empty string
     for p in range(n):
         grown = buckets[:1]  # a leading 0 leaves the all-zero value at 0
@@ -462,5 +430,9 @@ def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         buckets = grown
     lengths = np.repeat(np.arange(n, n + k + 1, dtype=np.uint8),
                         [b.size for b in buckets])
+    words = np.concatenate(buckets)
+    words <<= _LENGTH_BITS  # in place: the values become the words
+    words |= lengths
+    words.setflags(write=False)
     lengths.setflags(write=False)
-    return np.concatenate(buckets), lengths
+    return words, lengths

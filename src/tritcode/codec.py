@@ -105,6 +105,7 @@ _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 # Pass one counts byte letters this many letters at a time: bincount casts
 # its input to intp, so the chunk bounds that scratch whatever the input size.
+# One- and two-letter alphabets pack their bits as many letters at a time.
 _COUNT_CHUNK = 1 << 16
 
 # First occurrences of byte values come from np.minimum.at over a prefix
@@ -311,11 +312,12 @@ def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
     index a table of words by letter value. 16-bit letters index a table of
     ranks by value, a quarter the size, and the ranks index the words. Wider
     letters spread their ranks through ``perm`` to index the words. One- and
-    two-letter alphabets get no table: their index is each letter's bit.
+    two-letter alphabets get no table and set 0: the letters are the index,
+    and ``first`` stands in the tables.
     """
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
-        return arr != first, (), arr.size, 0
+        return arr, (first,), arr.size, 0
     words, lengths = signature_words(cs.n, m)
     nbits = int(counts @ lengths[rank])
     if perm is not None:
@@ -336,15 +338,22 @@ def _pack(index: np.ndarray, tables: tuple[np.ndarray, ...], nbits: int,
           n: int) -> tuple[bytes, int]:
     """The packed payload of the codewords that ``index`` reaches through
     ``tables``, first to last, the last of them signature words
-    ``value << 6 | length`` of set ``n``, and its bit count ``nbits``; with
-    no tables, ``index`` holds the payload's bits.
+    ``value << 6 | length`` of set ``n``, and its bit count ``nbits``. At
+    n = 0, an alphabet of one or two letters, ``tables`` holds the letter of
+    rank 0 alone, and each letter of ``index`` packs to one bit that says
+    whether it differs from that letter, a chunk of letters at a time.
 
     Each chunk of g-codeword fields gathers its words into one buffer,
     reused from chunk to chunk, and :func:`_fuse` and :func:`_place` OR
     them into one zeroed buffer of ``nbits`` bits.
     """
-    if not tables:
-        return np.packbits(index).tobytes(), nbits
+    if not n:
+        (first,) = tables
+        payload = np.empty((nbits + 7) >> 3, dtype=np.uint8)
+        for start in range(0, index.size, _COUNT_CHUNK):  # chunks of whole bytes
+            chunk = index[start:start + _COUNT_CHUNK]
+            payload[start >> 3:(start + chunk.size + 7) >> 3] = np.packbits(chunk != first)
+        return payload.tobytes(), nbits
     *through, signatures = tables
     g = 1 << (32 // n).bit_length() - 1  # codewords per field: 2^floor(log2(64 / 2n))
     step = g * max(1, _CHUNK_TRITS // (n * g))

@@ -14,7 +14,10 @@ Flag bit 0 marks a compressed alphabet. Raw alphabets store the m letters
 in rank order, ceil(L/8) bytes each, little-endian. Compressed alphabets
 store a 4-byte length followed by a nested container holding the raw
 letter bytes recompressed at L = 8; compression is only used when it is
-strictly smaller, since small alphabets usually expand. The nested size
+strictly smaller, since small alphabets usually expand. At L <= 8 it never
+is: the raw area is m distinct bytes, and a nested container takes at
+least 21 + m, so the encoder keeps such alphabets raw without sizing the
+nested form, though a decoder still accepts it. Above L = 8 the nested size
 is computed exactly from the letter-byte counts, before the nested payload
 is packed, so a losing nested container is never encoded. Nesting is one
 level deep: the nested container stores its own alphabet raw. A decoder
@@ -128,7 +131,8 @@ def split_letters(data: bytes, letter_bits: int) -> tuple[np.ndarray, int]:
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
     bits = bits.reshape(-1, letter_bits)
-    letters = bits[:, 0].astype(letter_dtype(letter_bits))
+    # at L = 1 the bits are the letters, so they are not copied
+    letters = bits[:, 0].astype(letter_dtype(letter_bits), copy=letter_bits > 1)
     for j in range(1, letter_bits):
         letters <<= 1
         letters |= bits[:, j]
@@ -194,7 +198,10 @@ def compress(data: bytes, letter_bits: int = 8, *,
     alphabet, payload, _ = codec._encode(letters)
     alphabet_area = _pack_alphabet(alphabet, letter_bits)
     flags = 0
-    if compress_alphabet:
+    # At L <= 8 the raw area is m distinct bytes, and a nested container
+    # stores those same m bytes raw beside 20 bytes of frame and a payload of
+    # at least one byte: it can never win, so it is not even sized.
+    if compress_alphabet and letter_bits > 8:
         # size the nested container from its model; encode it only if it wins
         nested_model = codec.build_model(np.frombuffer(alphabet_area, dtype=np.uint8))
         if _nested_size(nested_model) < len(alphabet_area):

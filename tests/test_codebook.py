@@ -22,7 +22,6 @@ from tritcode.codebook import (
     rank,
     rank_rows,
     read_trits,
-    signature_table,
     signature_words,
     trits_to_bits,
     unrank,
@@ -320,31 +319,38 @@ class TestUnrankRows:
 
 
 class TestSignatureTable:
+    """The encoder's one codeword table, :func:`signature_words`, against
+    :func:`unrank` followed by :func:`trits_to_bits`."""
+
     @staticmethod
-    def signatures(values, lengths):
-        return [format(int(v), "b").zfill(int(w)) for v, w in zip(values, lengths)]
+    def signatures(words, lengths):
+        """The bit strings that signature words hold, after checking that
+        each word's low 6 bits equal its entry in ``lengths``."""
+        assert words.dtype == np.uint64 and lengths.dtype == np.uint8
+        assert (words & np.uint64(63)).tolist() == lengths.tolist()
+        return [format(int(v), "b").zfill(int(w))
+                for v, w in zip(words >> np.uint64(6), lengths)]
 
     def test_matches_unrank_exhaustive_small(self):
         for n in range(1, 9):
-            values, lengths = signature_table(n, 3**n)
-            assert values.dtype == np.uint64 and lengths.dtype == np.uint8
-            assert self.signatures(values, lengths) == [
+            words, lengths = signature_words(n, 3**n)
+            assert self.signatures(words, lengths) == [
                 trits_to_bits(unrank(n, i)) for i in range(1, 3**n + 1)]
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_matches_unrank_at_group_boundaries(self, n):
-        values, lengths = signature_table(n, 3**n)
+        words, lengths = signature_words(n, 3**n)
         idx = group_boundaries(n)
-        assert self.signatures(values[idx - 1], lengths[idx - 1]) == [
+        assert self.signatures(words[idx - 1], lengths[idx - 1]) == [
             trits_to_bits(unrank(n, int(i))) for i in idx]
 
     def test_short_tables_are_prefixes(self):
         # a shorter table stops growing at the last group it reaches
         for n in range(1, 9):
-            full_values, full_lengths = signature_table(n, 3**n)
+            full_words, full_lengths = signature_words(n, 3**n)
             for m in group_boundaries(n).tolist():
-                values, lengths = signature_table(n, m)
-                assert values.tolist() == full_values[:m].tolist()
+                words, lengths = signature_words(n, m)
+                assert words.tolist() == full_words[:m].tolist()
                 assert lengths.tolist() == full_lengths[:m].tolist()
                 assert int(lengths.sum(dtype=np.int64)) == sum(
                     (n + k) * c for k, c in enumerate(group_counts(n, m)))
@@ -357,65 +363,60 @@ class TestSignatureTable:
         ends = np.cumsum([group_params(n, z).size for z in range(n, -1, -1)])
         counts = range(1, 3**n + 1)
         for m in [*counts, *reversed(counts)]:
-            values, lengths = signature_table(n, m)
+            words, lengths = signature_words(n, m)
             fresh = {}
             with monkeypatch.context() as patch:
                 patch.setattr(codebook, "_signatures", fresh)
-                fresh_values, fresh_lengths = signature_table(n, m)
+                fresh_words, fresh_lengths = signature_words(n, m)
             assert fresh[n][0].size == ends[np.searchsorted(ends, m)]
-            assert values.tolist() == fresh_values.tolist()
+            assert words.tolist() == fresh_words.tolist()
             assert lengths.tolist() == fresh_lengths.tolist()
-            for table in (values, lengths):
+            for table in (words, lengths):
                 with pytest.raises(ValueError):
                     table[0] = 1
 
     def test_tables_past_the_limit_are_not_kept(self, monkeypatch):
         monkeypatch.setattr(codebook, "_signatures", {})
         monkeypatch.setattr(codebook, "_SIGNATURES_KEPT", 7)
-        short, _ = signature_table(3, 7)  # groups z = 3, 2: 7 entries
+        short, _ = signature_words(3, 7)  # groups z = 3, 2: 7 entries
         assert codebook._signatures[3][0].size == 7
-        values, lengths = signature_table(3, 8)
+        words, lengths = signature_words(3, 8)
         assert codebook._signatures[3][0].size == 7
-        assert values[:7].tolist() == short.tolist()
-        assert self.signatures(values, lengths) == [
+        assert words[:7].tolist() == short.tolist()
+        assert self.signatures(words, lengths) == [
             trits_to_bits(unrank(3, i)) for i in range(1, 9)]
-        with pytest.raises(ValueError):
-            values[0] = 1
+        for table in (words, lengths):
+            with pytest.raises(ValueError):
+                table[0] = 1
 
-    @pytest.mark.parametrize("n", [21, 32])
-    def test_large_sets_build_only_the_groups_reached(self, n):
-        # 21 is the largest set a 32-bit alphabet power reaches; 32 the
-        # largest whose signatures fit 64 bits. Two groups are 2n + 1 entries.
-        values, lengths = signature_table(n, 2 * n + 1)
-        assert self.signatures(values, lengths) == [
+    @pytest.mark.parametrize("n", [21, 29])
+    def test_large_sets_build_only_the_groups_reached(self, n, monkeypatch):
+        # 21 is the largest set a 32-bit alphabet power reaches; 29 the
+        # largest whose signatures fit a word beside their 6-bit length.
+        # Two groups are 2n + 1 entries, and no more are built.
+        monkeypatch.setattr(codebook, "_signatures", {})
+        words, lengths = signature_words(n, 2 * n + 1)
+        assert codebook._signatures[n][0].size == 2 * n + 1
+        assert self.signatures(words, lengths) == [
             trits_to_bits(unrank(n, i)) for i in range(1, 2 * n + 2)]
 
     @pytest.mark.parametrize("n", [1, 5, 21, 29])
     def test_words_hold_the_value_above_the_length(self, n):
-        # 21 is the largest set a 32-bit alphabet power reaches; 29 the
-        # largest whose signatures fit a word beside their 6-bit length
         m = 3**n if n <= 5 else 2 * n + 1
-        values, lengths = signature_table(n, m)
-        words, word_lengths = signature_words(n, m)
-        assert words.dtype == np.uint64 and word_lengths.dtype == np.uint8
-        assert (words >> np.uint64(6)).tolist() == values.tolist()
-        assert (words & np.uint64(63)).tolist() == lengths.tolist() == word_lengths.tolist()
-        for table in (words, word_lengths):
-            with pytest.raises(ValueError):
-                table[0] = 1
+        words, lengths = signature_words(n, m)
+        bits = [trits_to_bits(unrank(n, i)) for i in range(1, m + 1)]
+        assert (words >> np.uint64(6)).tolist() == [int(b, 2) for b in bits]
+        assert (words & np.uint64(63)).tolist() == [len(b) for b in bits]
+        assert lengths.tolist() == [len(b) for b in bits]
 
     def test_rejects_bad_set_and_count(self):
         for n in (0, 30):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="code set number"):
                 signature_words(n, 1)
-        with pytest.raises(ValueError):
-            signature_words(3, 28)
-        for n in (0, 33):
-            with pytest.raises(ValueError):
-                signature_table(n, 1)
-        for m in (0, 28, -1):
-            with pytest.raises(ValueError):
-                signature_table(3, m)
+        for n in (1, 3, 5):
+            for m in (0, -1, 3**n + 1):
+                with pytest.raises(ValueError, match="code count"):
+                    signature_words(n, m)
 
 
 class TestStructuralInvariants:
@@ -450,7 +451,7 @@ class TestStructuralInvariants:
 class TestDerivedLengths:
     def test_code_length_matches_generation(self):
         for n in range(1, 7):
-            _, lengths = signature_table(n, 3**n)
+            _, lengths = signature_words(n, 3**n)
             for cw in generate_codes(n, 3**n):
                 assert int(lengths[cw.index - 1]) == len(cw.bits)
 
@@ -462,7 +463,7 @@ class TestDerivedLengths:
                 expected = sum(len(cw.bits) for cw in generate_codes(n, m))
                 counts = group_counts(n, m)
                 assert sum((n + k) * c for k, c in enumerate(counts)) == expected
-                _, lengths = signature_table(n, m)
+                _, lengths = signature_words(n, m)
                 assert int(lengths.sum(dtype=np.int64)) == expected
 
 

@@ -17,7 +17,7 @@ from tritcode.codebook import (
     group_counts,
     rank,
     read_trits,
-    signature_table,
+    signature_words,
     trits_to_bits,
 )
 from tritcode.codec import (
@@ -131,13 +131,13 @@ def oracle_packed(model, arr):
 
 def table_encode(letters, model):
     """Oracle encoder for large alphabets: each letter's codeword is the
-    bit string of its rank's signature_table entry (which test_codebook
-    checks against unrank), joined as strings."""
+    bit string of its rank's signature word (which test_codebook checks
+    against unrank), joined as strings."""
     if isinstance(model.code_set, Degenerate):
         return naive_encode(letters, model)
-    values, lengths = signature_table(model.code_set.n, model.m)
-    codes = {v: format(int(value), "b").zfill(int(length)) if length else ""
-             for v, value, length in zip(model.letters, values, lengths)}
+    words, lengths = signature_words(model.code_set.n, model.m)
+    codes = {v: format(int(word) >> 6, "b").zfill(int(length))
+             for v, word, length in zip(model.letters, words, lengths)}
     return "".join(codes[v] for v in letters)
 
 
@@ -651,6 +651,18 @@ class TestArrayEncoder:
             assert codec._encode(letters)[1:] == (bytes(-(-n // 8)), n)
             assert encode_packed(letters, build_model([int(letters[0])])) == (
                 bytes(-(-n // 8)), n)
+
+    @pytest.mark.parametrize("n", [1, 9, 65_536, 65_543, 200_001])
+    def test_two_letters_pack_a_chunk_at_a_time(self, n):
+        # each letter is the bit "not the letter of rank 0", packed one
+        # _COUNT_CHUNK of letters at a time into one payload
+        rng = np.random.default_rng(n)
+        for dtype, high in [(np.uint8, 200), (np.uint32, 2**31), (np.int64, 2**40)]:
+            letters = np.where(rng.random(n) < 0.4, high, 5).astype(dtype)
+            model = build_model(letters)
+            expected = np.packbits(letters != model.letters[0]).tobytes()
+            assert codec._encode(letters)[1:] == (expected, n)
+            assert encode_packed(letters, model) == (expected, n)
 
     def test_counts_that_disagree_with_the_ranks_raise(self):
         arr = np.random.default_rng(5).integers(0, 40, 1000).astype(np.uint8)

@@ -1,6 +1,7 @@
 import random
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -357,6 +358,24 @@ class TestAlphabetCompression:
         blob = compress(data, width, compress_alphabet=True)
         assert decompress(blob) == data
 
+    @given(st.one_of(st.binary(min_size=1, max_size=600),
+                     st.builds(lambda order, tail: bytes(order) + tail,
+                               st.permutations(range(256)), st.binary(max_size=300))))
+    @settings(max_examples=60, deadline=None)
+    def test_narrow_alphabets_are_never_sized(self, data):
+        # at L <= 8 the raw area is m distinct bytes and a nested container
+        # at least 21 + m, so the encoder neither sizes nor packs one
+        for width in range(1, 9):
+            area = np.unique(split_letters(data, width)[0])
+            nested = container._nested_size(codec.build_model(area))
+            assert nested >= 21 + area.size
+        sized = AssertionError("a nested alphabet was sized at L <= 8")
+        with mock.patch.object(codec, "build_model", side_effect=sized), \
+                mock.patch.object(container, "_nested_size", side_effect=sized):
+            for width in range(1, 9):
+                assert (compress(data, width, compress_alphabet=True)
+                        == compress(data, width))
+
     @given(st.binary(min_size=1, max_size=600))
     @settings(max_examples=150, deadline=None)
     def test_nested_size_is_known_before_packing(self, area):
@@ -509,6 +528,8 @@ class TestHostileContainers:
                         describe(empty + extra, decode_payload=decode_payload)
 
     def test_one_level_packed_alphabet_is_accepted(self, nested_packed_alphabets):
+        # no encoder packs an L = 8 alphabet, since it never wins there, but
+        # the format allows it and a decoder reads it
         assert decompress(nested_packed_alphabets(1)) == b"A"
 
     def test_packed_alphabet_at_other_width_is_rejected(self, wide_nested_alphabet):
@@ -732,8 +753,10 @@ class TestCompressMemory:
         # byte letters are counted a chunk at a time, not sorted, and packed
         # from a table of signature words by letter value: at L = 8 the
         # words buffer, the returned bytes and a fixed scratch; at L = 1 the
-        # letters and their bits, 8 of each per input byte
-        bound = {1: 32, 8: 2.5}.get(width, 16)
+        # unpacked bits, which are the letters, 8 per input byte, then the
+        # payload and the container, one each, as the bits pack a chunk at
+        # a time
+        bound = {1: 10.5, 8: 2.5}.get(width, 16)
         small = self.peak_per_input_byte(width, 1 << 20)
         large = self.peak_per_input_byte(width, 8 << 20)
         assert small <= bound and large <= bound, (small, large)
