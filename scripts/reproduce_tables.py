@@ -6,6 +6,7 @@ redundancy table, and (when the corpus is present) the Canterbury
 compression, re-compression, and alphabet-compression reports.
 
 Usage: python scripts/reproduce_tables.py [--corpus DIR] [--skip-bench]
+Exits 5, naming the files on stderr, when a corpus round trip fails.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from tritcode import bench, container  # noqa: E402
+from tritcode import bench  # noqa: E402
 from tritcode.numeral import compactness, continuous_minimum  # noqa: E402
 
 
@@ -53,19 +54,17 @@ def corpus_tables(corpus: Path) -> int:
     print()
 
     print("== alphabet compression at L=16 ==")
-    rows = []
-    for name in bench.CANTERBURY_FILES:
-        data = (corpus / name).read_bytes()
-        plain = container.compress(data, 16)
-        packed = container.compress(data, 16, compress_alphabet=True)
-        raw_block = container.describe(plain, decode_payload=False)
-        packed_block = container.describe(packed, decode_payload=False)
-        gain = (len(plain) - len(packed)) / len(plain) * 100
-        rows.append([name, len(plain), raw_block.alphabet_block_bytes,
-                     packed_block.alphabet_block_bytes, f"{gain:.2f}"])
+    packed, _, _ = bench.run_corpus(corpus, (16,), compress_alphabet=True)
+    plain = [r for r in reports if r.letter_bits == 16]
     sys.stdout.write(bench.write_table(
-        ["file", "total", "alpha raw", "alpha packed", "gain %"], rows))
-    return 0
+        ["file", "total", "alpha raw", "alpha packed", "gain %"],
+        [[r.name, r.compressed_bytes, r.alphabet_bytes, q.alphabet_bytes,
+          f"{(r.compressed_bytes - q.compressed_bytes) / r.compressed_bytes * 100:.2f}"]
+         for r, q in zip(plain, packed)]))
+    failed = dict.fromkeys(r.name for r in reports + packed if not r.roundtrip_ok)
+    for name in failed:
+        print(f"ROUND TRIP FAILED: {name}", file=sys.stderr)
+    return 5 if failed else 0
 
 
 def main() -> int:

@@ -166,10 +166,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.mode == "compactness":
-        table = numeral.compactness_table(args.bases, args.digits)
-        print("b,c_b,c_2,e_bar")
-        for point in table:
-            print(f"{point.b},{point.c_b},{point.c_2},{point.e_bar:.3f}")
+        sys.stdout.write(bench.write_table(["b", "c_b", "c_2", "e_bar"], [
+            [p.b, p.c_b, p.c_2, f"{p.e_bar:.3f}"]
+            for p in numeral.compactness_table(args.bases, args.digits)], "csv"))
     elif args.mode == "minimum":
         b_star, e_star = numeral.continuous_minimum()
         print(f"b* = {b_star:.4f}, ratio = {e_star:.4f}")

@@ -8,16 +8,17 @@ and anything else is rejected.
 Pass one ranks the alphabet by descending count; pass two swaps each
 letter for the codeword whose list index equals the letter's rank.
 
-Pass one needs each distinct letter's count and first occurrence. Byte
-letters are counted, with no sort: one bincount per chunk gives the 256
-counts, and a running minimum of positions over a prefix that doubles until
-at most a few counted values are unseen gives the first occurrences; one
-compare-and-argmax search per value finds the rest. Wider letters take one
-stable sort, radix for 16 bits and of (value, position) keys beyond, and
-the sorted run of each distinct letter gives its count and, as its first
-member, its first occurrence. The first occurrence breaks count ties in one
-sort of (count, first) keys. A model needs no more: pass one gives no
-letter its rank.
+Pass one needs each distinct letter's count and first occurrence, from one
+step chosen by letter dtype. Byte letters are counted, with no sort: one
+bincount per chunk gives the 256 counts, and a running minimum of positions
+over a prefix that doubles until at most a few counted values are unseen
+gives the first occurrences; one compare-and-argmax search per value finds
+the rest. uint32 letters, and int64 library input below 2^32, take one sort
+of (value, position) keys, and 16-bit letters and other int64 input numpy's
+stable argsort, radix for 16 bits; the sorted run of each distinct letter
+gives its count and, as its first member, its first occurrence. The first
+occurrence breaks count ties in one sort of (count, first) keys. A model
+needs no more: pass one gives no letter its rank.
 
 Encoding needs no stored code table either, and never looks at a trit.
 Each codeword is an integer and a bit length, and
@@ -116,8 +117,9 @@ _COUNT_CHUNK = 1 << 16
 _FIRST_STEP = 1 << 11
 _FEW = 8
 
-# Pass one sorts by uint64 keys of two 32-bit halves: letters and inputs of
-# this bound or more take numpy's stable argsort and lexsort instead.
+# Pass one sorts uint32 letters, and int64 letters below this bound, by uint64
+# keys of value and position, and ranks by keys of count and first occurrence;
+# inputs of this bound or more take numpy's stable argsort and lexsort instead.
 _KEY_LIMIT = 1 << 32
 _HALF = np.uint64(32)
 
@@ -145,7 +147,8 @@ def build_model(letters) -> Model:
     arr, values, counts, order, perm = _ranked(letters)
     alphabet, counts = values[order], counts[order]
     del arr, values, order, perm  # gone before the model's Python ints are made
-    return _model(alphabet, counts)
+    return Model(letters=tuple(alphabet.tolist()), counts=tuple(counts.tolist()),
+                 code_set=code_set_for_alphabet(alphabet.size))
 
 
 def _encode(letters) -> tuple[np.ndarray, bytes, int]:
@@ -161,11 +164,6 @@ def _encode(letters) -> tuple[np.ndarray, bytes, int]:
     job = _indexed(arr, alphabet[0], rank.size, values, counts, rank, perm)
     del values, counts, rank, perm
     return (alphabet, *_pack(*job))
-
-
-def _model(alphabet: np.ndarray, counts: np.ndarray) -> Model:
-    return Model(letters=tuple(alphabet.tolist()), counts=tuple(counts.tolist()),
-                 code_set=code_set_for_alphabet(alphabet.size))
 
 
 def _letter_array(letters) -> np.ndarray:
@@ -192,26 +190,14 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
         raise ValueError("cannot build a model from empty input")
     if arr.dtype.kind == "i" and arr.min() < 0:
         raise ValueError("letters must be unsigned integers")
-    if arr.dtype == np.uint8:
-        values, counts = _byte_counts(arr)
-        first, perm = _first_seen(arr, values), None
-    else:
-        values, first, counts, perm = _sort_letters(arr)
+    values, first, counts, perm = _distinct(arr)
+    if first is None:
+        first = _first_seen(arr, values)
     if arr.size < _KEY_LIMIT:  # the keys are distinct, so any sort is stable
         order = np.argsort(_keys(counts.max() - counts, first))
     else:
         order = np.lexsort((first, counts.max() - counts))
     return arr, values, counts, order, perm
-
-
-def _byte_counts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a nonempty uint8 letter array, ascending and
-    in uint8, and each one's count, from one bincount per chunk."""
-    counts = np.zeros(256, dtype=np.intp)
-    for start in range(0, arr.size, _COUNT_CHUNK):
-        counts += np.bincount(arr[start:start + _COUNT_CHUNK], minlength=256)
-    values = np.flatnonzero(counts)
-    return values.astype(np.uint8), counts[values]
 
 
 def _first_seen(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -234,20 +220,28 @@ def _first_seen(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return first[values]
 
 
-def _sort_letters(arr: np.ndarray) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Distinct values of a nonempty letter array from one stable sort.
+def _distinct(arr: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """The distinct values of a nonempty letter array, in ascending order and
+    in the letters' dtype, the position of each one's first occurrence, each
+    one's count, and, for letters wider than 16 bits, their positions in
+    sorted order (else None).
 
-    Returns the distinct values in ascending order, in the letters' dtype,
-    the position of each one's first occurrence, each one's count, and, for
-    letters wider than 16 bits, their positions in sorted order (else None).
-    Distinct keys ``letter << 32 | position`` sort stably in any sort; numpy's
-    stable argsort radix-sorts 16-bit letters. Byte letters are counted by
-    :func:`_byte_counts` and :func:`_first_seen` instead: their 256 values
-    need no sort.
+    Byte letters are counted by one bincount per chunk, with no sort, and
+    return no first occurrences: :func:`_first_seen` finds them. uint32
+    letters, and int64 letters once two scans find them below 2^32, sort as
+    distinct keys ``letter << 32 | position``, stable in any sort. The rest
+    take numpy's stable argsort, a radix sort for 16-bit letters.
     """
+    if arr.dtype == np.uint8:
+        counts = np.zeros(256, dtype=np.intp)
+        for start in range(0, arr.size, _COUNT_CHUNK):
+            counts += np.bincount(arr[start:start + _COUNT_CHUNK], minlength=256)
+        values = np.flatnonzero(counts)
+        return values.astype(np.uint8), None, counts[values], None
     wide = arr.dtype.itemsize > 2
-    if wide and arr.size < _KEY_LIMIT and arr.min() >= 0 and arr.max() < _KEY_LIMIT:
+    if wide and arr.size < _KEY_LIMIT and (
+            arr.dtype == np.uint32 or arr.min() >= 0 and arr.max() < _KEY_LIMIT):
         ordered = _keys(arr, np.arange(arr.size, dtype=np.uint64))
         ordered.sort()
         perm = ordered.astype(np.uint32)  # the low halves
@@ -282,11 +276,8 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
     if arr.size == 0:
         return b"", 0
     # a letter the model repeats takes its lowest rank, the first in a stable sort
-    known, lowest, _, _ = _sort_letters(np.asarray(model.letters, dtype=np.int64))
-    if arr.dtype == np.uint8:
-        (values, counts), perm = _byte_counts(arr), None
-    else:
-        values, _, counts, perm = _sort_letters(arr)
+    known, lowest, _, _ = _distinct(np.asarray(model.letters, dtype=np.int64))
+    values, _, counts, perm = _distinct(arr)
     pos = np.minimum(np.searchsorted(known, values), known.size - 1)
     absent = known[pos] != values
     if absent.any():

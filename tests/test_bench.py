@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import random
 import subprocess
@@ -269,14 +270,52 @@ class TestReproduceTables:
             line.split() for line in lines]
         assert "== Canterbury" not in result.stdout
 
-    def test_corpus_tables(self, tmp_path):
+    @staticmethod
+    def write_corpus(directory):
         rng = random.Random(811)
         for name in CANTERBURY_FILES:
-            (tmp_path / name).write_bytes(
+            (directory / name).write_bytes(
                 bytes(rng.choice(b"abcdefgh \n\x00\xff") for _ in range(3000)))
+
+    def test_corpus_tables(self, tmp_path):
+        self.write_corpus(tmp_path)
         result = self.run_script("--corpus", str(tmp_path))
         assert result.returncode == 0, result.stderr
         for title in ("== Canterbury corpus at L=8 and L=16",
                       "== re-compression of the L=8 outputs ==",
                       "== alphabet compression at L=16 =="):
             assert title in result.stdout
+        rows = result.stdout.split("== alphabet compression at L=16 ==\n")[1].splitlines()
+        assert rows[0].split() == ["file", "total", "alpha", "raw", "alpha", "packed",
+                                   "gain", "%"]
+        gains = []
+        for row, name in zip(rows[1:], CANTERBURY_FILES, strict=True):
+            data = (tmp_path / name).read_bytes()
+            plain = container.compress(data, 16)
+            packed = container.compress(data, 16, compress_alphabet=True)
+            gains.append(f"{(len(plain) - len(packed)) / len(plain) * 100:.2f}")
+            assert row.split() == [
+                name, str(len(plain)),
+                str(container.describe(plain, decode_payload=False).alphabet_block_bytes),
+                str(container.describe(packed, decode_payload=False).alphabet_block_bytes),
+                gains[-1]]
+        assert set(gains) != {"0.00"}  # some alphabet is stored packed
+
+    def test_failed_round_trip_exits_5(self, tmp_path, monkeypatch, capsys):
+        self.write_corpus(tmp_path)
+        broken = (tmp_path / "sum").read_bytes()
+        decompress = container.decompress
+
+        def corrupt(blob):
+            data = decompress(blob)
+            return data[:-1] if data == broken else data
+
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+        spec = importlib.util.spec_from_file_location("reproduce_tables", self.SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(container, "decompress", corrupt)
+        assert script.corpus_tables(tmp_path) == 5
+        out, err = capsys.readouterr()
+        assert "== alphabet compression at L=16 ==" in out
+        assert err == "ROUND TRIP FAILED: sum\n"

@@ -381,10 +381,10 @@ class TestOneSortModel:
 
     @pytest.mark.parametrize("limit", [8, 2**32 - 1, 2**32])
     def test_key_limit_branches_agree(self, limit):
-        """Letters of _KEY_LIMIT or more, or inputs of as many letters, sort
-        by numpy's stable argsort and order their groups by lexsort instead
-        of by uint64 keys; patched down, the bound moves small inputs to the
-        other side of each branch, and every result stays."""
+        """int64 letters of _KEY_LIMIT or more, or inputs of as many letters,
+        sort by numpy's stable argsort, and the latter order their groups by
+        lexsort, instead of by uint64 keys; patched down, the bound moves small
+        inputs to the other side of each branch, and every result stays."""
         edge = [0, 1, 6, 7, 8, 9, 2**32 - 2, 2**32 - 1]
         # counts that rank letters against their first occurrences
         cases = [np.array(letters, dtype=np.uint32) for letters in (
@@ -406,11 +406,14 @@ class TestOneSortModel:
                     assert (outcome(encode_packed, probe, model)
                             == outcome(oracle_packed, model, probe))
             # the key sort's positions are uint32, the argsort's intp
-            keyed = {codec._sort_letters(arr)[3].dtype == np.uint32 for arr in cases}
+            keyed = [codec._distinct(arr)[3].dtype == np.uint32 for arr in cases]
             with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
                 for arr in cases:
                     codec._ranked(arr)
-        assert keyed == {True, False}
+        # uint32 letters are keyed unscanned, int64 ones below the limit
+        assert keyed == [arr.size < limit and (arr.dtype == np.uint32 or arr.max() < limit)
+                         for arr in cases]
+        assert set(keyed) == {True, False}
         assert lexsort.called == (limit == 8)
 
 
@@ -443,10 +446,13 @@ class TestByteCounting:
     @staticmethod
     def assert_matches_sort(arr):
         arr = np.asarray(arr, dtype=np.uint8)
-        with mock.patch.object(codec, "_sort_letters", wraps=codec._sort_letters) as sort:
+        assert codec._distinct(arr)[1] is None  # no first occurrences: no sort
+        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
             model = build_model(arr)
             alphabet, payload, nbits = codec._encode(arr)
-        assert not sort.called
+        # the only sorts rank the at most 256 groups
+        assert argsort.call_count == 2
+        assert all(call.args[0].size == model.m <= 256 for call in argsort.call_args_list)
         assert model == build_model(arr.astype(np.uint16))
         expected = sorted_encoded(arr)
         assert alphabet.dtype == np.uint8 and np.array_equal(alphabet, expected[0])
@@ -487,6 +493,19 @@ class TestByteCounting:
     @settings(max_examples=300, deadline=None)
     def test_matches_sort_path(self, arr):
         self.assert_matches_sort(arr)
+
+    @given(byte_letters)
+    @settings(max_examples=100, deadline=None)
+    def test_encoding_seeks_no_first_occurrences(self, arr):
+        """encode_packed ranks by the model, so it counts byte letters and
+        never searches for where each value is first seen."""
+        model = build_model(arr[::-1])
+        with mock.patch.object(codec, "_first_seen", wraps=codec._first_seen) as seen, \
+                mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+            payload = encode_packed(arr, model)
+        assert not seen.called
+        assert all(call.args[0].size <= model.m for call in argsort.call_args_list)
+        assert payload == oracle_packed(model, arr)
 
 
 class TestEncode:
