@@ -6,7 +6,8 @@ redundancy table, and (when the corpus is present) the Canterbury
 compression, re-compression, and alphabet-compression reports.
 
 Usage: python scripts/reproduce_tables.py [--corpus DIR] [--skip-bench]
-Exits 5, naming the files on stderr, when a corpus round trip fails.
+Exits 5, naming the files on stderr, when a round trip fails: of the
+corpus, alphabet-compression or re-compression runs.
 """
 
 import argparse
@@ -61,7 +62,8 @@ def corpus_tables(corpus: Path) -> int:
         [[r.name, r.compressed_bytes, r.alphabet_bytes, q.alphabet_bytes,
           f"{(r.compressed_bytes - q.compressed_bytes) / r.compressed_bytes * 100:.2f}"]
          for r, q in zip(plain, packed)]))
-    failed = dict.fromkeys(r.name for r in reports + packed if not r.roundtrip_ok)
+    failed = dict.fromkeys(
+        r.name for r in reports + rows + packed if not r.roundtrip_ok)
     for name in failed:
         print(f"ROUND TRIP FAILED: {name}", file=sys.stderr)
     return 5 if failed else 0

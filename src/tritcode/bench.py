@@ -75,6 +75,7 @@ class RecompressReport:
     original_bytes: int
     first_bytes: int
     chained: dict[int, int]
+    roundtrip_ok: bool
 
 
 @dataclass(frozen=True)
@@ -182,9 +183,10 @@ def run_recompress(directory: str | Path, first_bits: int = 8,
                    ) -> tuple[list[RecompressReport], RecompressReport, list[str]]:
     """Compress at one width, then compress each result again at others.
 
-    Chained sizes may exceed the single-pass size; that is data, not an
-    error. Widths must be in 1..32, and second widths distinct. Returns
-    (rows, totals, missing).
+    A row's round trip holds when its first-pass container decompresses to
+    the file and each chained one to the first-pass container. Chained sizes
+    may exceed the single-pass size; that is data, not an error. Widths must
+    be in 1..32, and second widths distinct. Returns (rows, totals, missing).
     """
     _check_widths((first_bits,))
     _check_widths(second_bits)
@@ -195,16 +197,18 @@ def run_recompress(directory: str | Path, first_bits: int = 8,
     for name in present:
         data = (directory / name).read_bytes()
         first = container.compress(data, first_bits)
-        chained = {bits: len(container.compress(first, bits))
-                   for bits in second_bits}
-        rows.append(RecompressReport(name=name, original_bytes=len(data),
-                                     first_bytes=len(first), chained=chained))
+        chained = {bits: container.compress(first, bits) for bits in second_bits}
+        ok = container.decompress(first) == data and all(
+            container.decompress(blob) == first for blob in chained.values())
+        rows.append(RecompressReport(name, len(data), len(first), {
+            bits: len(blob) for bits, blob in chained.items()}, ok))
     totals = RecompressReport(
         name=TOTAL_LABEL,
         original_bytes=sum(r.original_bytes for r in rows),
         first_bytes=sum(r.first_bytes for r in rows),
         chained={bits: sum(r.chained[bits] for r in rows)
                  for bits in second_bits},
+        roundtrip_ok=all(r.roundtrip_ok for r in rows),
     )
     return rows, totals, missing
 

@@ -150,13 +150,12 @@ def _cmd_bench(args) -> int:
         reports, totals, missing = bench.run_corpus(
             args.directory, tuple(args.bits), compress_alphabet=args.compress_alphabet)
         sys.stdout.write(bench.format_corpus(reports + totals, args.report))
-        failed = [r.name for r in reports if not r.roundtrip_ok]
     else:
-        rows, totals, missing = bench.run_recompress(
+        reports, totals, missing = bench.run_recompress(
             args.directory, args.first, tuple(args.second))
         sys.stdout.write(bench.format_recompress(
-            rows + [totals], tuple(args.second), args.report))
-        failed = []
+            reports + [totals], tuple(args.second), args.report))
+    failed = [r.name for r in reports if not r.roundtrip_ok]
     for name in missing:
         print(f"missing: {name}", file=sys.stderr)
     for name in failed:

@@ -151,10 +151,11 @@ def build_model(letters) -> Model:
                  code_set=code_set_for_alphabet(alphabet.size))
 
 
-def _encode(letters) -> tuple[np.ndarray, bytes, int]:
-    """The ranked alphabet of ``letters``, in their dtype, then the payload
-    and its exact bit count, from one pass one. The alphabet is
-    ``build_model(letters).letters`` and the payload is
+def _encode(letters) -> tuple[np.ndarray, int, tuple]:
+    """Pass one over ``letters``, stopped once the payload's size is known:
+    their ranked alphabet, in their dtype, the payload's exact bit count, and
+    the job that ``_pack(*job)`` packs into that payload. The alphabet is
+    ``build_model(letters).letters`` and the packed job
     ``encode_packed(letters, build_model(letters))``."""
     arr, values, counts, order, perm = _ranked(letters)
     alphabet = values[order]
@@ -162,8 +163,7 @@ def _encode(letters) -> tuple[np.ndarray, bytes, int]:
     rank[order] = np.arange(order.size)
     del order  # each m-sized array goes once spent: the packer needs none
     job = _indexed(arr, alphabet[0], rank.size, values, counts, rank, perm)
-    del values, counts, rank, perm
-    return (alphabet, *_pack(*job))
+    return alphabet, job[2], job
 
 
 def _letter_array(letters) -> np.ndarray:

@@ -18,8 +18,9 @@ strictly smaller, since small alphabets usually expand. At L <= 8 it never
 is: the raw area is m distinct bytes, and a nested container takes at
 least 21 + m, so the encoder keeps such alphabets raw without sizing the
 nested form, though a decoder still accepts it. Above L = 8 the nested size
-is computed exactly from the letter-byte counts, before the nested payload
-is packed, so a losing nested container is never encoded. Nesting is one
+comes from the letter bytes' own pass one, which gives the nested payload's
+exact bit count before a bit is packed, and that same pass one packs them
+when the nested form wins; a losing one is never packed. Nesting is one
 level deep: the nested container stores its own alphabet raw. A decoder
 checks the nested flag and width, then reads the nested container as an
 ordinary v1 container, through the same parser as the outer one; the
@@ -193,31 +194,29 @@ def compress(data: bytes, letter_bits: int = 8, *,
     """Compress ``data`` into a self-contained container."""
     letters, nbits = split_letters(data, letter_bits)
     if letters.size == 0:
-        header = Header(VERSION, 0, letter_bits, 0)
-        return serialize_header(header) + struct.pack("<I", 0)
-    alphabet, payload, _ = codec._encode(letters)
-    alphabet_area = _pack_alphabet(alphabet, letter_bits)
+        return _container(letter_bits, 0, 0, 0, b"")
+    alphabet, _, job = codec._encode(letters)
+    payload, _ = codec._pack(*job)
+    del letters, job  # the letter-sized index goes before the alphabet is sized
+    area = _pack_alphabet(alphabet, letter_bits)
     flags = 0
-    # At L <= 8 the raw area is m distinct bytes, and a nested container
-    # stores those same m bytes raw beside 20 bytes of frame and a payload of
-    # at least one byte: it can never win, so it is not even sized.
+    # at L <= 8 a nested container holds the same m bytes raw and at least 21
+    # more, so it is not sized; above, one pass one sizes it and packs it if it wins
     if compress_alphabet and letter_bits > 8:
-        # size the nested container from its model; encode it only if it wins
-        nested_model = codec.build_model(np.frombuffer(alphabet_area, dtype=np.uint8))
-        if _nested_size(nested_model) < len(alphabet_area):
-            nested = compress(alphabet_area, 8)
-            alphabet_area = struct.pack("<I", len(nested)) + nested
-            flags |= FLAG_PACKED_ALPHABET
-    header = Header(VERSION, flags, letter_bits, nbits)
-    return b"".join([serialize_header(header), struct.pack("<I", alphabet.size),
-                     alphabet_area, payload])
+        inner, bits, job = codec._encode(np.frombuffer(area, dtype=np.uint8))
+        if 4 + HEADER_SIZE + 4 + inner.size + -(-bits // 8) < len(area):
+            nested = _container(8, 0, 8 * len(area), inner.size, inner.tobytes(),
+                                codec._pack(*job)[0])
+            area = struct.pack("<I", len(nested)) + nested
+            flags = FLAG_PACKED_ALPHABET
+    return _container(letter_bits, flags, nbits, alphabet.size, area, payload)
 
 
-def _nested_size(model: codec.Model) -> int:
-    """Bytes a packed alphabet takes, its length field included, when its
-    letter bytes have the model ``model``: the nested container's header,
-    m field, raw alphabet and payload."""
-    return 4 + HEADER_SIZE + 4 + model.m + -(-codec.payload_size(model) // 8)
+def _container(letter_bits: int, flags: int, nbits: int, m: int, area: bytes,
+               payload: bytes = b"") -> bytes:
+    """A container's bytes: header, alphabet power ``m``, alphabet area, payload."""
+    return b"".join([serialize_header(Header(VERSION, flags, letter_bits, nbits)),
+                     struct.pack("<I", m), area, payload])
 
 
 def _parse(blob: bytes) -> tuple[Header, np.ndarray, int]:
@@ -306,10 +305,7 @@ def decompress(blob: bytes) -> bytes:
         return b""
     decoded = codec.decode_packed(memoryview(blob)[offset:], letters,
                                   _letter_count(header))
-    try:
-        return join_letters(decoded, header.letter_bits, header.original_bit_length)
-    except ValueError as exc:
-        raise CorruptedDataError(str(exc)) from exc
+    return join_letters(decoded, header.letter_bits, header.original_bit_length)
 
 
 @dataclass(frozen=True)

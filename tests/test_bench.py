@@ -124,9 +124,30 @@ class TestRunRecompress:
             assert row.first_bytes == len(first)
             for bits in (3, 6):
                 assert row.chained[bits] == len(container.compress(first, bits))
+            assert row.roundtrip_ok
         assert totals.first_bytes == sum(r.first_bytes for r in rows)
         for bits in (3, 6):
             assert totals.chained[bits] == sum(r.chained[bits] for r in rows)
+        assert totals.roundtrip_ok
+
+    @pytest.mark.parametrize("broken_bits", [8, 6])
+    def test_every_round_trip_is_checked(self, mini_corpus, monkeypatch, broken_bits):
+        # one first-pass container (L = 8) or one chained one (L = 6) of one
+        # file decompresses wrong: that row fails, and so does the total
+        directory, files = mini_corpus
+        first = container.compress(files["story.txt"], 8)
+        decompress = container.decompress
+
+        def corrupt(blob):
+            data = decompress(blob)
+            hit = blob[3] == broken_bits and data in (files["story.txt"], first)
+            return data[:-1] if hit else data
+
+        monkeypatch.setattr(container, "decompress", corrupt)
+        rows, totals, _ = run_recompress(directory, 8, (3, 6), files=tuple(sorted(files)))
+        assert {r.name: r.roundtrip_ok for r in rows} == {
+            "story.txt": False, "table.bin": True, "tiny.dat": True}
+        assert not totals.roundtrip_ok
 
     def test_repeated_second_widths_rejected(self, mini_corpus):
         directory, files = mini_corpus
@@ -226,7 +247,7 @@ class TestReports:
         assert parsed[1][0] == "2"
 
     def test_recompress_and_redundancy_text_use_csv_names(self):
-        rows = [bench.RecompressReport("a", 10, 7, {3: 8, 6: 9})]
+        rows = [bench.RecompressReport("a", 10, 7, {3: 8, 6: 9}, True)]
         assert format_recompress(rows, (3, 6)).splitlines()[0].split() == [
             "file", "original_bytes", "first_bytes", "chained_L3", "chained_L6"]
         lines = format_redundancy(redundancy_table(10)).splitlines()
@@ -319,3 +340,23 @@ class TestReproduceTables:
         out, err = capsys.readouterr()
         assert "== alphabet compression at L=16 ==" in out
         assert err == "ROUND TRIP FAILED: sum\n"
+
+    def test_failed_chained_round_trip_exits_5(self, tmp_path, monkeypatch, capsys):
+        # only the L = 9 re-compression of one first-pass container fails
+        self.write_corpus(tmp_path)
+        first = container.compress((tmp_path / "fields.c").read_bytes(), 8)
+        decompress = container.decompress
+
+        def corrupt(blob):
+            data = decompress(blob)
+            return data[:-1] if blob[3] == 9 and data == first else data
+
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+        spec = importlib.util.spec_from_file_location("reproduce_tables", self.SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(container, "decompress", corrupt)
+        assert script.corpus_tables(tmp_path) == 5
+        out, err = capsys.readouterr()
+        assert "== re-compression of the L=8 outputs ==" in out
+        assert err == "ROUND TRIP FAILED: fields.c\n"

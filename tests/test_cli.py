@@ -224,6 +224,26 @@ class TestBenchVerb:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "file,original_bytes,first_bytes,chained_L3"
 
+    def test_recompress_round_trip_failure_exits_5(self, corpus, monkeypatch, capsys):
+        # only the L = 6 re-compression of xargs.1's first-pass container fails
+        first = container.compress((corpus / "xargs.1").read_bytes(), 8)
+        decompress = container.decompress
+
+        def corrupt(blob):
+            data = decompress(blob)
+            return data[:-1] if blob[3] == 6 and data == first else data
+
+        monkeypatch.setattr(container, "decompress", corrupt)
+        code = dispatch(["bench", "recompress", str(corpus), "--second", "3", "6",
+                         "--report", "csv"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CORRUPT
+        assert captured.out.splitlines()[0] == (
+            "file,original_bytes,first_bytes,chained_L3,chained_L6")
+        assert len(captured.out.splitlines()) == 1 + 2 + 1  # header, two files, totals
+        assert captured.err.splitlines()[-1] == "ROUND TRIP FAILED: xargs.1"
+        assert "grammar.lsp" not in captured.err
+
     def test_usage_error_on_unknown_mode(self):
         assert dispatch(["bench", "nonsense", "."]) == EXIT_USAGE
 

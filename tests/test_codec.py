@@ -150,6 +150,15 @@ def pack_ranks(ranks0, m):
     return encode_packed(np.asarray(ranks0).astype(np.min_scalar_type(m - 1)), model)
 
 
+def encoded(letters):
+    """``codec._encode`` with its job packed: the ranked alphabet, the
+    payload and its bit count, which pass one gives before packing."""
+    alphabet, nbits, job = codec._encode(letters)
+    payload, packed_bits = codec._pack(*job)
+    assert packed_bits == nbits
+    return alphabet, payload, nbits
+
+
 def pack_calls(monkeypatch):
     """Record the (index, tables) of every codec._pack call."""
     calls = []
@@ -296,7 +305,7 @@ class TestOneSortModel:
         assert all(type(v) is int for v in model.letters + model.counts)
         packed = oracle_packed(model, arr)
         assert encode_packed(arr, model) == packed
-        alphabet, payload, nbits = codec._encode(letters)
+        alphabet, payload, nbits = encoded(letters)
         assert alphabet.dtype == np.int64 and alphabet.tolist() == list(model.letters)
         assert (payload, nbits) == packed
 
@@ -310,7 +319,7 @@ class TestOneSortModel:
         model = oracle_build_model(arr)
         with pytest.MonkeyPatch.context() as patch:
             calls = pack_calls(patch)
-            alphabet, payload, nbits = codec._encode(arr)
+            alphabet, payload, nbits = encoded(arr)
             assert encode_packed(arr, model) == (payload, nbits)
         assert alphabet.dtype == arr.dtype and alphabet.tolist() == list(model.letters)
         assert (payload, nbits) == oracle_packed(model, arr)
@@ -336,7 +345,7 @@ class TestOneSortModel:
             arrays.append(np.arange(m, dtype=np.uint16))
         calls = pack_calls(monkeypatch)
         for arr in arrays:
-            alphabet, payload, nbits = codec._encode(arr)
+            alphabet, payload, nbits = encoded(arr)
             index, tables = calls.pop()
             ranks = tables[0] if arr.dtype == np.uint16 else index
             assert ranks.dtype == dtype
@@ -397,7 +406,7 @@ class TestOneSortModel:
         with mock.patch.object(codec, "_KEY_LIMIT", limit):
             for arr in cases:
                 model = oracle_build_model(arr)
-                alphabet, payload, nbits = codec._encode(arr)
+                alphabet, payload, nbits = encoded(arr)
                 assert alphabet.tolist() == list(model.letters)
                 assert (payload, nbits) == oracle_packed(model, arr)
                 assert build_model(arr) == model
@@ -420,7 +429,7 @@ class TestOneSortModel:
 def sorted_encoded(arr):
     """Oracle: ``codec._encode`` of byte letters by the sort path, with the
     letters widened to uint16 and the alphabet cast back."""
-    alphabet, payload, nbits = codec._encode(arr.astype(np.uint16))
+    alphabet, payload, nbits = encoded(arr.astype(np.uint16))
     return alphabet.astype(np.uint8), payload, nbits
 
 
@@ -449,7 +458,7 @@ class TestByteCounting:
         assert codec._distinct(arr)[1] is None  # no first occurrences: no sort
         with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
             model = build_model(arr)
-            alphabet, payload, nbits = codec._encode(arr)
+            alphabet, payload, nbits = encoded(arr)
         # the only sorts rank the at most 256 groups
         assert argsort.call_count == 2
         assert all(call.args[0].size == model.m <= 256 for call in argsort.call_args_list)
@@ -570,9 +579,9 @@ class TestArrayEncoder:
         model = build_model(letters)
         with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
             packed = encode_packed(letters, model)
-            alphabet, *encoded = codec._encode(letters)
+            alphabet, *ours = encoded(letters)
         expected = naive_encode(letters.tolist(), model)
-        assert packed == tuple(encoded) == (pack01(expected), len(expected))
+        assert packed == tuple(ours) == (pack01(expected), len(expected))
         assert alphabet.tolist() == list(model.letters)
         assert payload_size(model) == packed[1]
 
@@ -591,9 +600,9 @@ class TestArrayEncoder:
             chunks = [7, 1 << 16] if n <= 6 else [1 << 16]
             for chunk in chunks:
                 with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
-                    _, *encoded = codec._encode(letters)
+                    _, *ours = encoded(letters)
                     packed = encode_packed(letters, model)
-                assert packed == tuple(encoded) == (pack01(expected), len(expected))
+                assert packed == tuple(ours) == (pack01(expected), len(expected))
 
     @pytest.mark.parametrize("chunk", [1000, 1 << 16])
     def test_multi_chunk_input(self, chunk):
@@ -667,7 +676,7 @@ class TestArrayEncoder:
     def test_one_letter_packs_to_zero_bits(self, n):
         # one letter is rank 0 everywhere: one 0 bit per letter, padded
         for letters in (np.full(n, 7, np.uint8), np.full(n, 2**32 - 1, np.uint32)):
-            assert codec._encode(letters)[1:] == (bytes(-(-n // 8)), n)
+            assert encoded(letters)[1:] == (bytes(-(-n // 8)), n)
             assert encode_packed(letters, build_model([int(letters[0])])) == (
                 bytes(-(-n // 8)), n)
 
@@ -680,7 +689,7 @@ class TestArrayEncoder:
             letters = np.where(rng.random(n) < 0.4, high, 5).astype(dtype)
             model = build_model(letters)
             expected = np.packbits(letters != model.letters[0]).tobytes()
-            assert codec._encode(letters)[1:] == (expected, n)
+            assert encoded(letters)[1:] == (expected, n)
             assert encode_packed(letters, model) == (expected, n)
 
     def test_counts_that_disagree_with_the_ranks_raise(self):
@@ -694,7 +703,7 @@ class TestArrayEncoder:
             return codec._pack(*codec._indexed(arr, values[order[0]], 40, values,
                                                counts, rank, perm))
 
-        assert pack(counts) == codec._encode(arr)[1:]
+        assert pack(counts) == encoded(arr)[1:]
         assert pack(counts)[1] == payload_size(build_model(arr))
         for value, change in [(0, 1), (39, 1), (0, -1), (39, -1), (3, 700), (3, -counts[3])]:
             wrong = counts.copy()

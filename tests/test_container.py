@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritcode import codec, container
+from tritcode import codec
 from tritcode.codebook import code_set_for_alphabet
 from tritcode.container import (
     FLAG_PACKED_ALPHABET,
@@ -364,23 +364,54 @@ class TestAlphabetCompression:
     @settings(max_examples=60, deadline=None)
     def test_narrow_alphabets_are_never_sized(self, data):
         # at L <= 8 the raw area is m distinct bytes and a nested container
-        # at least 21 + m, so the encoder neither sizes nor packs one
+        # at least 21 + m, so the encoder runs no pass one over it
         for width in range(1, 9):
             area = np.unique(split_letters(data, width)[0])
-            nested = container._nested_size(codec.build_model(area))
-            assert nested >= 21 + area.size
-        sized = AssertionError("a nested alphabet was sized at L <= 8")
-        with mock.patch.object(codec, "build_model", side_effect=sized), \
-                mock.patch.object(container, "_nested_size", side_effect=sized):
+            assert len(compress(area.tobytes(), 8)) + 4 >= 21 + area.size
+        with mock.patch.object(codec, "_ranked", wraps=codec._ranked) as ranked:
             for width in range(1, 9):
                 assert (compress(data, width, compress_alphabet=True)
                         == compress(data, width))
+        assert ranked.call_count == 16
 
-    @given(st.binary(min_size=1, max_size=600))
-    @settings(max_examples=150, deadline=None)
-    def test_nested_size_is_known_before_packing(self, area):
-        model = codec.build_model(np.frombuffer(area, dtype=np.uint8))
-        assert container._nested_size(model) == len(compress(area, 8)) + 4
+    @pytest.mark.parametrize("width", [1, 8, 12, 16, 24, 32])
+    def test_one_pass_one_per_container(self, width):
+        # one per container, and one per nested alphabet that is sized,
+        # whether it is then packed or kept raw
+        rng = random.Random(width)
+        text = "".join(rng.choice("etaoin shrdlu\n") for _ in range(20000)).encode()
+        noise = bytes(rng.getrandbits(8) for _ in range(4000))
+        for data, wins in ((text, width in (12, 16, 24, 32)), (noise, False)):
+            for flag in (False, True):
+                with mock.patch.object(codec, "_ranked", wraps=codec._ranked) as ranked:
+                    blob = compress(data, width, compress_alphabet=flag)
+                assert ranked.call_count == (2 if flag and width > 8 else 1)
+                assert parse_header(blob).alphabet_packed == (flag and wins)
+                assert blob == composed(data, width, flag)
+
+    def test_nested_size_ties_stay_raw(self):
+        # seeded search for 16-bit alphabets whose nested container, its
+        # length field included, is exactly as long as the raw area (kept
+        # raw) and one byte shorter (packed), each with a nested payload that
+        # ends inside a byte and one that ends on a byte boundary
+        rng = random.Random(2012)
+        found = {}
+        while len(found) < 4:
+            symbols = rng.sample(range(256), rng.randint(2, 24))
+            pairs = [a << 8 | b for a in symbols for b in symbols]
+            letters = rng.sample(pairs, min(rng.randint(8, 120), len(pairs)))
+            area = b"".join(v.to_bytes(2, "little") for v in letters)
+            nested = compress(area, 8)
+            gap = len(area) - len(nested) - 4
+            if gap in (0, 1):
+                found.setdefault((gap, describe(nested).padding_bits > 0), letters)
+        for (gap, _), letters in found.items():
+            data = b"".join(v.to_bytes(2, "big") for v in letters)
+            blob = compress(data, 16, compress_alphabet=True)
+            assert parse_header(blob).alphabet_packed == (gap == 1)
+            assert blob == composed(data, 16, True)
+            assert len(blob) == len(compress(data, 16)) - gap
+            assert decompress(blob) == data
 
     def test_losing_nested_container_is_never_packed(self, monkeypatch):
         packed = []
