@@ -17,7 +17,9 @@ the rest. uint32 letters, and int64 library input below 2^32, take one sort
 of (value, position) keys, and 16-bit letters and other int64 input numpy's
 stable argsort, radix for 16 bits; the sorted run of each distinct letter
 gives its count and, as its first member, its first occurrence. The first
-occurrence breaks count ties in one sort of (count, first) keys. A model
+occurrence breaks count ties in one in-place sort of (count, first) keys,
+which are distinct: the sorted low halves are where the ranked letters
+first occur, so they give the ranked alphabet with no permutation. A model
 needs no more: pass one gives no letter its rank.
 
 Encoding needs no stored code table either, and never looks at a trit.
@@ -26,7 +28,8 @@ Each codeword is an integer and a bit length, and
 signature word each, ``value << 6 | length``. Byte letters index a table
 of those words by letter value, and 16-bit letters a table of their ranks,
 of the narrowest unsigned type that holds m - 1, which then index the
-words. Wider letters take their ranks through the sorted positions; the
+words. Wider letters take their ranks through the sorted positions, each
+distinct letter's rank read where its first occurrence took it; the
 encoder ranks by a given model's letters alike. The counts and the lengths
 give the payload's bit count before encoding, so the payload is packed
 into one zeroed buffer of big-endian 64-bit words. Each chunk of letters
@@ -144,9 +147,7 @@ def build_model(letters) -> Model:
     the model deterministic. The decoder does not depend on the tie rule:
     the ranked alphabet travels with the compressed stream.
     """
-    arr, values, counts, order, perm = _ranked(letters)
-    alphabet, counts = values[order], counts[order]
-    del arr, values, order, perm  # gone before the model's Python ints are made
+    alphabet, counts = _ranked(letters)[1:3]  # the rest goes before the Python ints
     return Model(letters=tuple(alphabet.tolist()), counts=tuple(counts.tolist()),
                  code_set=code_set_for_alphabet(alphabet.size))
 
@@ -157,12 +158,22 @@ def _encode(letters) -> tuple[np.ndarray, int, tuple]:
     the job that ``_pack(*job)`` packs into that payload. The alphabet is
     ``build_model(letters).letters`` and the packed job
     ``encode_packed(letters, build_model(letters))``."""
-    arr, values, counts, order, perm = _ranked(letters)
-    alphabet = values[order]
-    rank = np.empty(order.size, dtype=np.min_scalar_type(order.size - 1))
-    rank[order] = np.arange(order.size)
-    del order  # each m-sized array goes once spent: the packer needs none
-    job = _indexed(arr, alphabet[0], rank.size, values, counts, rank, perm)
+    arr, alphabet, counts, firsts, spread = _ranked(letters)
+    m = alphabet.size
+    rank = np.arange(m, dtype=np.min_scalar_type(m - 1))
+    if spread is None or m <= 2:  # one or two letters pack the letters themselves
+        job = _indexed(arr, alphabet[0], m, alphabet, counts, rank, None)
+    else:
+        perm, first, grouped = spread  # by ascending value
+        del spread  # each m-sized array goes once spent: the packer needs none
+        # each value's rank, read where its first occurrence got its rank
+        # before the spread overwrites it
+        ranks = np.empty(arr.size, dtype=rank.dtype)
+        ranks[firsts] = rank
+        del firsts
+        ranks[perm] = np.repeat(ranks[first], grouped)
+        del perm, first, grouped
+        job = _indexed(arr, alphabet[0], m, None, counts, rank, ranks)
     return alphabet, job[2], job
 
 
@@ -180,11 +191,18 @@ def _letter_array(letters) -> np.ndarray:
 
 
 def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray | None]:
-    """Pass one over ``letters``: them as an array, their distinct values in
-    ascending order and in their dtype, each one's count, the order of those
-    values by rank, and, for letters wider than 16 bits, the letters'
-    positions in sorted order (else None)."""
+                              tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """Pass one over ``letters``: them as an array, their ranked alphabet in
+    their dtype, each ranked letter's count, the position of its first
+    occurrence, and, for letters wider than 16 bits, the letters' positions
+    in sorted order with each distinct value's first occurrence and count,
+    by ascending value (else None).
+
+    The keys ``(max count - count) << 32 | first occurrence`` are distinct,
+    so one sort of them in place ranks the alphabet with no permutation:
+    their low halves are where the ranked letters first occur, and their
+    high halves give the counts.
+    """
     arr = _letter_array(letters)
     if arr.size == 0:
         raise ValueError("cannot build a model from empty input")
@@ -193,11 +211,20 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     values, first, counts, perm = _distinct(arr)
     if first is None:
         first = _first_seen(arr, values)
-    if arr.size < _KEY_LIMIT:  # the keys are distinct, so any sort is stable
-        order = np.argsort(_keys(counts.max() - counts, first))
+    del values
+    top = counts.max()
+    if arr.size < _KEY_LIMIT:
+        keys = _keys(top - counts, first)
+        keys.sort()
+        firsts = keys.astype(np.uint32)  # the low halves
+        keys >>= _HALF
+        ranked = np.subtract(np.uint64(top), keys, out=keys)
     else:
-        order = np.lexsort((first, counts.max() - counts))
-    return arr, values, counts, order, perm
+        order = np.lexsort((first, top - counts))
+        firsts, ranked = first[order], counts[order]
+        del order
+    spread = None if perm is None else (perm, first, counts)
+    return arr, arr[firsts], ranked, firsts, spread
 
 
 def _first_seen(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -284,43 +311,45 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
         raise ValueError(f"letter {int(values[absent][0])} absent from model")
     rank = lowest[pos].astype(np.min_scalar_type(model.m - 1))
     del known, lowest, pos, absent
-    job = _indexed(arr, model.letters[0], model.m, values, counts, rank, perm)
-    del values, counts, rank, perm  # m-sized: freed before packing
+    ranks = None
+    if perm is not None and model.m > 2:
+        ranks = np.empty(arr.size, dtype=rank.dtype)
+        ranks[perm] = np.repeat(rank, counts)
+        del perm
+    job = _indexed(arr, model.letters[0], model.m, values, counts, rank, ranks)
+    del values, counts, rank  # m-sized: freed before packing
     return _pack(*job)
 
 
-def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
-             counts: np.ndarray, rank: np.ndarray, perm: np.ndarray | None
+def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray | None,
+             counts: np.ndarray, rank: np.ndarray, ranks: np.ndarray | None
              ) -> tuple[np.ndarray, tuple[np.ndarray, ...], int, int]:
     """What :func:`_pack` takes for the letters ``arr`` under an alphabet of
     ``m`` letters, ``first`` the one of rank 0: an index array, the tables
     it goes through to its signature words, the payload's bit count and the
     code set number.
 
-    ``values`` are the distinct letters in ascending order, each with its
-    count and its 0-based ``rank``, and ``perm`` the letters' positions in
-    sorted order, or None for letters of 16 bits or fewer. Byte letters
-    index a table of words by letter value. 16-bit letters index a table of
-    ranks by value, a quarter the size, and the ranks index the words. Wider
-    letters spread their ranks through ``perm`` to index the words. One- and
-    two-letter alphabets get no table and set 0: the letters are the index,
-    and ``first`` stands in the tables.
+    ``values`` are distinct letters, each with its count and its 0-based
+    ``rank``. Byte letters index a table of words by letter value. 16-bit
+    letters index a table of ranks by value, a quarter the size, and the
+    ranks index the words. Letters wider than 16 bits come with ``ranks``,
+    each letter's rank, which index the words, and need no ``values``;
+    narrower ones with None. One- and two-letter alphabets get no table and
+    set 0: the letters are the index, and ``first`` stands in the tables.
     """
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
         return arr, (first,), arr.size, 0
     words, lengths = signature_words(cs.n, m)
     nbits = int(counts @ lengths[rank])
-    if perm is not None:
-        ranks = np.empty(arr.size, dtype=rank.dtype)
-        ranks[perm] = np.repeat(rank, counts)
+    if ranks is not None:
         return ranks, (words,), nbits, cs.n
-    # values ascend, so the last one bounds a table by value
+    size = int(values.max()) + 1
     if arr.dtype == np.uint8:
-        table = np.empty(int(values[-1]) + 1, dtype=np.uint64)
+        table = np.empty(size, dtype=np.uint64)
         table[values] = words[rank]
         return arr, (table,), nbits, cs.n
-    table = np.empty(int(values[-1]) + 1, dtype=rank.dtype)
+    table = np.empty(size, dtype=rank.dtype)
     table[values] = rank
     return arr, (table, words), nbits, cs.n
 

@@ -26,6 +26,14 @@ checks the nested flag and width, then reads the nested container as an
 ordinary v1 container, through the same parser as the outer one; the
 offsets of format errors inside it are file offsets.
 
+At L = 1 every alphabet has one or two letters, whose codes are one bit
+each that says whether a letter differs from the letter of rank 0; so the
+payload is the input XORed with 0x00 or 0xFF. The bit of rank 0 is the
+more frequent bit, or the first bit on a tie. The format is unchanged:
+:func:`compress` writes, and :func:`decompress` reads, the same bytes as
+the codec would, from a count of one bits and one XOR, and a container
+the XOR cannot read goes to the codec, which raises its own errors.
+
 Storing the original bit length (not a letter count) lets decompression
 strip the zero bits that padded the final partial letter, so inputs of any
 byte length survive any letter width bit-exactly. Decompression needs
@@ -132,8 +140,7 @@ def split_letters(data: bytes, letter_bits: int) -> tuple[np.ndarray, int]:
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
     bits = bits.reshape(-1, letter_bits)
-    # at L = 1 the bits are the letters, so they are not copied
-    letters = bits[:, 0].astype(letter_dtype(letter_bits), copy=letter_bits > 1)
+    letters = bits[:, 0].astype(letter_dtype(letter_bits))
     for j in range(1, letter_bits):
         letters <<= 1
         letters |= bits[:, j]
@@ -192,6 +199,8 @@ def _unpack_alphabet(blob: bytes, m: int, letter_bits: int) -> np.ndarray:
 def compress(data: bytes, letter_bits: int = 8, *,
              compress_alphabet: bool = False) -> bytes:
     """Compress ``data`` into a self-contained container."""
+    if letter_bits == 1 and len(data):
+        return _compress_bits(data)
     letters, nbits = split_letters(data, letter_bits)
     if letters.size == 0:
         return _container(letter_bits, 0, 0, 0, b"")
@@ -210,6 +219,27 @@ def compress(data: bytes, letter_bits: int = 8, *,
             area = struct.pack("<I", len(nested)) + nested
             flags = FLAG_PACKED_ALPHABET
     return _container(letter_bits, flags, nbits, alphabet.size, area, payload)
+
+
+# The number of one bits in each byte value.
+_ONES = np.array([bin(value).count("1") for value in range(256)], dtype=np.intp)
+
+
+def _compress_bits(data: bytes) -> bytes:
+    """The L = 1 container of nonempty ``data``, as pass one and the packer
+    would write it, from the count of one bits and the first bit alone.
+
+    The bit of rank 0 is the more frequent one, or the first bit on a tie,
+    and each payload bit says whether an input bit differs from it: the
+    payload is the input XORed with 0x00, or with 0xFF when that bit is 1.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    nbits = 8 * buf.size
+    values, _, counts, _ = codec._distinct(buf)  # byte counts, a chunk at a time
+    ones = int(counts @ _ONES[values])
+    top = int(buf[0] >> 7) if 2 * ones == nbits else int(2 * ones > nbits)
+    alphabet = bytes([top, 1 - top][:1 + (0 < ones < nbits)])
+    return _container(1, 0, nbits, len(alphabet), alphabet, buf ^ np.uint8(0xFF * top))
 
 
 def _container(letter_bits: int, flags: int, nbits: int, m: int, area: bytes,
@@ -303,6 +333,14 @@ def decompress(blob: bytes) -> bytes:
     header, letters, offset = _parse(blob)
     if letters.size == 0:
         return b""
+    if header.letter_bits == 1:
+        bits = np.frombuffer(blob, dtype=np.uint8, offset=offset)
+        # each payload bit is a letter's rank, unless the codec would raise
+        # for too few or too many bits, or a 1 bit under one letter: then
+        # it runs and raises
+        if 8 * bits.size == header.original_bit_length and (
+                letters.size == 2 or not bits.any()):
+            return (bits ^ np.uint8(0xFF * int(letters[0]))).tobytes()
     decoded = codec.decode_packed(memoryview(blob)[offset:], letters,
                                   _letter_count(header))
     return join_letters(decoded, header.letter_bits, header.original_bit_length)

@@ -456,12 +456,15 @@ class TestByteCounting:
     def assert_matches_sort(arr):
         arr = np.asarray(arr, dtype=np.uint8)
         assert codec._distinct(arr)[1] is None  # no first occurrences: no sort
-        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort, \
+                mock.patch.object(codec, "_keys", wraps=codec._keys) as keys:
             model = build_model(arr)
             alphabet, payload, nbits = encoded(arr)
-        # the only sorts rank the at most 256 groups
-        assert argsort.call_count == 2
-        assert all(call.args[0].size == model.m <= 256 for call in argsort.call_args_list)
+        # nothing is argsorted, and the only keys, sorted in place, rank the
+        # at most 256 groups, once per pass one
+        assert not argsort.called
+        assert keys.call_count == 2
+        assert all(call.args[0].size == model.m <= 256 for call in keys.call_args_list)
         assert model == build_model(arr.astype(np.uint16))
         expected = sorted_encoded(arr)
         assert alphabet.dtype == np.uint8 and np.array_equal(alphabet, expected[0])
@@ -694,14 +697,14 @@ class TestArrayEncoder:
 
     def test_counts_that_disagree_with_the_ranks_raise(self):
         arr = np.random.default_rng(5).integers(0, 40, 1000).astype(np.uint8)
-        _, values, counts, order, perm = codec._ranked(arr)
-        assert values.size == 40
-        rank = np.empty(40, dtype=np.uint8)
-        rank[order] = np.arange(40)
+        _, alphabet, counts, _, spread = codec._ranked(arr)
+        assert alphabet.size == 40 and spread is None
+        counts = counts.astype(np.int64)
+        rank = np.arange(40, dtype=np.uint8)
 
         def pack(counts):
-            return codec._pack(*codec._indexed(arr, values[order[0]], 40, values,
-                                               counts, rank, perm))
+            return codec._pack(*codec._indexed(arr, alphabet[0], 40, alphabet,
+                                               counts, rank, None))
 
         assert pack(counts) == encoded(arr)[1:]
         assert pack(counts)[1] == payload_size(build_model(arr))

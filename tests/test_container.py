@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritcode import codec
+from tritcode import codec, container
 from tritcode.codebook import code_set_for_alphabet
 from tritcode.container import (
     FLAG_PACKED_ALPHABET,
@@ -290,6 +290,103 @@ class TestCompress:
             compress(b"abc", 40)
 
 
+def codec_decompress(blob: bytes) -> bytes:
+    """Oracle: the container parser, then the codec's decoder and
+    join_letters at every width, L = 1 included."""
+    header, letters, offset = container._parse(blob)
+    if letters.size == 0:
+        return b""
+    count = -(-header.original_bit_length // header.letter_bits)
+    decoded = codec.decode_packed(memoryview(blob)[offset:], letters, count)
+    return join_letters(decoded, header.letter_bits, header.original_bit_length)
+
+
+def result(fn, *args):
+    """A call's result, or the class and message of the TritcodeError it raised."""
+    try:
+        return fn(*args)
+    except TritcodeError as exc:
+        return type(exc), str(exc)
+
+
+# L = 1 inputs of one bit value, every single byte, and ties of ones and
+# zeros whose first bit is 0 and whose first bit is 1
+PLAIN_BIT_EDGES = ([b"\x00" * k for k in (1, 2, 9, 1000)] + [b"\xff" * k for k in (1, 3, 1000)]
+                   + [bytes([value]) for value in range(256)]
+                   + [tie * k for tie in (b"\x0f", b"\xf0", b"\x55", b"\xaa") for k in (1, 4)])
+
+
+class TestPlainBits:
+    """At L = 1 the container is the input up to one XOR, with the bytes of
+    pass one and the packer, and the codec's errors in the codec's order."""
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_edges_equal_model_and_encoder_composition(self, flag):
+        for data in PLAIN_BIT_EDGES:
+            blob = compress(data, 1, compress_alphabet=flag)
+            assert blob == composed(data, 1, flag), data
+            assert decompress(blob) == data
+
+    @given(st.integers(1, 3000), st.integers(0, 2**32), st.floats(0, 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_equal_model_and_encoder_composition(self, size, seed, ones, flag):
+        bits = np.random.default_rng(seed).random(8 * size) < ones
+        data = np.packbits(bits).tobytes()
+        blob = compress(data, 1, compress_alphabet=flag)
+        assert blob == composed(data, 1, flag)
+        assert decompress(blob) == data
+
+    def test_the_majority_bit_or_the_first_bit_is_rank_0(self):
+        for data, letters in ((b"\x0f" * 3, (0, 1)), (b"\xf0" * 3, (1, 0)),
+                              (b"\x07", (0, 1)), (b"\xf8", (1, 0)),
+                              (b"\x00" * 5, (0,)), (b"\xff" * 5, (1,))):
+            blob = compress(data, 1)
+            assert describe(blob).letters == letters
+            payload = blob[HEADER_SIZE + 4 + len(letters):]
+            assert payload == bytes(byte ^ 0xFF * letters[0] for byte in data)
+
+    def test_runs_no_codec_pass(self, monkeypatch):
+        for name in ("_encode", "_pack", "decode_packed"):
+            monkeypatch.setattr(codec, name, None)
+        for data in PLAIN_BIT_EDGES:
+            assert decompress(compress(data, 1)) == data
+
+    def test_mutations_fail_as_the_codec_route_does(self):
+        rng = random.Random(1)
+        start = HEADER_SIZE + 4
+        for data in PLAIN_BIT_EDGES[::7] + [b"\x00\x80", b"\xff\x7f", b"\x00" * 300]:
+            blob = compress(data, 1)
+            m = blob[HEADER_SIZE]
+            mutants = [blob[:cut] for cut in range(start + m, len(blob))]
+            mutants += [blob + tail for tail in (b"\x00", b"\x01", b"\x00\x00", b"\x80\x00\x00")]
+            for _ in range(20):  # payload bits set, which only two letters allow
+                buf = bytearray(blob)
+                buf[rng.randrange(start + m, len(buf))] |= 1 << rng.randrange(8)
+                mutants.append(bytes(buf))
+            for area in (b"\x01\x00", b"\x00\x01", b"\x00", b"\x01", b"\x02", b"\x00\x02",
+                         b"\x01\x01", b"\x00\x00", b"\x00\x01\x00"):
+                # alphabets swapped, widened, duplicated, or under a false m
+                for power in {m, len(area), 0, 3}:
+                    mutants.append(blob[:HEADER_SIZE] + struct.pack("<I", power) + area
+                                   + blob[start + m:])
+            for delta in (-16, -8, 8, 16):  # a false bit length
+                buf = bytearray(blob)
+                (nbits,) = struct.unpack_from("<Q", buf, 4)
+                struct.pack_into("<Q", buf, 4, max(nbits + delta, 0))
+                mutants.append(bytes(buf))
+            outcomes = set()
+            for mutant in mutants:
+                expected = result(codec_decompress, mutant)
+                assert result(decompress, mutant) == expected, (data, mutant)
+                outcomes.add(expected if isinstance(expected, tuple) else bytes)
+            assert (TruncatedDataError, "bit stream exhausted") in outcomes
+            if m == 1:
+                assert (CorruptedDataError,
+                        "single-letter stream contains a 1 bit") in outcomes
+            assert (CorruptedDataError,
+                    "8 bits of trailing data after the last codeword") in outcomes
+
+
 class TestRoundTrip:
     @given(st.binary(max_size=400), st.integers(min_value=1, max_value=20))
     @settings(max_examples=150, deadline=None)
@@ -364,7 +461,8 @@ class TestAlphabetCompression:
     @settings(max_examples=60, deadline=None)
     def test_narrow_alphabets_are_never_sized(self, data):
         # at L <= 8 the raw area is m distinct bytes and a nested container
-        # at least 21 + m, so the encoder runs no pass one over it
+        # at least 21 + m, so the encoder runs no pass one over it; at L = 1
+        # it runs none at all
         for width in range(1, 9):
             area = np.unique(split_letters(data, width)[0])
             assert len(compress(area.tobytes(), 8)) + 4 >= 21 + area.size
@@ -372,12 +470,13 @@ class TestAlphabetCompression:
             for width in range(1, 9):
                 assert (compress(data, width, compress_alphabet=True)
                         == compress(data, width))
-        assert ranked.call_count == 16
+        assert ranked.call_count == 14
 
     @pytest.mark.parametrize("width", [1, 8, 12, 16, 24, 32])
     def test_one_pass_one_per_container(self, width):
         # one per container, and one per nested alphabet that is sized,
-        # whether it is then packed or kept raw
+        # whether it is then packed or kept raw; none at L = 1, where the
+        # payload is the input up to one XOR
         rng = random.Random(width)
         text = "".join(rng.choice("etaoin shrdlu\n") for _ in range(20000)).encode()
         noise = bytes(rng.getrandbits(8) for _ in range(4000))
@@ -385,7 +484,8 @@ class TestAlphabetCompression:
             for flag in (False, True):
                 with mock.patch.object(codec, "_ranked", wraps=codec._ranked) as ranked:
                     blob = compress(data, width, compress_alphabet=flag)
-                assert ranked.call_count == (2 if flag and width > 8 else 1)
+                assert ranked.call_count == (0 if width == 1 else
+                                             2 if flag and width > 8 else 1)
                 assert parse_header(blob).alphabet_packed == (flag and wins)
                 assert blob == composed(data, width, flag)
 
@@ -602,8 +702,9 @@ class TestHostileContainers:
 
 
 def _duplicate_letter(blob: bytes, rng: random.Random) -> bytes:
-    """``blob`` with one alphabet letter copied over another; a packed
-    alphabet is recompressed around the duplicated letter bytes."""
+    """``blob`` with one alphabet letter copied over another, or a one-letter
+    alphabet with its letter twice; a packed alphabet is recompressed around
+    the duplicated letter bytes."""
     header = parse_header(blob)
     (m,) = struct.unpack_from("<I", blob, HEADER_SIZE)
     width = (header.letter_bits + 7) // 8
@@ -614,8 +715,12 @@ def _duplicate_letter(blob: bytes, rng: random.Random) -> bytes:
         tail = blob[start + 4 + nested_len:]
     else:
         area, tail = bytearray(blob[start:start + m * width]), blob[start + m * width:]
-    src, dst = rng.sample(range(m), 2)
-    area[dst * width:(dst + 1) * width] = area[src * width:(src + 1) * width]
+    if m == 1:  # a second copy of the one letter, under a power of 2
+        area *= 2
+        blob = blob[:HEADER_SIZE] + struct.pack("<I", 2) + blob[start:]
+    else:
+        src, dst = rng.sample(range(m), 2)
+        area[dst * width:(dst + 1) * width] = area[src * width:(src + 1) * width]
     if header.alphabet_packed:
         nested = compress(bytes(area), 8)
         area = struct.pack("<I", len(nested)) + nested
@@ -659,9 +764,14 @@ class TestMutationFuzz:
         rng = random.Random(2012)
         text = bytes(rng.choice(b"etaoin shrdlu\n") for _ in range(4000))
         noise = bytes(rng.getrandbits(8) for _ in range(400))
+        # two bytes at L = 8 and one 4-bit letter take the codec's plain-bit
+        # path, which L = 1 no longer reaches
+        two = bytes(rng.choice(b"\x00\xff") for _ in range(400))
         blobs = [compress(noise, 1), compress(text, 8), compress(noise, 16),
-                 compress(noise, 32), compress(text, 16, compress_alphabet=True)]
-        assert parse_header(blobs[-1]).alphabet_packed
+                 compress(noise, 32), compress(text, 16, compress_alphabet=True),
+                 compress(two, 8), compress(b"\x77" * 300, 4)]
+        assert parse_header(blobs[4]).alphabet_packed
+        assert [describe(blob).m for blob in blobs[-2:]] == [2, 1]
         return blobs
 
     def test_duplicate_letters_are_rejected(self, sources):
@@ -702,10 +812,11 @@ class TestDecompressMemory:
     output bytes."""
 
     @staticmethod
-    def container(width: int, size: int) -> tuple[bytes, bytes]:
+    def container(width: int, size: int, alphabet=None) -> tuple[bytes, bytes]:
         """A container of ``size`` bytes of random letters, and those bytes.
 
-        At L = 8 and 16 every letter value occurs; at L = 32 every letter is
+        The letters are drawn from ``alphabet`` if given. Else at L = 1, 8
+        and 16 every letter value occurs; at L = 32 every letter is
         distinct, so the alphabet is as large as the output. The container
         is assembled around codec.encode_packed under a model of that
         alphabet, as docs/format.md lays it out, which keeps the encoder's
@@ -713,23 +824,30 @@ class TestDecompressMemory:
         """
         rng = np.random.default_rng(size + width)
         count = size * 8 // width
-        if width == 32:
+        if alphabet is not None:
+            alphabet = np.array(alphabet, dtype=letter_dtype(width))
+            ranks0 = rng.integers(0, alphabet.size, count, dtype=np.int32)
+        elif width == 32:
             alphabet = rng.permutation(count).astype(np.uint32) * 2654435761
             ranks0 = rng.permutation(count)
         else:
             alphabet = rng.permutation(2**width).astype(letter_dtype(width))
-            ranks0 = rng.integers(0, alphabet.size, count, dtype=np.int32)
+            # L = 1 draws 64 Mi ranks for 8 MiB: a byte each
+            ranks0 = rng.integers(0, alphabet.size, count,
+                                  dtype=np.int32 if width > 1 else np.uint8)
         model = codec.Model(letters=tuple(alphabet.tolist()), counts=(1,) * alphabet.size,
                             code_set=code_set_for_alphabet(alphabet.size))
-        payload, _ = codec.encode_packed(alphabet[ranks0], model)
-        area = alphabet.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :width // 8]
+        letters = alphabet[ranks0]
+        payload, _ = codec.encode_packed(letters, model)
+        area = alphabet.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :(width + 7) // 8]
         blob = b"".join([serialize_header(Header(1, 0, width, size * 8)),
                          struct.pack("<I", alphabet.size), area.tobytes(), payload])
-        return blob, alphabet[ranks0].astype(f">u{width // 8}").tobytes()
+        data = np.packbits(letters) if width == 1 else letters.astype(f">u{width // 8}")
+        return blob, data.tobytes()
 
     @classmethod
-    def peak_per_output_byte(cls, width: int, size: int) -> float:
-        blob, data = cls.container(width, size)
+    def peak_per_output_byte(cls, width: int, size: int, alphabet=None) -> float:
+        blob, data = cls.container(width, size, alphabet)
         tracemalloc.start()
         try:
             restored = decompress(blob)
@@ -739,11 +857,22 @@ class TestDecompressMemory:
         assert restored == data
         return peak / size
 
-    @pytest.mark.parametrize("width", [8, 16, 32])
+    @pytest.mark.parametrize("width", [1, 8, 16, 32])
     def test_peak_is_bounded_and_flat(self, width):
+        # at L = 1 the output is the payload XORed with 0x00 or 0xFF, then
+        # its bytes: two per output byte
+        bound = 2.05 if width == 1 else 6
         small = self.peak_per_output_byte(width, 1 << 20)
         large = self.peak_per_output_byte(width, 8 << 20)
-        assert small <= 6 and large <= 6, (small, large)
+        assert small <= bound and large <= bound, (small, large)
+        assert large <= small + 0.25, (small, large)
+
+    def test_two_letters_at_l8(self):
+        # the codec's plain-bit path: one payload bit per byte letter, the
+        # letters and their bytes, and a window of unpacked bits
+        small = self.peak_per_output_byte(8, 1 << 20, (0xFF, 0x00))
+        large = self.peak_per_output_byte(8, 8 << 20, (0xFF, 0x00))
+        assert small <= 2.3 and large <= 2.3, (small, large)
         assert large <= small + 0.25, (small, large)
 
     def test_describe_decodes_the_payload_in_place(self):
@@ -768,8 +897,9 @@ class TestCompressMemory:
     """container.compress holds a bounded multiple of the input bytes."""
 
     @staticmethod
-    def peak_per_input_byte(width: int, size: int) -> float:
-        data = np.random.default_rng(size + width).bytes(size)
+    def peak_per_input_byte(width: int, size: int, data: bytes | None = None) -> float:
+        if data is None:
+            data = np.random.default_rng(size + width).bytes(size)
         tracemalloc.start()
         try:
             blob = compress(data, width)
@@ -784,11 +914,17 @@ class TestCompressMemory:
         # byte letters are counted a chunk at a time, not sorted, and packed
         # from a table of signature words by letter value: at L = 8 the
         # words buffer, the returned bytes and a fixed scratch; at L = 1 the
-        # unpacked bits, which are the letters, 8 per input byte, then the
-        # payload and the container, one each, as the bits pack a chunk at
-        # a time
-        bound = {1: 10.5, 8: 2.5}.get(width, 16)
+        # payload, the input XORed with 0x00 or 0xFF, and the container
+        bound = {1: 2.05, 8: 2.5}.get(width, 16)
         small = self.peak_per_input_byte(width, 1 << 20)
         large = self.peak_per_input_byte(width, 8 << 20)
         assert small <= bound and large <= bound, (small, large)
         assert large <= small + 0.25, (small, large)
+
+    def test_two_letters_at_l8(self):
+        # the codec's plain-bit path: byte letters are the input, counted a
+        # chunk at a time, and pack to one bit each
+        for size in (1 << 20, 8 << 20):
+            rng = np.random.default_rng(size)
+            data = np.where(rng.random(size) < 0.4, 0xFF, 0x00).astype(np.uint8).tobytes()
+            assert self.peak_per_input_byte(8, size, data) <= 0.55
