@@ -29,12 +29,12 @@ signature word each, ``value << 6 | length``. Byte letters index a table
 of those words by letter value, and 16-bit letters a table of their ranks,
 of the narrowest unsigned type that holds m - 1, which then index the
 words. Wider letters take their ranks through the sorted positions, each
-distinct letter's rank read where its first occurrence took it; the
-encoder ranks by a given model's letters alike. The counts and the lengths
-give the payload's bit count before encoding, so the payload is packed
-into one zeroed buffer of big-endian 64-bit words. Each chunk of letters
-gathers its words into one reused buffer, which one mask and one shift
-split into values and lengths.
+distinct letter's rank read where its first occurrence took it. One encoder
+takes its ranks from pass one or from a given model, then spreads and packs
+them alike. The counts and the lengths give the payload's bit count before
+encoding, so the payload is packed into one zeroed buffer of big-endian
+64-bit words. Each chunk of letters gathers its words into one reused
+buffer, which one mask and one shift split into values and lengths.
 A codeword of set n has at most 2n bits, so g = 2^floor(log2(64 / 2n))
 consecutive codewords fit one field of at most 64 bits: adjacent pairs fuse
 log2 g times, the left one shifted by the right one's length. The running
@@ -152,18 +152,36 @@ def build_model(letters) -> Model:
                  code_set=code_set_for_alphabet(alphabet.size))
 
 
-def _encode(letters) -> tuple[np.ndarray, int, tuple]:
-    """Pass one over ``letters``, stopped once the payload's size is known:
-    their ranked alphabet, in their dtype, the payload's exact bit count, and
-    the job that ``_pack(*job)`` packs into that payload. The alphabet is
-    ``build_model(letters).letters`` and the packed job
-    ``encode_packed(letters, build_model(letters))``."""
-    arr, alphabet, counts, firsts, spread = _ranked(letters)
-    m = alphabet.size
-    rank = np.arange(m, dtype=np.min_scalar_type(m - 1))
-    if spread is None or m <= 2:  # one or two letters pack the letters themselves
-        job = _indexed(arr, alphabet[0], m, alphabet, counts, rank, None)
-    else:
+def _encode(letters, model: Model | None = None) -> tuple[np.ndarray | None, int, tuple]:
+    """Pass two's setup, stopped once the payload's size is known: the ranked
+    alphabet in the letters' dtype (None under ``model``, which holds it),
+    the payload's exact bit count, and the job that ``_pack(*job)`` packs.
+    The ranks come from pass one over ``letters``, or from the model's
+    letters, a repeated one taking its lowest rank; one rank spread and one
+    :func:`_indexed` call follow either, so ``_encode(letters)`` gives
+    ``build_model(letters).letters`` and what ``encode_packed(letters,
+    build_model(letters))`` packs."""
+    if model is None:
+        arr, alphabet, counts, firsts, spread = _ranked(letters)
+        values, m, top = alphabet, alphabet.size, alphabet[0]
+        rank = np.arange(m, dtype=np.min_scalar_type(m - 1))
+    else:  # the model holds the alphabet: none is returned, nor held while ranking
+        arr, alphabet, known = _letter_array(letters), None, _letter_array(model.letters)
+        if known.size == 0:
+            raise ValueError("model has no letters")
+        m, top = known.size, known[0]
+        # a letter the model repeats takes its lowest rank, the first in a stable sort
+        known, lowest, _, _ = _distinct(known.astype(np.int64, copy=False))
+        values, firsts, counts, perm = _distinct(arr)
+        pos = np.minimum(np.searchsorted(known, values), known.size - 1)
+        absent = known[pos] != values
+        if absent.any():
+            raise ValueError(f"letter {int(values[absent][0])} absent from model")
+        rank = lowest[pos].astype(np.min_scalar_type(m - 1))
+        del known, lowest, pos, absent
+        spread = None if perm is None else (perm, firsts, counts)
+    ranks = None  # one or two letters pack the letters themselves
+    if spread is not None and m > 2:
         perm, first, grouped = spread  # by ascending value
         del spread  # each m-sized array goes once spent: the packer needs none
         # each value's rank, read where its first occurrence got its rank
@@ -173,15 +191,19 @@ def _encode(letters) -> tuple[np.ndarray, int, tuple]:
         del firsts
         ranks[perm] = np.repeat(ranks[first], grouped)
         del perm, first, grouped
-        job = _indexed(arr, alphabet[0], m, None, counts, rank, ranks)
+    job = _indexed(arr, top, m, values, counts, rank, ranks)
     return alphabet, job[2], job
 
 
 def _letter_array(letters) -> np.ndarray:
-    """``letters`` as an array: uint8, uint16 and uint32 arrays keep their
-    width, in native byte order, and other integer or bool input becomes
-    int64. Anything else, and letters beyond int64, raise ValueError."""
+    """``letters`` as a one-dimensional array: uint8, uint16 and uint32
+    arrays keep their width, in native byte order, and other integer or
+    bool input becomes int64. Anything else, letters beyond int64 and input
+    of any other shape raise ValueError. Every letter array the codec takes,
+    input, model letters or decoder alphabet, enters through here."""
     arr = np.asarray(letters)
+    if arr.ndim != 1:
+        raise ValueError("letters must be a one-dimensional sequence")
     kind = arr.dtype.kind
     if kind == "u" and arr.dtype.itemsize <= 4:
         return arr.astype(arr.dtype.newbyteorder("="), copy=False)
@@ -249,10 +271,10 @@ def _first_seen(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _distinct(arr: np.ndarray) -> tuple[
         np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """The distinct values of a nonempty letter array, in ascending order and
-    in the letters' dtype, the position of each one's first occurrence, each
-    one's count, and, for letters wider than 16 bits, their positions in
-    sorted order (else None).
+    """The distinct values of a nonempty letter array, for pass one or for
+    a lookup in a model, in ascending order and in the letters' dtype, the
+    position of each one's first occurrence, each one's count, and, for
+    letters wider than 16 bits, their positions in sorted order (else None).
 
     Byte letters are counted by one bincount per chunk, with no sort, and
     return no first occurrences: :func:`_first_seen` finds them. uint32
@@ -294,34 +316,17 @@ def _keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 def encode_packed(letters, model: Model) -> tuple[bytes, int]:
-    """Encode to packed bytes; returns (payload, exact bit count).
-
-    The payload is the concatenated bit signatures in input order, MSB-first
-    within bytes, zero-padded on the right to a byte boundary.
-    """
+    """Encode to packed bytes; returns (payload, exact bit count): the job
+    that :func:`_encode` builds under ``model``, packed. The payload is the
+    concatenated bit signatures in input order, MSB-first within bytes,
+    zero-padded on the right to a byte boundary."""
     arr = _letter_array(letters)
     if arr.size == 0:
         return b"", 0
-    # a letter the model repeats takes its lowest rank, the first in a stable sort
-    known, lowest, _, _ = _distinct(np.asarray(model.letters, dtype=np.int64))
-    values, _, counts, perm = _distinct(arr)
-    pos = np.minimum(np.searchsorted(known, values), known.size - 1)
-    absent = known[pos] != values
-    if absent.any():
-        raise ValueError(f"letter {int(values[absent][0])} absent from model")
-    rank = lowest[pos].astype(np.min_scalar_type(model.m - 1))
-    del known, lowest, pos, absent
-    ranks = None
-    if perm is not None and model.m > 2:
-        ranks = np.empty(arr.size, dtype=rank.dtype)
-        ranks[perm] = np.repeat(rank, counts)
-        del perm
-    job = _indexed(arr, model.letters[0], model.m, values, counts, rank, ranks)
-    del values, counts, rank  # m-sized: freed before packing
-    return _pack(*job)
+    return _pack(*_encode(arr, model)[2])
 
 
-def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray | None,
+def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
              counts: np.ndarray, rank: np.ndarray, ranks: np.ndarray | None
              ) -> tuple[np.ndarray, tuple[np.ndarray, ...], int, int]:
     """What :func:`_pack` takes for the letters ``arr`` under an alphabet of
@@ -500,13 +505,13 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
         raise ValueError("bit_length must be non-negative")
     elif bit_length > len(payload) * 8:
         raise ValueError("bit_length exceeds buffer size")
-    m = len(alphabet)
+    alphabet = _letter_array(alphabet)
+    m = alphabet.size
     if m == 0:
         raise ValueError("alphabet must not be empty")
     if letter_count < 0:
         raise ValueError("letter count must be non-negative")
     buf = np.frombuffer(payload, dtype=np.uint8)
-    alphabet = _letter_array(alphabet)
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
         if letter_count > bit_length:

@@ -221,8 +221,8 @@ def compress(data: bytes, letter_bits: int = 8, *,
     return _container(letter_bits, flags, nbits, alphabet.size, area, payload)
 
 
-# The number of one bits in each byte value.
-_ONES = np.array([bin(value).count("1") for value in range(256)], dtype=np.intp)
+# L = 1 unpacks this many input bytes at a time to count their one bits.
+_BITS_CHUNK = 1 << 16
 
 
 def _compress_bits(data: bytes) -> bytes:
@@ -235,8 +235,8 @@ def _compress_bits(data: bytes) -> bytes:
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     nbits = 8 * buf.size
-    values, _, counts, _ = codec._distinct(buf)  # byte counts, a chunk at a time
-    ones = int(counts @ _ONES[values])
+    ones = sum(int(np.count_nonzero(np.unpackbits(buf[start:start + _BITS_CHUNK])))
+               for start in range(0, buf.size, _BITS_CHUNK))
     top = int(buf[0] >> 7) if 2 * ones == nbits else int(2 * ones > nbits)
     alphabet = bytes([top, 1 - top][:1 + (0 < ones < nbits)])
     return _container(1, 0, nbits, len(alphabet), alphabet, buf ^ np.uint8(0xFF * top))

@@ -520,6 +520,90 @@ class TestByteCounting:
         assert payload == oracle_packed(model, arr)
 
 
+def model_of(letters):
+    """A hand-built model of ``letters`` in the order given, each counted once."""
+    return codec.Model(letters=tuple(letters), counts=(1,) * len(letters),
+                       code_set=code_set_for_alphabet(len(letters)))
+
+
+def identity_inputs():
+    """Text, random and run-heavy bytes, about 2 KiB each."""
+    rng = np.random.default_rng(26)
+    text = bytes(rng.choice(list(b"etaoin shrdlu\n"), 2000))
+    runs = np.repeat(rng.integers(0, 256, 40, dtype=np.uint8), rng.integers(1, 100, 40))
+    return {"text": text, "random": rng.bytes(2000), "runs": runs.tobytes()}
+
+
+class TestOneEncoder:
+    """``_encode`` builds the job under pass one's ranks or under a model's:
+    the alphabet it returns is build_model's, and its packed job is
+    encode_packed's under that model."""
+
+    @pytest.mark.parametrize("kind", ["text", "random", "runs"])
+    def test_pass_one_equals_its_model(self, kind):
+        data = identity_inputs()[kind]
+        for width in range(1, 33):
+            letters, _ = split_letters(data, width)
+            model = build_model(letters)
+            alphabet, nbits, job = codec._encode(letters)
+            assert alphabet.tolist() == list(model.letters), width
+            assert codec._pack(*job) == encode_packed(letters, model), width
+            assert nbits == payload_size(model), width
+
+    @pytest.mark.parametrize("dtype, values", [
+        (np.uint32, [7]), (np.uint32, [2**32 - 1, 5]),
+        (np.int64, [2**32 + 3]), (np.int64, [2**40, 9]), (np.int64, [2**32 - 1, 2**32])])
+    def test_few_wide_letters_under_a_larger_model(self, dtype, values, monkeypatch):
+        # the data alone would pack its letters themselves, but under a model
+        # of three or more letters the ranks of wide letters are spread
+        arr = np.random.default_rng(len(values)).choice(np.array(values, dtype=dtype), 501)
+        calls = pack_calls(monkeypatch)
+        for head in ([1, 2], [2**33, 1, 0, 6, 8, 10, 11, 12, 13, 14]):
+            model = model_of(head + values[::-1])
+            assert encode_packed(arr, model) == oracle_packed(model, arr)
+            index, _ = calls.pop()
+            assert index.dtype == np.min_scalar_type(model.m - 1) and index.size == arr.size
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    def test_model_ranked_otherwise_than_the_data(self, dtype):
+        rng = np.random.default_rng(7)
+        pool = rng.choice(2**8 if dtype == np.uint8 else 2**16, 60, replace=False)
+        if dtype == np.int64:
+            pool = pool * 2**24 + 3
+        arr = rng.choice(pool, 3000, p=np.arange(1, 61) / 1830).astype(dtype)
+        ranked = build_model(arr).letters
+        for letters in (ranked[::-1], tuple(rng.permutation(ranked).tolist()),
+                        ranked[1:] + ranked[:1]):
+            model = model_of(letters)
+            assert encode_packed(arr, model) == oracle_packed(model, arr)
+
+
+class TestLetterArrays:
+    """Input letters, a model's letters and a decoder's alphabet all enter
+    the codec as one-dimensional integer arrays within int64, or raise."""
+
+    one_dimensional = "^letters must be a one-dimensional sequence$"
+    within_int64 = "^letters must be integers that fit in int64$"
+
+    @pytest.mark.parametrize("fn, args, message", [
+        (build_model, (5,), one_dimensional),
+        (build_model, ([[1, 2], [3, 4]],), one_dimensional),
+        (encode_packed, ([[1, 2], [3, 4]], model_of((1, 2, 3, 4))), one_dimensional),
+        (encode_packed, ([1, 2], model_of(((1, 2), (3, 4)))), one_dimensional),
+        (encode_packed, ([1, 1], codec.Model((1.9, 1), (1, 1), Degenerate(2))), within_int64),
+        (encode_packed, ([1, 1], model_of((1, 2**70, 3))), within_int64),
+        (encode_packed, ([1, 1], codec.Model((), (), Degenerate(0))),
+         "^model has no letters$"),
+        (decode_packed, (b"\x00", np.array([[1, 2], [3, 4]]), 1), one_dimensional),
+        (decode_packed, (b"\x00", np.array(5), 1), one_dimensional),
+    ], ids=["model-of-scalar", "model-of-2d", "encode-2d", "encode-2d-model",
+            "encode-float-model", "encode-wide-model", "encode-empty-model",
+            "decode-2d-alphabet", "decode-scalar-alphabet"])
+    def test_rejected(self, fn, args, message):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
+
 class TestEncode:
     def test_worked_example_bits(self):
         model = build_model(SAMPLE_LETTERS)
@@ -555,15 +639,17 @@ class TestEncode:
     @pytest.mark.parametrize("known", [(5, 9, 5, 7), (1, 1), (4, 4, 4), (2, 3, 2, 3, 8)])
     def test_model_that_repeats_a_letter(self, known):
         # a hand-built model may list a letter twice: it takes its first rank,
-        # and the payload is sized by the ranks taken
-        model = codec.Model(letters=known, counts=(1,) * len(known),
-                            code_set=code_set_for_alphabet(len(known)))
+        # and the payload is sized by the ranks taken; wide letters take
+        # their ranks by the spread, the narrower ones by a table
+        model = model_of(known)
         letters = [v for v in known for _ in range(3)][::-1]
         codes = (["0", "1"] if len(known) == 2 else
                  [c.bits for c in generate_codes(model.code_set.n, model.m)])
         expected = "".join(codes[known.index(v)] for v in letters)
-        assert encode_packed(np.array(letters, dtype=np.uint16), model) == (
-            pack01(expected), len(expected))
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+            arr = np.array(letters, dtype=dtype)
+            assert encode_packed(arr, model) == oracle_packed(model, arr) == (
+                pack01(expected), len(expected))
 
     def test_empty_input_encodes_to_nothing(self):
         model = build_model(SAMPLE_LETTERS)
@@ -1029,6 +1115,28 @@ class TestDecoderMemory:
             tracemalloc.stop()
         assert letters.size == 1 << 17 and not letters.any()
         assert peak - letters.nbytes <= 2.5 * (1 << 20), peak
+
+
+class TestEncoderMemory:
+    @pytest.mark.parametrize("width, bound", [(16, 9.65), (32, 16.3)])
+    def test_peak_under_its_own_model(self, width, bound):
+        # random letters under their own model, as a caller that builds the
+        # model first encodes them: bounded at the measured peaks, reached
+        # while the letters' distinct values are found
+        peaks = []
+        for size in (1 << 20, 8 << 20):
+            letters, _ = split_letters(np.random.default_rng(size + width).bytes(size), width)
+            model = build_model(letters)
+            tracemalloc.start()
+            try:
+                _, nbits = encode_packed(letters, model)
+                peaks.append(tracemalloc.get_traced_memory()[1] / size)
+            finally:
+                tracemalloc.stop()
+            assert nbits == payload_size(model)
+        small, large = peaks
+        assert small <= bound and large <= bound, peaks
+        assert large <= small + 0.25, peaks
 
 
 def _mutate(payload: bytes, data) -> tuple[bytes, int | None]:
