@@ -38,10 +38,13 @@ buffer, which one mask and one shift split into values and lengths.
 A codeword of set n has at most 2n bits, so g = 2^floor(log2(64 / 2n))
 consecutive codewords fit one field of at most 64 bits: adjacent pairs fuse
 log2 g times, the left one shifted by the right one's length. The running
-sum of field lengths gives each field's bit offset: fields that end in the
-same word are ORed into it together, and a field that began in the word
-before ORs its high bits into that one. Chunks of whole fields, about a
-fixed number of trits each, bound the scratch memory.
+sum of field lengths gives each field's last bit. A field that began in the
+word before spills its high bits into the word where the field before it
+ends, so they join that field's bits; as a field has at most 64 bits, every
+word from the chunk's first field end to its last receives one, and one
+reduceat ORs the fields that end in each word into one slice of words.
+Chunks of whole fields, about a fixed number of trits each, bound the
+scratch memory.
 
 Decoding needs no code tree and no codeword table search. A trit is 0, 10
 or 11: a 1 that opens a trit takes the next bit as its second, as a
@@ -101,7 +104,6 @@ _CHUNK_TRITS = 1 << 16
 # promotes a uint64 array combined with a Python int to float64.
 _LENGTH_BITS = np.uint64(SIGNATURE_LENGTH_BITS)
 _LENGTH_MASK = np.uint64((1 << SIGNATURE_LENGTH_BITS) - 1)
-_WORD = np.uint64(64)
 _ONE = np.uint64(1)
 _TOP_BIT = np.uint64(63)
 _ODD_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
@@ -369,8 +371,11 @@ def _pack(index: np.ndarray, tables: tuple[np.ndarray, ...], nbits: int,
     whether it differs from that letter, a chunk of letters at a time.
 
     Each chunk of g-codeword fields gathers its words into one buffer,
-    reused from chunk to chunk, and :func:`_fuse` and :func:`_place` OR
-    them into one zeroed buffer of ``nbits`` bits.
+    reused from chunk to chunk, :func:`_fuse` fuses them into fields, and
+    :func:`_place` ORs those into one zeroed buffer of ``nbits`` bits in one
+    pass. Codewords that do not end at bit ``nbits``, the counts
+    disagreeing with the ranks, raise ValueError, before any word past the
+    buffer is written.
     """
     if not n:
         (first,) = tables
@@ -422,26 +427,36 @@ def _fuse(words: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _place(words: np.ndarray, start: int, field: np.ndarray,
            size: np.ndarray) -> int:
-    """OR the uint64 fields ``field`` of bit lengths ``size`` (uint64, at
-    most 64 each) into the 64-bit ``words`` of a big-endian bit stream, from
-    bit ``start`` on; returns the bit where they end.
+    """OR the uint64 fields ``field`` of bit lengths ``size`` (uint64, 1 to
+    64 each) into the 64-bit ``words`` of a big-endian bit stream, from bit
+    ``start`` on; returns the bit where they end. Neither argument array
+    changes, and fields that would end past ``words`` raise ValueError
+    before any word is written.
 
-    The running sum of field lengths gives the end of each field: fields
-    that end in the same word are ORed into it together, and a field that
-    began in the word before ORs its high bits into that one.
+    The running sum of field lengths gives each field's last bit b within
+    its word, and ``field << 63 - b`` its bits there. A field that began in
+    the word before spills ``(field >> 1) >> b`` into the word where the
+    field before it ends, so that spill joins that field's bits. As no field
+    is longer than 64 bits, every word from the first field's last word to
+    the last field's holds a field end, and one reduceat over the fields
+    that open a word ORs into one slice; only the first field's spill goes
+    to the word before it.
     """
-    end = np.cumsum(size, dtype=np.int64)
-    end += start
-    word = (end - 1) >> 6
-    shift = (-end & 63).astype(np.uint64)  # from the field's last bit to the word's last bit
-    opens = np.empty(word.size, dtype=bool)
+    last = np.cumsum(size)
+    last += np.uint64(start + 63)
+    stop = int(last[-1]) - 63
+    if stop > words.size << 6:
+        raise ValueError(f"codewords end at bit {stop}, past the buffer's {words.size << 6} bits")
+    last &= _TOP_BIT  # each field's last bit within its word
+    spill = (field >> _ONE) >> last
+    placed = field << (last ^ _TOP_BIT)
+    placed[:-1] |= spill[1:]
+    opens = last < size  # the field before ends in an earlier word
     opens[0] = True
-    np.not_equal(word[1:], word[:-1], out=opens[1:])
-    opens = np.flatnonzero(opens)
-    words[word[opens]] |= np.bitwise_or.reduceat(field << shift, opens)
-    spill = np.flatnonzero(size + shift > _WORD)
-    words[word[spill] - 1] |= field[spill] >> (_WORD - shift[spill])
-    return int(end[-1])
+    first = (start + int(size[0]) - 1) >> 6
+    words[first - 1] |= spill[0]  # at first = 0 the first field spills no bit
+    words[first:(stop + 63) >> 6] |= np.bitwise_or.reduceat(placed, np.flatnonzero(opens))
+    return stop
 
 
 def encode(letters, model: Model) -> str:

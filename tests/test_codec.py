@@ -209,9 +209,10 @@ def fields(bit_strings):
 
 def head_words(bits, nbits):
     """A buffer of 64-bit words for a stream of ``nbits`` bits, zeroed but
-    for a first word that holds ``bits`` (at most 64) at its top."""
+    for the stream's first bits, ``bits``."""
     words = np.zeros(-(-nbits // 64), dtype=np.uint64)
-    words[0] = int(bits.ljust(64, "0"), 2)
+    for i in range(0, len(bits), 64):
+        words[i >> 6] = int(bits[i:i + 64].ljust(64, "0"), 2)
     return words
 
 
@@ -745,6 +746,37 @@ class TestArrayEncoder:
         assert codec._place(words, middle, values[cut:], lengths[cut:]) == len(expected)
         assert word_bits(words, len(expected)) == expected
 
+    @given(st.lists(st.one_of(
+               st.integers(1, 64).map(lambda w: [w]),
+               # runs of 64-bit fields end on word boundaries, runs of 1 fill a word
+               st.tuples(st.sampled_from([1, 64]), st.integers(2, 70)).map(
+                   lambda run: [run[0]] * run[1])), min_size=1, max_size=40),
+           st.integers(0, 191), st.lists(st.integers(1, 10**6), max_size=3),
+           st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_calls_in_turn_match_string_join(self, runs, start, cuts, seed):
+        sizes = [w for run in runs for w in run]
+        rng = random.Random(seed)
+        head = format(rng.getrandbits(start), "b").zfill(start) if start else ""
+        bit_strings = [format(rng.getrandbits(w), "b").zfill(w) for w in sizes]
+        values, lengths = fields(bit_strings)
+        kept = values.copy(), lengths.copy()
+        expected = head + "".join(bit_strings)
+        # 1 to 4 calls on one buffer, each of at least one field
+        bounds = sorted({0, len(sizes), *(cut % len(sizes) or 1 for cut in cuts)})
+        words = head_words(head, len(expected))
+        end = start
+        for a, b in zip(bounds, bounds[1:]):
+            end = codec._place(words, end, values[a:b], lengths[a:b])
+            assert end == start + sum(sizes[:b])
+        assert word_bits(words, len(expected)) == expected
+        # a buffer a word too short raises before a word is written
+        short = np.zeros((len(expected) - 1) // 64, dtype=np.uint64)
+        with pytest.raises(ValueError, match="^codewords end at bit "):
+            codec._place(short, start, values, lengths)
+        assert not short.any()
+        assert np.array_equal(values, kept[0]) and np.array_equal(lengths, kept[1])
+
     def test_fused_fields_match_string_join(self):
         rng = random.Random(3)
         for g in (1, 2, 4, 32):
@@ -797,9 +829,9 @@ class TestArrayEncoder:
         for value, change in [(0, 1), (39, 1), (0, -1), (39, -1), (3, 700), (3, -counts[3])]:
             wrong = counts.copy()
             wrong[value] += change
-            # too few counted bits may also run the codewords past the last word
-            with pytest.raises(ValueError if change > 0 else (ValueError, IndexError),
-                               match="^codewords end at bit |out of bounds"):
+            # too few counted bits may also run the codewords past the last
+            # word: _place raises before it writes there
+            with pytest.raises(ValueError, match="^codewords end at bit "):
                 pack(wrong)
 
 
@@ -1137,6 +1169,35 @@ class TestEncoderMemory:
         small, large = peaks
         assert small <= bound and large <= bound, peaks
         assert large <= small + 0.25, peaks
+
+    @staticmethod
+    def pack_scratch(letters, n):
+        """Peak traced bytes of packing ``letters`` of code set ``n``, beyond
+        the payload's words and the bytes that _pack returns."""
+        _, nbits, job = codec._encode(letters)
+        assert job[3] == n
+        tracemalloc.start()
+        try:
+            payload, _ = codec._pack(*job)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(payload) == (nbits + 7) >> 3
+        return peak - ((nbits + 63) >> 6) * 8 - len(payload)
+
+    @pytest.mark.parametrize("n, dtype, m", [
+        (3, np.uint8, 27), (4, np.uint8, 81), (6, np.uint8, 256),
+        (10, np.uint16, 3**10),  # 16-bit letters: ranks by value, then words
+    ])
+    def test_pack_scratch_does_not_grow_with_input(self, n, dtype, m):
+        # the packer's scratch is a chunk of fields, whatever the input size
+        scratch = []
+        for size in (1 << 20, 8 << 20):
+            rng = np.random.default_rng(size + n)
+            letters = rng.integers(0, m, size // np.dtype(dtype).itemsize).astype(dtype)
+            scratch.append(self.pack_scratch(letters, n))
+        before, after = scratch
+        assert after <= before + (64 << 10), scratch
 
 
 def _mutate(payload: bytes, data) -> tuple[bytes, int | None]:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 import tracemalloc
@@ -462,6 +463,99 @@ class TestRoundTrip:
             data = bytes(rng.getrandbits(8) for _ in range(rng.randint(1, 200)))
             info = describe(compress(data, rng.randint(1, 16)))
             assert 0 <= info.padding_bits <= 7
+
+
+class TestGoldenContainers:
+    """Container v1 byte for byte: the SHA-256 of each container of three
+    64 KiB inputs drawn from random.Random, whose draws, unlike numpy's
+    default_rng, do not change with the numpy version. At L = 8 the packer
+    runs several chunks, and at L = 12 to 32 the word text's compressed
+    alphabet is a nested container."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self) -> dict[str, bytes]:
+        size = 64 << 10
+        rng = random.Random(2701)
+        noise = rng.randbytes(size)
+        words = [bytes(rng.choice(b"etaoinshrdlucmfw") for _ in range(rng.randint(1, 9)))
+                 for _ in range(400)]
+        text = bytearray()
+        while len(text) < size:
+            text += rng.choice(words) + b" "
+        runs = bytearray()
+        while len(runs) < size:
+            runs += bytes([rng.getrandbits(8)]) * rng.randint(1, 300)
+        return {"random": noise, "words": bytes(text[:size]), "runs": bytes(runs[:size])}
+
+    DIGESTS = {
+    ("random", 1, False): "135dc293106aeb9dca2099c0657eab24caa3c6375d230f855fc7640a617a16b2",
+    ("random", 1, True): "135dc293106aeb9dca2099c0657eab24caa3c6375d230f855fc7640a617a16b2",
+    ("random", 2, False): "64b243293dfb100480e760cdb9b485faf0b41c5a0268f28b0419492ec98fddfc",
+    ("random", 2, True): "64b243293dfb100480e760cdb9b485faf0b41c5a0268f28b0419492ec98fddfc",
+    ("random", 3, False): "ce585fbefc784ec937f084580d4107a4bc6e40ca88a4b547ded8240fcb85b1a0",
+    ("random", 3, True): "ce585fbefc784ec937f084580d4107a4bc6e40ca88a4b547ded8240fcb85b1a0",
+    ("random", 5, False): "be5927306f837143e905e26991d2bcdb8172ecead0cfc1982492d85002308dfe",
+    ("random", 5, True): "be5927306f837143e905e26991d2bcdb8172ecead0cfc1982492d85002308dfe",
+    ("random", 8, False): "dfe15d96651447fc3a31bdda1df12a672343db70a8fd3db821e0a081cd911a9d",
+    ("random", 8, True): "dfe15d96651447fc3a31bdda1df12a672343db70a8fd3db821e0a081cd911a9d",
+    ("random", 12, False): "039359cfad431c9be57c245bf02718e76869356bfb78503c245152d83842db53",
+    ("random", 12, True): "039359cfad431c9be57c245bf02718e76869356bfb78503c245152d83842db53",
+    ("random", 16, False): "4d46ab4cd8d619851c9e49fdc29ab744ba0edadc61a2cb019bbe8a7266f4d246",
+    ("random", 16, True): "4d46ab4cd8d619851c9e49fdc29ab744ba0edadc61a2cb019bbe8a7266f4d246",
+    ("random", 24, False): "ca7302339998ecb328957775ac74ceee09588daa7e6fa42bd824ef3ef964c06b",
+    ("random", 24, True): "ca7302339998ecb328957775ac74ceee09588daa7e6fa42bd824ef3ef964c06b",
+    ("random", 31, False): "74b59594b160551fa68ca5d91cd1e742e14ccaaae86a4d17dc7b546dd865cd1a",
+    ("random", 31, True): "74b59594b160551fa68ca5d91cd1e742e14ccaaae86a4d17dc7b546dd865cd1a",
+    ("random", 32, False): "0ba8c25c23b28f15918e6b8b24a8058653c78167742f091b1db0bf2853057c95",
+    ("random", 32, True): "0ba8c25c23b28f15918e6b8b24a8058653c78167742f091b1db0bf2853057c95",
+    ("words", 1, False): "b1fd8f94a97487e517f0d6056d858b56f141b12186e88317b4dd6d000c84e14b",
+    ("words", 1, True): "b1fd8f94a97487e517f0d6056d858b56f141b12186e88317b4dd6d000c84e14b",
+    ("words", 2, False): "88ec60afd6e7499bd3c4c2ffc8687c32ac14e8ac7fa134f54fe5f3fe86be4a8f",
+    ("words", 2, True): "88ec60afd6e7499bd3c4c2ffc8687c32ac14e8ac7fa134f54fe5f3fe86be4a8f",
+    ("words", 3, False): "f4b7da4158715357abc68358c80d5eb7dbad81bd7f6e57a772fbdf5999f60bfe",
+    ("words", 3, True): "f4b7da4158715357abc68358c80d5eb7dbad81bd7f6e57a772fbdf5999f60bfe",
+    ("words", 5, False): "05265453dd36b1776adb3e95fdeb78d52d6d40145cfe4cadc830bd965d715b9d",
+    ("words", 5, True): "05265453dd36b1776adb3e95fdeb78d52d6d40145cfe4cadc830bd965d715b9d",
+    ("words", 8, False): "24f1cf67ef76d2eb4ff6ef2d6a8829f50a72eb8c74e608efcee365e1557b6516",
+    ("words", 8, True): "24f1cf67ef76d2eb4ff6ef2d6a8829f50a72eb8c74e608efcee365e1557b6516",
+    ("words", 12, False): "8830e221bb95fd28dd02d8544455af212896bbf3879956dc2b20d41cf42300ec",
+    ("words", 12, True): "883023e3bdc0f1c04f451d7f6f931c5e9d21be00e1f3054bb1309d1f74bb61fe",
+    ("words", 16, False): "d342e5be21d32fded9f9c0c2a92827b596f434186b32c8f478ddd47343791432",
+    ("words", 16, True): "ca38a4c2c10bc3ae13a15e88a27590f3a56792c5238ee2c637b5af87c44d0d35",
+    ("words", 24, False): "9aa4512d9013798cfd8dd811bf9e92fdf573a70f9b0d12ff7fa80d3e731b6dfc",
+    ("words", 24, True): "d8c3d7b0db8054b84af01f53bdec7433cbfd3c643e4767ca7369ba8f331ea0b2",
+    ("words", 31, False): "7e47bcba9d72248a6cddf84f279d2cb3c31a4386087e1c51ac2428d9480cd140",
+    ("words", 31, True): "ac84fbd8629ffa148f0730fe96806123792129e85c156bd3cfc4c27560a796f9",
+    ("words", 32, False): "4eb5d9f1241e11056d1b07167433f45ac5617a14e48f0b106f6e73b56eeda772",
+    ("words", 32, True): "55a4c5f7b7506382236606910fbe2479a7be8272742772fd71f7c1e4971b56dc",
+    ("runs", 1, False): "4f7e9ace65ccefc83bc4d7dc8851bf8f10c989245dc6389750984a8843833bb7",
+    ("runs", 1, True): "4f7e9ace65ccefc83bc4d7dc8851bf8f10c989245dc6389750984a8843833bb7",
+    ("runs", 2, False): "c4d59a72f869d1cd6cf159c46eba4feee8fcfc6c0c4b7f1647649f588ed72c59",
+    ("runs", 2, True): "c4d59a72f869d1cd6cf159c46eba4feee8fcfc6c0c4b7f1647649f588ed72c59",
+    ("runs", 3, False): "3e323b61fdd9ba2a6e49927b110bf0ce11386a1e05c7acb926dff0547ce60047",
+    ("runs", 3, True): "3e323b61fdd9ba2a6e49927b110bf0ce11386a1e05c7acb926dff0547ce60047",
+    ("runs", 5, False): "fd458c1f6bff76d0d35fd121a5c73e25424b8d776ee2b7a2b51868f713434d5f",
+    ("runs", 5, True): "fd458c1f6bff76d0d35fd121a5c73e25424b8d776ee2b7a2b51868f713434d5f",
+    ("runs", 8, False): "82a0f91a904b228cbe071f30ee82189822d1091cbf4a55eea5fdc35566413425",
+    ("runs", 8, True): "82a0f91a904b228cbe071f30ee82189822d1091cbf4a55eea5fdc35566413425",
+    ("runs", 12, False): "01b772d144691875bc1c31bd3e100eccf6c23b00807e60038097cbe08342cee3",
+    ("runs", 12, True): "01b772d144691875bc1c31bd3e100eccf6c23b00807e60038097cbe08342cee3",
+    ("runs", 16, False): "d5b52edc7d6d2e34df81c022d4096aa9a3ed26d2f5b3146041dbe7ba4eeed367",
+    ("runs", 16, True): "d5b52edc7d6d2e34df81c022d4096aa9a3ed26d2f5b3146041dbe7ba4eeed367",
+    ("runs", 24, False): "d149724b634df6ee438ffc6c23cdb3d9118541aa581833669ef1bca11d12cd9f",
+    ("runs", 24, True): "d149724b634df6ee438ffc6c23cdb3d9118541aa581833669ef1bca11d12cd9f",
+    ("runs", 31, False): "8ecaecb11c59a6f7ce68ff5edb0f44bd1bcd8af4cd030d76cc2afbfebc77a87f",
+    ("runs", 31, True): "8ecaecb11c59a6f7ce68ff5edb0f44bd1bcd8af4cd030d76cc2afbfebc77a87f",
+    ("runs", 32, False): "b148aaeb75b1b06d472841d3c6edc3f5706383bf60d490984c1081bc9c6a0509",
+    ("runs", 32, True): "b148aaeb75b1b06d472841d3c6edc3f5706383bf60d490984c1081bc9c6a0509",
+    }
+
+    @pytest.mark.parametrize("kind, width, packed", list(DIGESTS))
+    def test_sha256(self, inputs, kind, width, packed):
+        data = inputs[kind]
+        blob = compress(data, width, compress_alphabet=packed)
+        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[kind, width, packed]
+        assert decompress(blob) == data
 
 
 class TestAlphabetCompression:
