@@ -30,7 +30,8 @@ def _parse_range(text: str) -> range:
     try:
         return range(int(lo), int(hi) + 1)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"the bounds of a..b must be integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -65,7 +65,12 @@ unpacking only the payload bytes it covers, bound the scratch memory.
 One- and two-letter alphabets bypass the ternary scheme: with two letters
 each letter is its rank bit, with one letter every occurrence is a '0' bit
 (costing a bit per letter, but keeping the stream self-delimiting); either
-way a letter's bit says whether it differs from the letter of rank 0.
+way a letter's bit says whether it differs from the letter of rank 0. Such a
+payload takes exactly one bit per letter, so :func:`_check_end`, which ends
+every decode, checks its packed bytes before any letter is taken: enough
+bits for the letters, no 1 bit under one letter, and fewer than eight
+trailing bits, all zero. A reader of plain bits needs no more than that
+check, and none of the decoder.
 """
 
 from __future__ import annotations
@@ -509,7 +514,8 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
 
     Errors come in stream order: an index beyond the alphabet (reported with
     its 1-based letter position), the stream ending before the last
-    codeword, then eight or more trailing bits or a nonzero padding bit.
+    codeword, a 1 bit under a one-letter alphabet, then eight or more
+    trailing bits or a nonzero padding bit.
     The letters are bounded by the payload, not by ``letter_count``, and
     scratch memory by the window size: each window unpacks only the payload
     bytes it covers.
@@ -528,29 +534,40 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
         raise ValueError("letter count must be non-negative")
     buf = np.frombuffer(payload, dtype=np.uint8)
     cs = code_set_for_alphabet(m)
-    if isinstance(cs, Degenerate):
-        if letter_count > bit_length:
-            raise TruncatedDataError("bit stream exhausted")
+    if isinstance(cs, Degenerate):  # plain bits: checked before any letter is taken
+        used, passes, windows = letter_count, 0, 0
+        padding = _check_end(buf, bit_length, used, m)
         letters = np.empty(letter_count, dtype=alphabet.dtype)
         for start in range(0, letter_count, _WINDOW_BITS):
-            ranks0 = _bits(buf, start, min(start + _WINDOW_BITS, letter_count))
-            if m == 1 and ranks0.any():
-                raise CorruptedDataError("single-letter stream contains a 1 bit")
-            np.take(alphabet, ranks0, out=letters[start:start + ranks0.size])
-        used, passes, windows = letter_count, 0, 0
+            np.take(alphabet, _bits(buf, start, min(start + _WINDOW_BITS, letter_count)),
+                    out=letters[start:start + _WINDOW_BITS])
     else:
         letters, used, passes, windows = _decode_letters(
             buf, bit_length, cs.n, alphabet, letter_count)
-    trailing = bit_length - used
-    if trailing >= 8:
-        raise CorruptedDataError(
-            f"{trailing} bits of trailing data after the last codeword"
-        )
-    if _bits(buf, used, bit_length).any():
-        raise CorruptedDataError("nonzero padding bit after the last codeword")
+        padding = _check_end(buf, bit_length, used, m)
     return letters, DecodeStats(codewords=len(letters), bits_consumed=used,
-                                padding_bits=trailing, rank_passes=passes,
+                                padding_bits=padding, rank_passes=passes,
                                 windows=windows)
+
+
+def _check_end(buf: np.ndarray, nbits: int, used: int, m: int) -> int:
+    """The padding bits of the first ``nbits`` bits of the payload bytes
+    ``buf``, whose codewords, for an alphabet of ``m`` letters, take the
+    first ``used``; raises in stream order if the codewords end past the
+    stream, a one-letter alphabet's bits hold a 1, or eight or more bits,
+    or a nonzero one, follow the codewords. Nothing payload-sized is
+    allocated: the one-letter check counts nonzero whole bytes in place."""
+    if used > nbits:
+        raise TruncatedDataError("bit stream exhausted")
+    if m == 1 and (np.count_nonzero(buf[:used >> 3])
+                   or used & 7 and _bits(buf, used & -8, used).any()):
+        raise CorruptedDataError("single-letter stream contains a 1 bit")
+    padding = nbits - used
+    if padding >= 8:
+        raise CorruptedDataError(f"{padding} bits of trailing data after the last codeword")
+    if padding and _bits(buf, used, nbits).any():
+        raise CorruptedDataError("nonzero padding bit after the last codeword")
+    return padding
 
 
 def _bits(buf: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -563,7 +580,8 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
                     count: int) -> tuple[np.ndarray, int, int, int]:
     """The ``count`` letters whose codewords of set ``n`` open the first
     ``nbits`` bits of ``buf``; returns them with the bits used, rank table
-    lookups and windows."""
+    lookups and windows. A stream that ends first returns ``nbits + 1``
+    bits used, one more than it has, for :func:`_check_end` to raise."""
     m = alphabet.size
     # every codeword takes at least n bits, so a count the payload cannot
     # carry never reaches the allocation
@@ -584,8 +602,9 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
                 f"codeword index {int(idx[i])} exceeds alphabet power {m} "
                 f"(letter {done + i + 1} of {count})"
             )
-        if k < left and end == nbits:
-            raise TruncatedDataError("bit stream exhausted")
+        if k < left and end == nbits:  # the stream ends before the last codeword
+            pos = nbits + 1
+            break
         idx -= 1
         np.take(alphabet, idx, out=letters[done:done + k], mode="clip")
         done += k

@@ -30,9 +30,10 @@ At L = 1 every alphabet has one or two letters, whose codes are one bit
 each that says whether a letter differs from the letter of rank 0; so the
 payload is the input XORed with 0x00 or 0xFF. The bit of rank 0 is the
 more frequent bit, or the first bit on a tie. The format is unchanged:
-:func:`compress` writes, and :func:`decompress` reads, the same bytes as
-the codec would, from a count of one bits and one XOR, and a container
-the XOR cannot read goes to the codec, which raises its own errors.
+:func:`compress` writes the same bytes as the codec would, from a count of
+one bits and one XOR, and :func:`decompress` checks the payload bytes with
+the codec's own plain-bit check, which raises the codec's errors, then
+XORs them back; no letter is decoded.
 
 Storing the original bit length (not a letter count) lets decompression
 strip the zero bits that padded the final partial letter, so inputs of any
@@ -333,14 +334,10 @@ def decompress(blob: bytes) -> bytes:
     header, letters, offset = _parse(blob)
     if letters.size == 0:
         return b""
-    if header.letter_bits == 1:
+    if header.letter_bits == 1:  # each payload bit is a letter's rank bit
         bits = np.frombuffer(blob, dtype=np.uint8, offset=offset)
-        # each payload bit is a letter's rank, unless the codec would raise
-        # for too few or too many bits, or a 1 bit under one letter: then
-        # it runs and raises
-        if 8 * bits.size == header.original_bit_length and (
-                letters.size == 2 or not bits.any()):
-            return (bits ^ np.uint8(0xFF * int(letters[0]))).tobytes()
+        codec._check_end(bits, 8 * bits.size, header.original_bit_length, letters.size)
+        return (bits ^ np.uint8(0xFF * int(letters[0]))).tobytes()
     decoded = codec.decode_packed(memoryview(blob)[offset:], letters,
                                   _letter_count(header))
     return join_letters(decoded, header.letter_bits, header.original_bit_length)
@@ -362,35 +359,35 @@ class ContainerInfo:
 
 
 def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
-    """Parse a container's structure; optionally decode to verify the payload.
+    """Parse a container's structure; optionally verify the payload.
 
     With ``decode_payload`` the exact payload bit count (and hence padding)
-    is measured by decoding; without it those fields are None and only the
-    structure is validated.
+    is measured: a ternary payload by decoding it, and the plain bits of
+    zero to two letters, one per letter, by the codec's check of their
+    packed bytes alone, with no letter decoded. Without it those fields are
+    None and only the structure is validated.
     """
     header, letters, offset = _parse(blob)
     m = letters.size
-    letter_count = _letter_count(header)
-    payload_bytes = len(blob) - offset
+    letter_count = _letter_count(header)  # 0 for the empty container
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=offset)
     cs = code_set_for_alphabet(m) if m else Degenerate(0)
     n = 0 if isinstance(cs, Degenerate) else cs.n
     payload_bits = padding = None
-    if decode_payload and m:
-        payload = memoryview(blob)[offset:]
+    if decode_payload and n:
         _, stats = codec.decode_with_stats(payload, letters, letter_count)
-        payload_bits = stats.bits_consumed
-        padding = stats.padding_bits
-    elif decode_payload:
-        payload_bits = padding = 0
+        payload_bits, padding = stats.bits_consumed, stats.padding_bits
+    elif decode_payload:  # plain bits, one per letter: no letter is decoded
+        payload_bits, padding = letter_count, codec._check_end(
+            payload, 8 * payload.size, letter_count, m)
     return ContainerInfo(
         header=header,
         m=m,
         n=n,
         letters=tuple(letters.tolist()),
-        letter_count=letter_count if m else 0,
+        letter_count=letter_count,
         alphabet_block_bytes=offset - HEADER_SIZE,
-        payload_bytes=payload_bytes,
+        payload_bytes=payload.size,
         payload_bits=payload_bits,
         padding_bits=padding,
     )
-

@@ -42,6 +42,12 @@ def test_writer_reader_agree(bits):
     assert "".join(str(r.read_bit()) for _ in range(len(bits))) == bits
 
 
+def test_unpack01_rejects_bit_length_out_of_range():
+    for bit_length in (-1, 9):
+        with pytest.raises(ValueError, match=rf"^bit_length {bit_length} outside 0\.\.8$"):
+            unpack01(b"\x00", bit_length)
+
+
 def test_pack01_rejects_other_characters():
     for bits in ("012", "1 0", "10\u00e9"):
         with pytest.raises(ValueError):

@@ -99,6 +99,16 @@ class TestInspect:
         assert err.count("not a whole number of bytes (at byte offset 4)") == 2
         assert not (tmp_path / "out").exists()
 
+    def test_truncated_alphabet_length_is_format_error(self, tmp_path, capsys):
+        header = container.serialize_header(
+            container.Header(1, container.FLAG_PACKED_ALPHABET, 16, 16))
+        path = tmp_path / "short.btn"
+        path.write_bytes(header + (1).to_bytes(4, "little") + b"\x07\x00")
+        assert dispatch(["inspect", str(path)]) == EXIT_FORMAT
+        assert dispatch(["decompress", str(path), str(tmp_path / "out")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.count("truncated alphabet length (at byte offset 16)") == 2
+
     def test_corrupt_payload_exit_code(self, tmp_path):
         blob = bytearray(container.compress(b"abcde", 8))
         blob[-1] ^= 0xFF
@@ -162,6 +172,14 @@ class TestAnalyze:
 
     def test_bad_range_syntax(self):
         assert dispatch(["analyze", "compactness", "--bases", "3-8"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, bad", [("--bases", "a..b"), ("--digits", "2..x"),
+                                           ("--bases", "3.5..8")])
+    def test_range_bounds_must_be_integers(self, capsys, flag, bad):
+        assert dispatch(["analyze", "compactness", flag, bad]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the bounds of a..b must be integers, got {bad!r}" in captured.err
 
     @pytest.mark.parametrize("flag, bad", [("--digits", "0..2"), ("--bases", "2..3")])
     def test_compactness_rejection_prints_no_table(self, capsys, flag, bad):

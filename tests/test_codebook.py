@@ -181,6 +181,11 @@ class TestReadTrits:
         with pytest.raises(TruncatedDataError):
             read_trits(r, 3)
 
+    @pytest.mark.parametrize("n", [0, 40])
+    def test_rejects_set_number_out_of_range(self, n):
+        with pytest.raises(ValueError, match=f"^code set number must be in 1..39, got {n}$"):
+            read_trits(BitReader(pack01("0" * 64)), n)
+
     def test_identity_with_signature_exhaustive(self):
         for n in range(1, 6):
             for digits in product("012", repeat=n):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tritcode import codec
@@ -1013,6 +1013,14 @@ class TestDecode:
             with pytest.raises(ValueError, match="^bit_length must be non-negative$"):
                 decoder(b"\x00\x00", alphabet, 1, bit_length=-5)
 
+    @pytest.mark.parametrize("alphabet", [[3, 5], list(range(9))])
+    def test_rejects_bit_length_beyond_buffer_and_negative_count(self, alphabet):
+        for decoder in (decode_packed, decode_with_stats):
+            with pytest.raises(ValueError, match="^bit_length exceeds buffer size$"):
+                decoder(b"\x00\x00", alphabet, 1, bit_length=17)
+            with pytest.raises(ValueError, match="^letter count must be non-negative$"):
+                decoder(b"\x00\x00", alphabet, -1)
+
     @pytest.mark.parametrize("n", [6, 7, 12, 13])
     @mock.patch.object(codec, "_WINDOW_BITS", 1 << 10)
     def test_rank_block_layouts_across_windows(self, n):
@@ -1225,12 +1233,34 @@ letter_data = st.one_of(
 )
 
 
+class Scripted:
+    """Stands in for ``st.data()`` in an explicit example: each draw returns
+    the next of the given values."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy, label=None):
+        return next(self.values)
+
+
 class TestDifferentialOracle:
     """The array decoder against the scalar per-codeword loop."""
 
     @given(letter_data, st.integers(min_value=1, max_value=32),
            st.sampled_from([64, 1 << 16]), st.booleans(), st.data())
     @settings(max_examples=400, deadline=None)
+    # one-letter payloads of 9 and 7 letters with one bit flipped (flips,
+    # position, cut bytes, appended bytes, bit length, count): the last
+    # rank bit, then the first padding bit
+    @example(b"a" * 9, 8, 64, True, Scripted(1, 8, 0, b"", None, 9))
+    @example(b"a" * 9, 8, 64, True, Scripted(1, 9, 0, b"", None, 9))
+    @example(b"a" * 7, 8, 64, True, Scripted(1, 6, 0, b"", None, 7))
+    @example(b"a" * 7, 8, 64, True, Scripted(1, 7, 0, b"", None, 7))
+    # two-letter payloads one bit short: one letter more than the 16 bytes
+    # hold, and 16 letters in a bit length of 15
+    @example(b"ab" * 8, 8, 64, True, Scripted(0, 0, b"", None, 17))
+    @example(b"ab" * 8, 8, 64, True, Scripted(0, 0, b"", 15, 16))
     def test_matches_scalar_decoder(self, data, width, window, mutate, draw):
         letters, _ = split_letters(data, width)
         model = build_model(letters)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import struct
@@ -31,6 +32,8 @@ from tritcode.errors import (
     TritcodeError,
     TruncatedDataError,
 )
+
+from test_codec import scalar_decode
 
 SAMPLE = b"ABCDEEFFGGHHHIII"
 
@@ -131,6 +134,11 @@ class TestHeader:
     def test_rejects_short_input(self):
         with pytest.raises(FormatError):
             parse_header(b"\x42\x33\x01")
+
+    @pytest.mark.parametrize("version, flags", [(16, 0), (1, 16), (-1, 0), (1, -1)])
+    def test_serialize_rejects_nibble_overflow(self, version, flags):
+        with pytest.raises(ValueError, match="^version and flags must fit a nibble each$"):
+            serialize_header(Header(version, flags, 8, 0))
 
 
 class TestLetterSegmentation:
@@ -302,6 +310,33 @@ def codec_decompress(blob: bytes) -> bytes:
     return join_letters(decoded, header.letter_bits, header.original_bit_length)
 
 
+def scalar_decompress(blob: bytes) -> bytes:
+    """Oracle: the container parser, then the scalar reference decoder of
+    the codec tests, one bit at a time through BitReader, and join_letters."""
+    header, letters, offset = container._parse(blob)
+    if letters.size == 0:
+        return b""
+    count = -(-header.original_bit_length // header.letter_bits)
+    decoded, _ = scalar_decode(bytes(blob[offset:]), letters.tolist(), count)
+    return join_letters(decoded, header.letter_bits, header.original_bit_length)
+
+
+def codec_describe(blob: bytes) -> container.ContainerInfo:
+    """Oracle: describe's payload fields as the codec's decoder measures
+    them, from the letters it decodes."""
+    info = describe(blob, decode_payload=False)
+    if info.m == 0:
+        return dataclasses.replace(info, payload_bits=0, padding_bits=0)
+    _, letters, offset = container._parse(blob)
+    _, stats = codec.decode_with_stats(memoryview(blob)[offset:], letters, info.letter_count)
+    return dataclasses.replace(info, payload_bits=stats.bits_consumed,
+                               padding_bits=stats.padding_bits)
+
+
+def _decoder_ran(*args, **kwargs):
+    raise AssertionError("the letter decoder ran")
+
+
 def result(fn, *args):
     """A call's result, or the class and message of the TritcodeError it raised."""
     try:
@@ -337,6 +372,7 @@ class TestPlainBits:
             blob = compress(data, 1, compress_alphabet=flag)
             assert blob == composed(data, 1, flag), data
             assert decompress(blob) == data
+            assert describe(blob) == codec_describe(blob)
 
     @given(st.integers(1, 3000), st.integers(0, 2**32), st.floats(0, 1), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -346,6 +382,7 @@ class TestPlainBits:
         blob = compress(data, 1, compress_alphabet=flag)
         assert blob == composed(data, 1, flag)
         assert decompress(blob) == data
+        assert describe(blob) == codec_describe(blob)
 
     @pytest.mark.parametrize("edge", [-1, 0, 1, "2 chunks + 1"])
     def test_counts_across_chunk_edges(self, edge):
@@ -380,10 +417,12 @@ class TestPlainBits:
             assert payload == bytes(byte ^ 0xFF * letters[0] for byte in data)
 
     def test_runs_no_codec_pass(self, monkeypatch):
-        for name in ("_encode", "_pack", "decode_packed"):
+        infos = [codec_describe(compress(data, 1)) for data in PLAIN_BIT_EDGES]
+        for name in ("_encode", "_pack", "decode_packed", "decode_with_stats"):
             monkeypatch.setattr(codec, name, None)
-        for data in PLAIN_BIT_EDGES:
+        for data, info in zip(PLAIN_BIT_EDGES, infos):
             assert decompress(compress(data, 1)) == data
+            assert describe(compress(data, 1)) == info
 
     def test_mutations_fail_as_the_codec_route_does(self):
         rng = random.Random(1)
@@ -408,11 +447,16 @@ class TestPlainBits:
                 (nbits,) = struct.unpack_from("<Q", buf, 4)
                 struct.pack_into("<Q", buf, 4, max(nbits + delta, 0))
                 mutants.append(bytes(buf))
+            expected = [(result(codec_decompress, mutant), result(scalar_decompress, mutant),
+                         result(codec_describe, mutant)) for mutant in mutants]
             outcomes = set()
-            for mutant in mutants:
-                expected = result(codec_decompress, mutant)
-                assert result(decompress, mutant) == expected, (data, mutant)
-                outcomes.add(expected if isinstance(expected, tuple) else bytes)
+            # no container, valid or not, reaches the letter decoder
+            with mock.patch.object(codec, "decode_packed", _decoder_ran), \
+                    mock.patch.object(codec, "decode_with_stats", _decoder_ran):
+                for mutant, (restored, scalar, info) in zip(mutants, expected):
+                    assert result(decompress, mutant) == restored == scalar, (data, mutant)
+                    assert result(describe, mutant) == info, (data, mutant)
+                    outcomes.add(restored if isinstance(restored, tuple) else bytes)
             assert (TruncatedDataError, "bit stream exhausted") in outcomes
             if m == 1:
                 assert (CorruptedDataError,
@@ -449,6 +493,8 @@ class TestRoundTrip:
         # more letters than one decoder window holds
         long = data * 25_000 + low
         assert decompress(compress(long, width)) == long
+        for two in (blob, compress(long, width), blob + b"\x00", blob[:-1]):
+            assert result(describe, two) == result(codec_describe, two)
 
     def test_incompressible_data_may_expand(self):
         rng = random.Random(5150)
@@ -690,6 +736,16 @@ class TestDecompressErrors:
         blob = compress(SAMPLE, 8)
         with pytest.raises(FormatError):
             decompress(blob[:18])
+
+    @pytest.mark.parametrize("length", [b"", b"\x07", b"\x07\x00\x00"])
+    def test_truncated_alphabet_length(self, length):
+        # a packed alphabet opens with its 4-byte length: under 4 bytes left
+        blob = (serialize_header(Header(1, FLAG_PACKED_ALPHABET, 16, 16))
+                + struct.pack("<I", 1) + length)
+        for check in (decompress, describe, lambda b: describe(b, decode_payload=False)):
+            with pytest.raises(FormatError, match="^truncated alphabet length") as exc:
+                check(blob)
+            assert exc.value.offset == HEADER_SIZE + 4
 
     def test_truncated_payload(self):
         blob = compress(SAMPLE, 8)
@@ -1005,6 +1061,30 @@ class TestDecompressMemory:
         large = self.peak_per_output_byte(8, 8 << 20, (0xFF, 0x00))
         assert small <= 2.3 and large <= 2.3, (small, large)
         assert large <= small + 0.25, (small, large)
+
+    @pytest.mark.parametrize("size", [1 << 20, 8 << 20])
+    def test_plain_bits_are_checked_in_place(self, size):
+        # describe of plain bits, and an L = 1 decompress that fails, read
+        # the packed payload bytes alone: no letter and no bit is unpacked
+        valid = compress(np.random.default_rng(size).bytes(size), 1)
+        two, _ = self.container(8, size, (0xFF, 0x00))
+        ones = bytearray(compress(bytes(size), 1))
+        ones[-1] |= 1
+        cases = [(describe, valid, 8 * size), (describe, two, size),
+                 (decompress, valid + b"\x00", "8 bits of trailing data after the last codeword"),
+                 (decompress, bytes(ones), "single-letter stream contains a 1 bit")]
+        for check, blob, expected in cases:
+            tracemalloc.start()
+            try:
+                out = result(check, blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.25 * size, (check.__name__, expected, peak / size)
+            if check is describe:
+                assert (out.payload_bits, out.padding_bits) == (expected, 0)
+            else:
+                assert out == (CorruptedDataError, expected)
 
     def test_describe_decodes_the_payload_in_place(self):
         # the decoded letters take one byte per output byte at L = 8 and the

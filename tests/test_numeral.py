@@ -179,6 +179,21 @@ class TestEconomicalForm:
         with pytest.raises(CorruptedDataError):
             economical_decode(broken)
 
+    def test_decode_rejects_a_code_map_that_is_not_invertible(self):
+        form = economical_encode(1358, 3)
+        shared = dict.fromkeys(form.code_map, form.code_map[2])
+        broken = EconomicalForm(b=form.b, digits=form.digits, code_map=shared, bits=form.bits)
+        with pytest.raises(CorruptedDataError, match="^code map is not invertible$"):
+            economical_decode(broken)
+
+    @pytest.mark.parametrize("digits", [0, 3])
+    def test_decode_rejects_empty_or_all_zero_digits(self, digits):
+        form = economical_encode(1358, 3)
+        zeros = EconomicalForm(b=form.b, digits=(0,) * digits, code_map=form.code_map,
+                               bits=form.code_map[0] * digits)
+        with pytest.raises(CorruptedDataError, match="^empty or all-zero digit string$"):
+            economical_decode(zeros)
+
     def test_rejects_small_base(self):
         with pytest.raises(ValueError):
             economical_encode(5, 2)
