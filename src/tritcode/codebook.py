@@ -19,9 +19,11 @@ compare it against:
   codewords as one uint64 word each, ``value << 6 | length``, built group
   by group in n array passes with no sort; its reference is :func:`unrank`
   followed by :func:`trits_to_bits`;
-- the decoder's :func:`rank_rows` ranks many codewords at once with one
-  numpy lookup per block of six trit positions, in tables of partial ranks
-  whose size depends on n alone; its reference is :func:`rank`.
+- the decoder's :func:`rank_rows` ranks many codewords at once, a block
+  of up to six trit positions at a time: one strided read of the trits'
+  bytes and one multiply give the block's base-3 values in byte lanes that
+  never carry, and one numpy lookup turns them into partial ranks, from
+  tables whose size depends on n alone; its reference is :func:`rank`.
 
 The decoder's trit scan (``codec._scan_trits``) has :func:`read_trits` as
 its reference. :func:`iter_codes` and :func:`generate_codes` list codewords
@@ -250,11 +252,30 @@ def _rank_steps(n: int) -> np.ndarray:
     return steps
 
 
-# Trits that rank_rows reads as one block, by one table lookup. A block
-# value stays below 3^6 = 729, so it is summed in int16. Blocks of 7 or 8
-# trits ranked n = 5 to 21 within 10% of this, blocks of 4 or 5 up to 60%
-# slower, and each added trit triples the tables.
+# Trits that rank_rows reads as one block, by one table lookup. A block's
+# value stays below 3^6 = 729, and one multiply of the block's bytes gives
+# it for blocks of up to six trits (see rank_rows). Read a trit at a time,
+# blocks of 7 or 8 trits ranked n = 5 to 21 within 10% of this and blocks
+# of 4 or 5 up to 60% slower; each added trit triples the tables.
 RANK_BLOCK_TRITS = 6
+
+# rank_rows reads a block as the 1, 2, 4 or 8 bytes from its first trit on,
+# so its reads run up to 3 bytes past the last row: trits that this many
+# readable bytes follow, one word, are ranked in place.
+RANK_SLACK_BYTES = 8
+
+
+def _block_read(h: int) -> tuple[np.dtype, np.unsignedinteger]:
+    """How rank_rows reads a block of ``h`` trits: the little-endian dtype
+    of the fewest bytes that hold it, and the multiplier, in that dtype,
+    that turns its bytes into byte lanes, ``sum(3^i << 8 i)`` over i < h,
+    or i < 3 for a six-trit block."""
+    dtype = np.dtype(f"<u{1 << (h - 1).bit_length()}")
+    return dtype, dtype.type(sum(3**i << 8 * i for i in range(h if h < 6 else 3)))
+
+
+_BLOCK_READS = {h: _block_read(h) for h in range(1, RANK_BLOCK_TRITS + 1)}
+
 
 @functools.cache
 def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
@@ -305,6 +326,21 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     table, ceil(n / RANK_BLOCK_TRITS) in all, with no search and no
     per-codeword Python work. Results are exact int64 values for every set.
 
+    Each block's values come from one strided read of the rows' bytes,
+    one trit per byte: the fewest of 1, 2, 4 or 8 bytes that hold the
+    block, from its first trit on, read as a little-endian integer and
+    multiplied by ``sum(3^i << 8 i)`` over i < h, which adds 3^i times its
+    trit j to byte lane i + j. No lane below h sums to more than 3^h - 1 <=
+    242, so none carries: a block of h <= 5 trits has its base-3 value in
+    byte h - 1 of the product, and the bytes after the block reach only
+    higher lanes. A six-trit block is read as 8 bytes times ``1 | 3 << 8 |
+    9 << 16``: bytes 2 and 5 hold the values of its halves, and its own is
+    27 * byte 2 + byte 5. The reads run up to 3 bytes past a row, so a
+    C-contiguous byte array ``trits`` that opens a one-dimensional base
+    array with :data:`RANK_SLACK_BYTES` more bytes after it, as
+    ``codec._scan_trits`` leaves its trits, is read in place, and any other
+    is copied once.
+
     The blocks are read from the last to the first, since each lookup needs
     the zeros that follow its block; the first block's zeros are never
     counted, so a set of one block counts none.
@@ -312,23 +348,50 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     _check_set_number(n)
     if trits.ndim != 2 or trits.shape[1] != n:
         raise ValueError(f"expected rows of {n} trits, got shape {trits.shape}")
-    cols = trits.T.copy()  # one contiguous row per trit position
+    return _rank_bytes(n, _row_bytes(trits), trits.shape[0])
+
+
+def _rank_bytes(n: int, data: np.ndarray, k: int) -> np.ndarray:
+    """:func:`rank_rows` of the ``k`` rows of ``n`` trits, one byte each,
+    that open the one-dimensional byte array ``data``, which holds
+    :data:`RANK_SLACK_BYTES` more bytes after them, of any value."""
     idx = zeros = None
     for s, h, share, block_zeros in reversed(_rank_blocks(n)):
-        value = cols[s].astype(np.int16)  # Horner over the block's trits
-        for p in range(s + 1, s + h):
-            value *= 3
-            value += cols[p]
-        value = value.astype(np.intp)
+        dtype, multiplier = _BLOCK_READS[h]
+        word = np.ndarray((k,), dtype=dtype, buffer=data[s:], strides=(n,))
+        lanes = (word * multiplier).astype(dtype, copy=False).view(np.uint8)
+        value = lanes[2 if h == 6 else h - 1::dtype.itemsize].astype(np.intp)
+        if h == 6:
+            value *= 27
+            value += lanes[5::8]
+        del lanes  # the product goes before the lookups
         if zeros is None:  # the last block: no zeros follow it
-            idx = share[value]
+            idx = share.take(value)
         else:
             key = zeros * 3**h
             key += value
-            idx += share[key]
+            idx += share.take(key)
         if s:  # the blocks before this one key on the zeros from here on
-            zeros = block_zeros[value] if zeros is None else zeros + block_zeros[value]
+            ahead = block_zeros.take(value)
+            zeros = ahead if zeros is None else zeros + ahead
     return idx
+
+
+def _row_bytes(trits: np.ndarray) -> np.ndarray:
+    """The rows of the (k, n) trit array ``trits`` one after another, one
+    trit per byte, then at least :data:`RANK_SLACK_BYTES` readable bytes of
+    any value: the base array of a C-contiguous byte array ``trits`` that
+    opens it and holds them, else a copy."""
+    base = trits.base
+    if (trits.dtype.itemsize == 1 and trits.flags.c_contiguous
+            and isinstance(base, np.ndarray) and base.ndim == 1
+            and base.dtype.itemsize == 1 and base.flags.c_contiguous
+            and base.size >= trits.size + RANK_SLACK_BYTES
+            and np.may_share_memory(trits, base[:1])):  # trits opens at byte 0
+        return base
+    data = np.empty(trits.size + RANK_SLACK_BYTES, dtype=np.uint8)
+    data[:trits.size] = trits.ravel()
+    return data
 
 
 def unrank(n: int, index: int) -> str:

@@ -54,11 +54,18 @@ are found 64 bits at a time by the escape scanner of Langdale and Lemire
 set when the word before ends on the first bit of a trit; only an all-ones
 word passes its carry-in on, so every carry follows from a prefix maximum
 over the words, with no loop. The bit that opens each trit and the one
-after it give its value. Grouped n at a time, the trits give each
-codeword's list index by :func:`~tritcode.codebook.rank_rows`, one table
-lookup per block of six trit positions, and the index picks the letter.
-A 0 trit is one bit and a 1 or 2 trit two, so k codewords take k n bits
-plus one for each nonzero trit among them.
+after it give its value, and the trits are compacted, a byte each, into an
+array with a word of spare bytes after them. Grouped n at a time they are
+rows of n bytes, which :func:`~tritcode.codebook.rank_rows` ranks in
+place: for each block of up to six trit positions, one strided read of the
+rows and one multiply put the block's base-3 values in byte lanes, as
+eight decimal digits are parsed with one multiply (Lemire, "Number Parsing
+at a Gigabyte per Second", 2021), and one table lookup gives the block's
+share of each codeword's list index. One maximum per window checks the
+indices against the alphabet, and each index picks its letter from the
+alphabet with one entry put before it, so the 1-based index needs no
+subtraction. A 0 trit is one bit and a 1 or 2 trit two, so k codewords
+take k n bits plus one for each nonzero trit among them.
 Windows of a fixed number of bits, each starting on a codeword boundary and
 unpacking only the payload bytes it covers, bound the scratch memory.
 
@@ -84,6 +91,7 @@ from .codebook import (
     CodeSet,
     Degenerate,
     RANK_BLOCK_TRITS,
+    RANK_SLACK_BYTES,
     SIGNATURE_LENGTH_BITS,
     code_set_for_alphabet,
     group_counts,
@@ -95,7 +103,7 @@ from .errors import CorruptedDataError, TruncatedDataError
 # Bits the decoder scans at a time. A window must hold more than the longest
 # codeword (2n bits, at most 42 for a 32-bit alphabet) so that each one
 # yields at least one codeword; its size caps the decoder's scratch arrays,
-# the unpacked bits included, whatever the payload size: 2.3 MiB at most,
+# the unpacked bits included, whatever the payload size: 2.2 MiB at most,
 # for a window of zero bits at n = 1, where rank_rows on 2^17 one-trit
 # codewords sets the peak (the trit scan peaks at 1.5 MiB).
 _WINDOW_BITS = 1 << 17
@@ -583,6 +591,7 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
     lookups and windows. A stream that ends first returns ``nbits + 1``
     bits used, one more than it has, for :func:`_check_end` to raise."""
     m = alphabet.size
+    ranked = np.concatenate((alphabet[:1], alphabet))  # entry i: the letter of index i
     # every codeword takes at least n bits, so a count the payload cannot
     # carry never reaches the allocation
     letters = np.empty(min(count, nbits // n), dtype=alphabet.dtype)
@@ -595,9 +604,8 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
         block = trits[:k * n].reshape(k, n)
         idx = rank_rows(n, block)
         windows += 1
-        bad = np.flatnonzero(idx > m)
-        if bad.size:
-            i = int(bad[0])
+        if idx.max(initial=0) > m:
+            i = int((idx > m).argmax())
             raise CorruptedDataError(
                 f"codeword index {int(idx[i])} exceeds alphabet power {m} "
                 f"(letter {done + i + 1} of {count})"
@@ -605,15 +613,16 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
         if k < left and end == nbits:  # the stream ends before the last codeword
             pos = nbits + 1
             break
-        idx -= 1
-        np.take(alphabet, idx, out=letters[done:done + k], mode="clip")
+        np.take(ranked, idx, out=letters[done:done + k], mode="clip")
         done += k
         pos += k * n + np.count_nonzero(block)
     return letters, pos, -(-n // RANK_BLOCK_TRITS) * windows, windows
 
 
 def _scan_trits(window: np.ndarray) -> np.ndarray:
-    """Every complete trit of a bit window that starts on a trit boundary.
+    """Every complete trit of a bit window that starts on a trit boundary,
+    as a view of an int8 array that holds :data:`RANK_SLACK_BYTES` zero
+    bytes after them, so that rank_rows reads their rows in place.
 
     A trailing run of ones yields its complete ``11`` pairs as trits 2; an
     odd one left over is the unfinished start of the next trit.
@@ -634,16 +643,19 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
     last = np.maximum.accumulate(np.where(words != _ALL_ONES, np.arange(words.size), 0))
     carry[1:] = ends[last[:-1]]
     second = _escape_code(words, carry) ^ (words | carry)
+    # RANK_SLACK_BYTES zero values past the window, all kept, follow the
+    # trits: rank_rows reads up to them
     starts = np.unpackbits((~second).astype("<u8", copy=False).view(np.uint8),
-                           count=size, bitorder="little").view(bool)
+                           count=size + RANK_SLACK_BYTES, bitorder="little").view(bool)
     if window[-1]:
-        starts[-1] = False  # an unfinished trit
-    value = np.empty(size, dtype=np.int8)  # of the trit each bit would open
-    np.bitwise_and(window[:-1], window[1:], out=value[:-1].view(np.uint8))
-    value[-1] = 0
-    value += window.view(np.int8)
+        starts[size - 1] = False  # an unfinished trit
+    starts[size:] = True
+    value = np.empty(starts.size, dtype=np.int8)  # of the trit each bit would open
+    np.bitwise_and(window[:-1], window[1:], out=value[:size - 1].view(np.uint8))
+    value[size - 1:] = 0
+    value[:size] += window.view(np.int8)
     # a bool condition: a uint8 one, or value[starts], is slower
-    return np.compress(starts, value)
+    return np.compress(starts, value)[:-RANK_SLACK_BYTES]
 
 
 def _escape_code(words: np.ndarray, carry: np.ndarray) -> np.ndarray:

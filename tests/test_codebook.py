@@ -13,6 +13,7 @@ from tritcode import codebook
 from tritcode.bitio import BitReader, pack01
 from tritcode.codebook import (
     RANK_BLOCK_TRITS,
+    RANK_SLACK_BYTES,
     Degenerate,
     code_set_for_alphabet,
     generate_codes,
@@ -241,6 +242,28 @@ def trit_rows(strings):
     return np.array([[int(t) for t in s] for s in strings], dtype=np.int8)
 
 
+def layout_strings(n):
+    """All 0s, all 1s and all 2s, then strings whose blocks of
+    RANK_BLOCK_TRITS trits are each all 0s, all 2s or random, and random
+    strings: every block layout of set ``n`` at its extremes."""
+    rng = random.Random(n)
+    widths = [min(RANK_BLOCK_TRITS, n - s) for s in range(0, n, RANK_BLOCK_TRITS)]
+    fills = [lambda h: "0" * h, lambda h: "2" * h,
+             lambda h: "".join(rng.choice("012") for _ in range(h))]
+    return ["0" * n, "1" * n, "2" * n] + [
+        "".join(rng.choice(fills)(h) for h in widths) for _ in range(300)] + [
+        "".join(rng.choice("012") for _ in range(n)) for _ in range(200)]
+
+
+def slack_data(rows, offset):
+    """What ``codebook._rank_bytes`` reads: the trit ``rows`` one after
+    another from byte ``offset`` of a fresh buffer, then RANK_SLACK_BYTES
+    bytes of 0xFF where the buffer ends, as the view that opens at them."""
+    buf = np.full(offset + rows.size + RANK_SLACK_BYTES, 0xFF, dtype=np.uint8)
+    buf[offset:offset + rows.size] = rows.ravel()
+    return buf[offset:]
+
+
 def group_boundaries(n):
     """1, 3^n, and each group's first index with its neighbours."""
     starts = [sum(group_params(n, y).size for y in range(z + 1, n + 1))
@@ -260,13 +283,7 @@ class TestRankRows:
         # every set up to 39, the largest whose indices fit an int64, so
         # every block layout: n = 6k - 1, 6k and 6k + 1 end on a short, a
         # whole and a one-trit block
-        rng = random.Random(n)
-        widths = [min(RANK_BLOCK_TRITS, n - s) for s in range(0, n, RANK_BLOCK_TRITS)]
-        fills = [lambda h: "0" * h, lambda h: "2" * h,
-                 lambda h: "".join(rng.choice("012") for _ in range(h))]
-        strings = ["0" * n, "1" * n, "2" * n] + [
-            "".join(rng.choice(fills)(h) for h in widths) for _ in range(300)] + [
-            "".join(rng.choice("012") for _ in range(n)) for _ in range(200)]
+        strings = layout_strings(n)
         got = rank_rows(n, trit_rows(strings))
         assert got.tolist() == [rank(n, s) for s in strings]
         assert got[2] == 3**n
@@ -297,6 +314,42 @@ class TestRankRows:
             rank_rows(3, np.zeros((5, 4), dtype=np.int8))
         with pytest.raises(ValueError):
             rank_rows(40, np.zeros((1, 40), dtype=np.int8))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lane_reads_match_rank_on_every_string(self, n):
+        # read in place, 0xFF bytes after the last row, and from a copy
+        strings = ["".join(t) for t in product("012", repeat=n)]
+        rows = trit_rows(strings)
+        expected = [rank(n, s) for s in strings]
+        got = codebook._rank_bytes(n, slack_data(rows, 0), len(strings))
+        assert got.tolist() == expected
+        assert rank_rows(n, rows).tolist() == expected
+
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_lane_reads_at_every_byte_offset(self, n):
+        # rows that open a buffer at each byte offset mod 8: the 1, 2, 4 and
+        # 8 byte reads of every block layout run unaligned, and the last
+        # row's reads run into the 0xFF slack that ends the buffer
+        strings = layout_strings(n)
+        rows = trit_rows(strings)
+        expected = [rank(n, s) for s in strings]
+        for offset in range(8):
+            got = codebook._rank_bytes(n, slack_data(rows, offset), len(strings))
+            assert got.tolist() == expected, offset
+
+    def test_byte_views_with_slack_are_read_in_place(self):
+        buf = np.arange(4 * 5 + RANK_SLACK_BYTES, dtype=np.int8) % 3
+        assert codebook._row_bytes(buf[:20].reshape(5, 4)) is buf
+        assert codebook._row_bytes(buf[:12].reshape(4, 3)) is buf
+        wide = np.zeros((5, 6), dtype=np.uint8)
+        # too little slack, a view that does not open its base, other dtypes,
+        # rows that are not contiguous and an array that owns its data
+        for rows in (buf[:21].reshape(7, 3), buf[1:21].reshape(5, 4),
+                     buf[:20].reshape(5, 4).astype(np.int64), wide[:, :4], wide):
+            data = codebook._row_bytes(rows)
+            assert data is not buf and data.base is None
+            assert data.size == rows.size + RANK_SLACK_BYTES
+            assert data[:rows.size].tolist() == rows.ravel().tolist()
 
 
 class TestUnrankRows:

@@ -1003,33 +1003,40 @@ class TestDecompressMemory:
         distinct, so the alphabet is as large as the output. The container
         is assembled around codec.encode_packed under a model of that
         alphabet, as docs/format.md lays it out, which keeps the encoder's
-        own memory out of the test. Other widths compress random bytes.
+        own memory out of the test; at L = 1 the payload is random bytes
+        XORed with 0x00 or 0xFF, as each bit says whether its letter differs
+        from the letter of rank 0, so no array of one letter per bit is
+        built. Other widths compress random bytes.
         """
         rng = np.random.default_rng(size + width)
         if width not in (1, 8, 16, 32):  # no byte view: random bytes, compressed
             data = rng.bytes(size)
             return compress(data, width), data
         count = size * 8 // width
-        if alphabet is not None:
-            alphabet = np.array(alphabet, dtype=letter_dtype(width))
-            ranks0 = rng.integers(0, alphabet.size, count, dtype=np.int32)
-        elif width == 32:
-            alphabet = rng.permutation(count).astype(np.uint32) * 2654435761
-            ranks0 = rng.permutation(count)
+        if width == 1:
+            alphabet = rng.permutation(2).astype(np.uint8)
+            data = rng.bytes(size)
+            flip = np.uint8(0xFF if alphabet[0] else 0x00)
+            payload = (np.frombuffer(data, dtype=np.uint8) ^ flip).tobytes()
         else:
-            alphabet = rng.permutation(2**width).astype(letter_dtype(width))
-            # L = 1 draws 64 Mi ranks for 8 MiB: a byte each
-            ranks0 = rng.integers(0, alphabet.size, count,
-                                  dtype=np.int32 if width > 1 else np.uint8)
-        model = codec.Model(letters=tuple(alphabet.tolist()), counts=(1,) * alphabet.size,
-                            code_set=code_set_for_alphabet(alphabet.size))
-        letters = alphabet[ranks0]
-        payload, _ = codec.encode_packed(letters, model)
+            if alphabet is not None:
+                alphabet = np.array(alphabet, dtype=letter_dtype(width))
+                ranks0 = rng.integers(0, alphabet.size, count, dtype=np.int32)
+            elif width == 32:
+                alphabet = rng.permutation(count).astype(np.uint32) * 2654435761
+                ranks0 = rng.permutation(count)
+            else:
+                alphabet = rng.permutation(2**width).astype(letter_dtype(width))
+                ranks0 = rng.integers(0, alphabet.size, count, dtype=np.int32)
+            model = codec.Model(letters=tuple(alphabet.tolist()), counts=(1,) * alphabet.size,
+                                code_set=code_set_for_alphabet(alphabet.size))
+            letters = alphabet[ranks0]
+            payload, _ = codec.encode_packed(letters, model)
+            data = letters.astype(f">u{width // 8}").tobytes()
         area = alphabet.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :(width + 7) // 8]
         blob = b"".join([serialize_header(Header(1, 0, width, size * 8)),
                          struct.pack("<I", alphabet.size), area.tobytes(), payload])
-        data = np.packbits(letters) if width == 1 else letters.astype(f">u{width // 8}")
-        return blob, data.tobytes()
+        return blob, data
 
     @classmethod
     def peak_per_output_byte(cls, width: int, size: int, alphabet=None) -> float:
