@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -16,6 +17,8 @@ from tritcode.cli import (
     EXIT_USAGE,
     dispatch,
 )
+
+from test_container import hostile_cases, hostile_outcome
 
 SAMPLE = b"ABCDEEFFGGHHHIII"
 
@@ -335,6 +338,29 @@ class TestHostileContainers:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.count("\n") == 1
+
+    def test_mutations_exit_as_the_library_fails(self, tmp_path, capsys):
+        # a sample of the pinned hostile cases: each failure exits 4 or 5
+        # with its one-line message, and each accepted container exits 0
+        path, out = tmp_path / "hostile.btn", tmp_path / "out"
+        codes = set()
+        for blob in hostile_cases(20):
+            path.write_bytes(blob)
+            for verb, check in (("decompress", container.decompress),
+                                ("inspect", container.describe)):
+                expected = hostile_outcome(check, blob)
+                code = dispatch([verb, str(path)] + ([str(out)] if verb == "decompress" else []))
+                err = capsys.readouterr().err
+                codes.add(code)
+                if expected[0] == "FormatError":
+                    assert (code, err) == (EXIT_FORMAT, f"format error: {expected[1]}\n")
+                elif expected[0] != "accepted":
+                    assert (code, err) == (EXIT_CORRUPT, f"corrupt data: {expected[1]}\n")
+                else:
+                    assert (code, err) == (EXIT_OK, "")
+                    if verb == "decompress":
+                        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected[1]
+        assert codes == {EXIT_OK, EXIT_FORMAT, EXIT_CORRUPT}
 
     @pytest.mark.parametrize("verb", ["decompress", "inspect"])
     def test_empty_nested_container_with_trailing_bytes_is_corrupt(

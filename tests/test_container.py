@@ -3,6 +3,7 @@ import hashlib
 import random
 import struct
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -938,24 +939,55 @@ def _mutate_container(blob: bytes, rng: random.Random,
     return kind, bytes(buf)
 
 
+def fuzz_sources(odd_widths: bool = False) -> list[bytes]:
+    """The seeded containers that mutation tests start from; with
+    ``odd_widths``, also their noise compressed at L = 3, 12 and 24."""
+    rng = random.Random(2012)
+    text = bytes(rng.choice(b"etaoin shrdlu\n") for _ in range(4000))
+    noise = bytes(rng.getrandbits(8) for _ in range(400))
+    # two bytes at L = 8 and one 4-bit letter take the codec's plain-bit
+    # path, which L = 1 no longer reaches
+    two = bytes(rng.choice(b"\x00\xff") for _ in range(400))
+    blobs = [compress(noise, 1), compress(text, 8), compress(noise, 16),
+             compress(noise, 32), compress(text, 16, compress_alphabet=True),
+             compress(two, 8), compress(b"\x77" * 300, 4)]
+    assert parse_header(blobs[4]).alphabet_packed
+    assert [describe(blob).m for blob in blobs[-2:]] == [2, 1]
+    return blobs + [compress(noise, width) for width in (3, 12, 24)] * odd_widths
+
+
+def hostile_outcome(check, blob: bytes) -> tuple:
+    """What ``check`` makes of ``blob``: the class, message and byte offset
+    of the TritcodeError it raises, or the SHA-256 of what it returns."""
+    try:
+        result = check(blob)
+    except TritcodeError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None)
+    data = result if isinstance(result, bytes) else repr(result).encode()
+    return "accepted", hashlib.sha256(data).hexdigest()
+
+
+def hostile_cases(per_source: int, seed: int = 3131):
+    """``per_source`` seeded mutations of each of ``fuzz_sources(True)``,
+    half of them mutated a second time, so that the faults of two checks
+    meet and the order of the checks shows."""
+    rng = random.Random(seed)
+    for blob in fuzz_sources(odd_widths=True):
+        for _ in range(per_source):
+            mutated = _mutate_container(blob, rng)[1]
+            if rng.random() < 0.5 and len(mutated) >= HEADER_SIZE + 4:
+                mutated = _mutate_container(
+                    mutated, rng, ("flip", "truncate", "bit length", "power"))[1]
+            yield mutated
+
+
 class TestMutationFuzz:
     """Seeded whole-container mutations: every failure is a TritcodeError,
     and no header field drives an allocation beyond what the input holds."""
 
     @pytest.fixture(scope="class")
     def sources(self) -> list[bytes]:
-        rng = random.Random(2012)
-        text = bytes(rng.choice(b"etaoin shrdlu\n") for _ in range(4000))
-        noise = bytes(rng.getrandbits(8) for _ in range(400))
-        # two bytes at L = 8 and one 4-bit letter take the codec's plain-bit
-        # path, which L = 1 no longer reaches
-        two = bytes(rng.choice(b"\x00\xff") for _ in range(400))
-        blobs = [compress(noise, 1), compress(text, 8), compress(noise, 16),
-                 compress(noise, 32), compress(text, 16, compress_alphabet=True),
-                 compress(two, 8), compress(b"\x77" * 300, 4)]
-        assert parse_header(blobs[4]).alphabet_packed
-        assert [describe(blob).m for blob in blobs[-2:]] == [2, 1]
-        return blobs
+        return fuzz_sources()
 
     def test_duplicate_letters_are_rejected(self, sources):
         rng = random.Random(1)
@@ -988,6 +1020,23 @@ class TestMutationFuzz:
                     assert peak < (1 << 20) + 1000 * len(mutated), (index, trial, kind)
         finally:
             tracemalloc.stop()
+
+
+class TestHostileGolden:
+    """Every outcome of 300 seeded mutations of each fuzz source, odd widths
+    included, through decompress and describe, 6000 in all: the class,
+    message and byte offset of each failure, in order, and the SHA-256 of
+    each accepted output, pinned as TestGoldenContainers pins bytes."""
+
+    CLASSES = {"FormatError": 3432, "CorruptedDataError": 1006,
+               "TruncatedDataError": 1200, "accepted": 362}
+    DIGEST = "ed8d01571808855e9e6e993c81f35fc40e4e20fc8cdcab879a0db21cdbf5f540"
+
+    def test_outcomes_are_pinned(self):
+        outcomes = [hostile_outcome(check, blob) for blob in hostile_cases(300)
+                    for check in (decompress, describe)]
+        assert Counter(outcome[0] for outcome in outcomes) == self.CLASSES
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == self.DIGEST
 
 
 class TestDecompressMemory:
