@@ -19,11 +19,13 @@ compare it against:
   codewords as one uint64 word each, ``value << 6 | length``, built group
   by group in n array passes with no sort; its reference is :func:`unrank`
   followed by :func:`trits_to_bits`;
-- the decoder's :func:`rank_rows` ranks many codewords at once, a block
-  of up to six trit positions at a time: one strided read of the trits'
-  bytes and one multiply give the block's base-3 values in byte lanes that
-  never carry, and one numpy lookup turns them into partial ranks, from
-  tables whose size depends on n alone; its reference is :func:`rank`.
+- :func:`rank_rows` ranks many codewords at once, a block of up to six
+  trit positions at a time: one strided read of the trits' bytes and one
+  multiply give the block's base-3 values in byte lanes that never carry,
+  and one numpy lookup turns them into partial ranks, from tables whose
+  size depends on n alone; its reference is :func:`rank`. It checks and
+  copies its rows; the decoder hands its trit scan's buffer, which ends in
+  the slack the reads need, to the same kernel as it is.
 
 The decoder's trit scan (``codec._scan_trits``) has :func:`read_trits` as
 its reference. :func:`iter_codes` and :func:`generate_codes` list codewords
@@ -259,9 +261,10 @@ def _rank_steps(n: int) -> np.ndarray:
 # of 4 or 5 up to 60% slower; each added trit triples the tables.
 RANK_BLOCK_TRITS = 6
 
-# rank_rows reads a block as the 1, 2, 4 or 8 bytes from its first trit on,
-# so its reads run up to 3 bytes past the last row: trits that this many
-# readable bytes follow, one word, are ranked in place.
+# The rank kernel reads a block as the 1, 2, 4 or 8 bytes from its first
+# trit on, so its reads run up to 3 bytes past the last row: the rows it
+# ranks are followed by this many readable bytes, one word. rank_rows copies
+# its rows into such a buffer, and the decoder's trit scan returns one.
 RANK_SLACK_BYTES = 8
 
 
@@ -321,10 +324,12 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     """1-based list positions of the codewords held in the rows of ``trits``.
 
     ``trits`` is a (k, n) integer array of trit values 0, 1 and 2, one
-    codeword per row. This is :func:`rank` run over whole blocks of
-    :data:`RANK_BLOCK_TRITS` trits: one vector lookup per block in a fixed
-    table, ceil(n / RANK_BLOCK_TRITS) in all, with no search and no
-    per-codeword Python work. Results are exact int64 values for every set.
+    codeword per row; another shape, dtype or value raises ValueError, as
+    :func:`rank` rejects a character other than a trit. This is :func:`rank`
+    run over whole blocks of :data:`RANK_BLOCK_TRITS` trits: one vector
+    lookup per block in a fixed table, ceil(n / RANK_BLOCK_TRITS) in all,
+    with no search and no per-codeword Python work. Results are exact int64
+    values for every set.
 
     Each block's values come from one strided read of the rows' bytes,
     one trit per byte: the fewest of 1, 2, 4 or 8 bytes that hold the
@@ -335,11 +340,11 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     byte h - 1 of the product, and the bytes after the block reach only
     higher lanes. A six-trit block is read as 8 bytes times ``1 | 3 << 8 |
     9 << 16``: bytes 2 and 5 hold the values of its halves, and its own is
-    27 * byte 2 + byte 5. The reads run up to 3 bytes past a row, so a
-    C-contiguous byte array ``trits`` that opens a one-dimensional base
-    array with :data:`RANK_SLACK_BYTES` more bytes after it, as
-    ``codec._scan_trits`` leaves its trits, is read in place, and any other
-    is copied once.
+    27 * byte 2 + byte 5. The reads run up to 3 bytes past a row, so the
+    rows are copied once, a byte per trit, into a buffer with
+    :data:`RANK_SLACK_BYTES` more bytes after them. The decoder's trit scan
+    (``codec._scan_trits``) returns such a buffer, which the kernel
+    ``_rank_bytes`` ranks as it is, with no check and no copy.
 
     The blocks are read from the last to the first, since each lookup needs
     the zeros that follow its block; the first block's zeros are never
@@ -348,13 +353,17 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     _check_set_number(n)
     if trits.ndim != 2 or trits.shape[1] != n:
         raise ValueError(f"expected rows of {n} trits, got shape {trits.shape}")
+    if trits.dtype.kind not in "iu" or (
+            trits.size and not 0 <= trits.min() <= trits.max() <= 2):
+        raise ValueError(f"trits must be the integers 0, 1 and 2, got {trits.dtype} rows")
     return _rank_bytes(n, _row_bytes(trits), trits.shape[0])
 
 
 def _rank_bytes(n: int, data: np.ndarray, k: int) -> np.ndarray:
     """:func:`rank_rows` of the ``k`` rows of ``n`` trits, one byte each,
-    that open the one-dimensional byte array ``data``, which holds
-    :data:`RANK_SLACK_BYTES` more bytes after them, of any value."""
+    that open the one-dimensional byte array ``data``, which holds at least
+    :data:`RANK_SLACK_BYTES` more bytes after them, of any value. Nothing is
+    checked: a byte other than 0, 1 or 2 in the rows gives a wrong index."""
     idx = zeros = None
     for s, h, share, block_zeros in reversed(_rank_blocks(n)):
         dtype, multiplier = _BLOCK_READS[h]
@@ -378,17 +387,9 @@ def _rank_bytes(n: int, data: np.ndarray, k: int) -> np.ndarray:
 
 
 def _row_bytes(trits: np.ndarray) -> np.ndarray:
-    """The rows of the (k, n) trit array ``trits`` one after another, one
-    trit per byte, then at least :data:`RANK_SLACK_BYTES` readable bytes of
-    any value: the base array of a C-contiguous byte array ``trits`` that
-    opens it and holds them, else a copy."""
-    base = trits.base
-    if (trits.dtype.itemsize == 1 and trits.flags.c_contiguous
-            and isinstance(base, np.ndarray) and base.ndim == 1
-            and base.dtype.itemsize == 1 and base.flags.c_contiguous
-            and base.size >= trits.size + RANK_SLACK_BYTES
-            and np.may_share_memory(trits, base[:1])):  # trits opens at byte 0
-        return base
+    """A copy of the rows of the (k, n) trit array ``trits`` one after
+    another, one trit per byte, then :data:`RANK_SLACK_BYTES` bytes of any
+    value, as :func:`_rank_bytes` reads them."""
     data = np.empty(trits.size + RANK_SLACK_BYTES, dtype=np.uint8)
     data[:trits.size] = trits.ravel()
     return data

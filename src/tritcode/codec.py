@@ -54,18 +54,19 @@ are found 64 bits at a time by the escape scanner of Langdale and Lemire
 set when the word before ends on the first bit of a trit; only an all-ones
 word passes its carry-in on, so every carry follows from a prefix maximum
 over the words, with no loop. The bit that opens each trit and the one
-after it give its value, and the trits are compacted, a byte each, into an
-array with a word of spare bytes after them. Grouped n at a time they are
-rows of n bytes, which :func:`~tritcode.codebook.rank_rows` ranks in
-place: for each block of up to six trit positions, one strided read of the
-rows and one multiply put the block's base-3 values in byte lanes, as
-eight decimal digits are parsed with one multiply (Lemire, "Number Parsing
-at a Gigabyte per Second", 2021), and one table lookup gives the block's
-share of each codeword's list index. One maximum per window checks the
-indices against the alphabet, and each index picks its letter from the
-alphabet with one entry put before it, so the 1-based index needs no
-subtraction. A 0 trit is one bit and a 1 or 2 trit two, so k codewords
-take k n bits plus one for each nonzero trit among them.
+after it give its value, and the trits are compacted, a byte each, into one
+buffer that ends in a word of zero bytes. Read n at a time they are rows of
+n bytes, and the buffer goes as it is, uncopied, to the kernel of
+:func:`~tritcode.codebook.rank_rows`: for each block of up to six trit
+positions, one strided read of the rows, whose last row's reads run into
+the zero word, and one multiply put the block's base-3 values in byte
+lanes, as eight decimal digits are parsed with one multiply (Lemire,
+"Number Parsing at a Gigabyte per Second", 2021), and one table lookup
+gives the block's share of each codeword's list index. One maximum per
+window checks the indices against the alphabet, and each index picks its
+letter from the alphabet with one entry put before it, so the 1-based index
+needs no subtraction. A 0 trit is one bit and a 1 or 2 trit two, so k
+codewords take k n bits plus one for each nonzero trit among them.
 Windows of a fixed number of bits, each starting on a codeword boundary and
 unpacking only the payload bytes it covers, bound the scratch memory.
 
@@ -93,9 +94,9 @@ from .codebook import (
     RANK_BLOCK_TRITS,
     RANK_SLACK_BYTES,
     SIGNATURE_LENGTH_BITS,
+    _rank_bytes,
     code_set_for_alphabet,
     group_counts,
-    rank_rows,
     signature_words,
 )
 from .errors import CorruptedDataError, TruncatedDataError
@@ -104,7 +105,7 @@ from .errors import CorruptedDataError, TruncatedDataError
 # codeword (2n bits, at most 42 for a 32-bit alphabet) so that each one
 # yields at least one codeword; its size caps the decoder's scratch arrays,
 # the unpacked bits included, whatever the payload size: 2.2 MiB at most,
-# for a window of zero bits at n = 1, where rank_rows on 2^17 one-trit
+# for a window of zero bits at n = 1, where the rank of 2^17 one-trit
 # codewords sets the peak (the trit scan peaks at 1.5 MiB).
 _WINDOW_BITS = 1 << 17
 
@@ -599,10 +600,9 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
     while done < count:
         left = count - done
         end = min(nbits, pos + min(_WINDOW_BITS, 2 * n * left))
-        trits = _scan_trits(_bits(buf, pos, end))
-        k = min(trits.size // n, left)
-        block = trits[:k * n].reshape(k, n)
-        idx = rank_rows(n, block)
+        data = _scan_trits(_bits(buf, pos, end))
+        k = min((data.size - RANK_SLACK_BYTES) // n, left)
+        idx = _rank_bytes(n, data, k)
         windows += 1
         if idx.max(initial=0) > m:
             i = int((idx > m).argmax())
@@ -615,21 +615,21 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
             break
         np.take(ranked, idx, out=letters[done:done + k], mode="clip")
         done += k
-        pos += k * n + np.count_nonzero(block)
+        pos += k * n + np.count_nonzero(data[:k * n])
     return letters, pos, -(-n // RANK_BLOCK_TRITS) * windows, windows
 
 
 def _scan_trits(window: np.ndarray) -> np.ndarray:
     """Every complete trit of a bit window that starts on a trit boundary,
-    as a view of an int8 array that holds :data:`RANK_SLACK_BYTES` zero
-    bytes after them, so that rank_rows reads their rows in place.
+    one int8 each, then :data:`RANK_SLACK_BYTES` zero bytes: the buffer
+    that ``codebook._rank_bytes`` ranks as it is.
 
     A trailing run of ones yields its complete ``11`` pairs as trits 2; an
     odd one left over is the unfinished start of the next trit.
     """
     size = window.size
     if size == 0:
-        return np.empty(0, dtype=np.int8)
+        return np.zeros(RANK_SLACK_BYTES, dtype=np.int8)
     packed = np.zeros(-(-size // 64) * 8, dtype=np.uint8)
     packed[:(size + 7) >> 3] = np.packbits(window, bitorder="little")
     words = packed.view("<u8")  # bit j of word i is window bit 64 i + j
@@ -644,7 +644,7 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
     carry[1:] = ends[last[:-1]]
     second = _escape_code(words, carry) ^ (words | carry)
     # RANK_SLACK_BYTES zero values past the window, all kept, follow the
-    # trits: rank_rows reads up to them
+    # trits: the rank kernel's reads run into them
     starts = np.unpackbits((~second).astype("<u8", copy=False).view(np.uint8),
                            count=size + RANK_SLACK_BYTES, bitorder="little").view(bool)
     if window[-1]:
@@ -655,7 +655,7 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
     value[size - 1:] = 0
     value[:size] += window.view(np.int8)
     # a bool condition: a uint8 one, or value[starts], is slower
-    return np.compress(starts, value)[:-RANK_SLACK_BYTES]
+    return np.compress(starts, value)
 
 
 def _escape_code(words: np.ndarray, carry: np.ndarray) -> np.ndarray:

@@ -315,6 +315,15 @@ class TestRankRows:
         with pytest.raises(ValueError):
             rank_rows(40, np.zeros((1, 40), dtype=np.int8))
 
+    @pytest.mark.parametrize("rows", [
+        np.array([[0, 1, 3]]), np.array([[0, 1, -1]]),
+        np.array([[2, 2, 2], [0, 255, 1]], dtype=np.uint8),
+        np.array([[0.0, 1.0, 2.0]]), np.empty((0, 3))])
+    def test_rejects_values_that_are_not_trits(self, rows):
+        # as rank(3, "013") rejects its 3
+        with pytest.raises(ValueError, match="^trits must be the integers 0, 1 and 2"):
+            rank_rows(3, rows)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lane_reads_match_rank_on_every_string(self, n):
         # read in place, 0xFF bytes after the last row, and from a copy
@@ -338,13 +347,14 @@ class TestRankRows:
             assert got.tolist() == expected, offset
 
     def test_byte_views_with_slack_are_read_in_place(self):
+        # every array is copied once, with slack after its rows: byte views
+        # that open a base with slack, as the scan's trits do, too little
+        # slack, a view that does not open its base, other dtypes, rows that
+        # are not contiguous and an array that owns its data
         buf = np.arange(4 * 5 + RANK_SLACK_BYTES, dtype=np.int8) % 3
-        assert codebook._row_bytes(buf[:20].reshape(5, 4)) is buf
-        assert codebook._row_bytes(buf[:12].reshape(4, 3)) is buf
         wide = np.zeros((5, 6), dtype=np.uint8)
-        # too little slack, a view that does not open its base, other dtypes,
-        # rows that are not contiguous and an array that owns its data
-        for rows in (buf[:21].reshape(7, 3), buf[1:21].reshape(5, 4),
+        for rows in (buf[:20].reshape(5, 4), buf[:12].reshape(4, 3),
+                     buf[:21].reshape(7, 3), buf[1:21].reshape(5, 4),
                      buf[:20].reshape(5, 4).astype(np.int64), wide[:, :4], wide):
             data = codebook._row_bytes(rows)
             assert data is not buf and data.base is None

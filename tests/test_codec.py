@@ -17,6 +17,7 @@ from tritcode.codebook import (
     generate_codes,
     group_counts,
     rank,
+    rank_rows,
     read_trits,
     signature_words,
     trits_to_bits,
@@ -723,7 +724,7 @@ class TestArrayEncoder:
         assert codec._place(words, 3, field, size) == len(bits)
         assert word_bits(words, len(bits)) == bits
         window = np.array([int(b) for b in bits[3:]], dtype=np.uint8)
-        assert codec._scan_trits(window).tolist() == trits.tolist()
+        assert scan_trits(window).tolist() == trits.tolist()
 
     @pytest.mark.parametrize("head", ["", "1", "0110" * 15 + "101"])
     def test_word_placement_matches_string_join(self, head):
@@ -850,9 +851,17 @@ def reference_trits(window):
     return trits
 
 
+def scan_trits(window):
+    """The trits of ``codec._scan_trits``, once the RANK_SLACK_BYTES after
+    them that end its buffer are checked to be zero."""
+    data = codec._scan_trits(window)
+    assert data.size >= RANK_SLACK_BYTES and not data[-RANK_SLACK_BYTES:].any()
+    return data[:-RANK_SLACK_BYTES]
+
+
 def assert_scan_matches_reference(window):
     window = np.asarray(window, dtype=np.uint8)
-    trits = codec._scan_trits(window)
+    trits = scan_trits(window)
     assert trits.dtype == np.int8
     assert trits.tolist() == reference_trits(window), window.tolist()
 
@@ -898,20 +907,23 @@ class TestTritScan:
 
 
 class TestTritsForRanking:
-    """The scan leaves its trits where rank_rows reads them in place."""
+    """The scan's buffer goes to the rank kernel as it is."""
 
     @pytest.mark.parametrize("size", [64, 127, 128, 1000, 4096])
     def test_trits_are_a_view_with_zero_slack(self, size):
+        # the trits, then RANK_SLACK_BYTES zero bytes, alone for an empty
+        # window; the kernel ranks its rows as rank_rows ranks their copy
+        empty = codec._scan_trits(np.empty(0, dtype=np.uint8))
+        assert empty.dtype == np.int8 and empty.tolist() == [0] * RANK_SLACK_BYTES
         rng = np.random.default_rng(size)
         for window in (np.zeros(size), rng.random(size) < 0.5, np.ones(size)):
-            trits = codec._scan_trits(np.asarray(window, dtype=np.uint8))
-            base = trits.base
-            assert base.size == trits.size + RANK_SLACK_BYTES
-            assert not base[trits.size:].any()
+            data = codec._scan_trits(np.asarray(window, dtype=np.uint8))
+            trits = data[:-RANK_SLACK_BYTES]
+            assert not data[trits.size:].any()
             for n in (1, 4, 7, 21):
                 k = trits.size // n
-                if k:
-                    assert codebook._row_bytes(trits[:k * n].reshape(k, n)) is base
+                expected = rank_rows(n, trits[:k * n].reshape(k, n))
+                assert codebook._rank_bytes(n, data, k).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 11, 12, 13])
     def test_last_codeword_ends_on_the_last_trit(self, n):
@@ -925,7 +937,7 @@ class TestTritsForRanking:
             idx = [rng.randint(1, m) for _ in range(300)] + [min(last, m)]
             bits = "".join(trits_to_bits(unrank(n, i)) for i in idx)
             window = np.array([int(b) for b in bits], dtype=np.uint8)
-            assert codec._scan_trits(window).size == len(idx) * n
+            assert scan_trits(window).size == len(idx) * n
             alphabet = np.arange(m, dtype=np.int64)
             letters = decode_packed(pack01(bits), alphabet, len(idx), len(bits))
             assert letters.tolist() == [i - 1 for i in idx]
@@ -1177,7 +1189,7 @@ class TestDecoderMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trits.size == window.size and not trits.any()
+        assert trits.size == window.size + RANK_SLACK_BYTES and not trits.any()
         assert peak <= 1.5 * (1 << 20), peak  # measured: 1.455 MiB
 
     def test_one_trit_codewords_peak(self):
