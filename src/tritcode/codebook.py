@@ -292,8 +292,8 @@ def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
     the sum of the :func:`_rank_steps` entries those positions select, and
     ``zeros[v]`` counts the 0-trits of v. The first block's share also holds
     the start of the codeword's group, which the zeros after it and its own
-    give, and the 1 of the 1-based index, so the shares sum to the index.
-    The tables hold partial ranks, not codewords: their size depends on n
+    give, so the shares sum to the 0-based index, the alphabet's own. The
+    tables hold partial ranks, not codewords: their size depends on n
     alone. All arrays are read-only.
     """
     steps = _rank_steps(n)
@@ -310,8 +310,8 @@ def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
         for j in range(h - 1, -1, -1):
             zeros_left = zeros_left + (digits[j] == 0)
             share += steps[s + j][3 * zeros_left + digits[j]]
-        if s == 0:  # the first block's share completes the 1-based index
-            share += np.asarray(before, dtype=np.int64)[zeros_left] + 1
+        if s == 0:  # the first block's share completes the 0-based index
+            share += np.asarray(before, dtype=np.int64)[zeros_left]
         share = share.ravel()
         zeros = (digits == 0).sum(axis=0).astype(np.intp)
         share.setflags(write=False)
@@ -323,13 +323,13 @@ def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
 def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     """1-based list positions of the codewords held in the rows of ``trits``.
 
-    ``trits`` is a (k, n) integer array of trit values 0, 1 and 2, one
-    codeword per row; another shape, dtype or value raises ValueError, as
-    :func:`rank` rejects a character other than a trit. This is :func:`rank`
-    run over whole blocks of :data:`RANK_BLOCK_TRITS` trits: one vector
-    lookup per block in a fixed table, ceil(n / RANK_BLOCK_TRITS) in all,
-    with no search and no per-codeword Python work. Results are exact int64
-    values for every set.
+    ``trits`` is a (k, n) integer array, or nested list, of trit values 0,
+    1 and 2, one codeword per row; another shape, dtype or value raises
+    ValueError, as :func:`rank` rejects a character other than a trit. This
+    is :func:`rank` run over whole blocks of :data:`RANK_BLOCK_TRITS` trits:
+    one vector lookup per block in a fixed table, ceil(n / RANK_BLOCK_TRITS)
+    in all, with no search and no per-codeword Python work. Results are
+    exact int64 values for every set.
 
     Each block's values come from one strided read of the rows' bytes,
     one trit per byte: the fewest of 1, 2, 4 or 8 bytes that hold the
@@ -344,26 +344,28 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     rows are copied once, a byte per trit, into a buffer with
     :data:`RANK_SLACK_BYTES` more bytes after them. The decoder's trit scan
     (``codec._scan_trits``) returns such a buffer, which the kernel
-    ``_rank_bytes`` ranks as it is, with no check and no copy.
+    ``_rank_bytes`` ranks as it is, with no check and no copy, 0-based.
 
     The blocks are read from the last to the first, since each lookup needs
     the zeros that follow its block; the first block's zeros are never
     counted, so a set of one block counts none.
     """
     _check_set_number(n)
+    trits = np.asarray(trits)
     if trits.ndim != 2 or trits.shape[1] != n:
         raise ValueError(f"expected rows of {n} trits, got shape {trits.shape}")
     if trits.dtype.kind not in "iu" or (
             trits.size and not 0 <= trits.min() <= trits.max() <= 2):
         raise ValueError(f"trits must be the integers 0, 1 and 2, got {trits.dtype} rows")
-    return _rank_bytes(n, _row_bytes(trits), trits.shape[0])
+    return _rank_bytes(n, _row_bytes(trits), trits.shape[0]) + 1
 
 
 def _rank_bytes(n: int, data: np.ndarray, k: int) -> np.ndarray:
-    """:func:`rank_rows` of the ``k`` rows of ``n`` trits, one byte each,
-    that open the one-dimensional byte array ``data``, which holds at least
-    :data:`RANK_SLACK_BYTES` more bytes after them, of any value. Nothing is
-    checked: a byte other than 0, 1 or 2 in the rows gives a wrong index."""
+    """:func:`rank_rows` minus 1, the 0-based indices, of the ``k`` rows of
+    ``n`` trits, one byte each, that open the one-dimensional byte array
+    ``data``, which holds at least :data:`RANK_SLACK_BYTES` more bytes after
+    them, of any value. Nothing is checked: a byte other than 0, 1 or 2 in
+    the rows gives a wrong index."""
     idx = zeros = None
     for s, h, share, block_zeros in reversed(_rank_blocks(n)):
         dtype, multiplier = _BLOCK_READS[h]

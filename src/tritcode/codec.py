@@ -62,11 +62,11 @@ positions, one strided read of the rows, whose last row's reads run into
 the zero word, and one multiply put the block's base-3 values in byte
 lanes, as eight decimal digits are parsed with one multiply (Lemire,
 "Number Parsing at a Gigabyte per Second", 2021), and one table lookup
-gives the block's share of each codeword's list index. One maximum per
-window checks the indices against the alphabet, and each index picks its
-letter from the alphabet with one entry put before it, so the 1-based index
-needs no subtraction. A 0 trit is one bit and a 1 or 2 trit two, so k
-codewords take k n bits plus one for each nonzero trit among them.
+gives the block's share of each codeword's list index, 0-based as the
+tables are built. One maximum per window checks the indices against the
+alphabet, and each index picks its letter from the alphabet itself, with
+no copy. A 0 trit is one bit and a 1 or 2 trit two, so k codewords take
+k n bits plus one for each nonzero trit among them.
 Windows of a fixed number of bits, each starting on a codeword boundary and
 unpacking only the payload bytes it covers, bound the scratch memory.
 
@@ -592,7 +592,6 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
     lookups and windows. A stream that ends first returns ``nbits + 1``
     bits used, one more than it has, for :func:`_check_end` to raise."""
     m = alphabet.size
-    ranked = np.concatenate((alphabet[:1], alphabet))  # entry i: the letter of index i
     # every codeword takes at least n bits, so a count the payload cannot
     # carry never reaches the allocation
     letters = np.empty(min(count, nbits // n), dtype=alphabet.dtype)
@@ -604,16 +603,16 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
         k = min((data.size - RANK_SLACK_BYTES) // n, left)
         idx = _rank_bytes(n, data, k)
         windows += 1
-        if idx.max(initial=0) > m:
-            i = int((idx > m).argmax())
+        if idx.max(initial=0) >= m:
+            i = int((idx >= m).argmax())
             raise CorruptedDataError(
-                f"codeword index {int(idx[i])} exceeds alphabet power {m} "
+                f"codeword index {int(idx[i]) + 1} exceeds alphabet power {m} "
                 f"(letter {done + i + 1} of {count})"
             )
         if k < left and end == nbits:  # the stream ends before the last codeword
             pos = nbits + 1
             break
-        np.take(ranked, idx, out=letters[done:done + k], mode="clip")
+        np.take(alphabet, idx, out=letters[done:done + k], mode="clip")
         done += k
         pos += k * n + np.count_nonzero(data[:k * n])
     return letters, pos, -(-n // RANK_BLOCK_TRITS) * windows, windows

@@ -287,6 +287,8 @@ class TestRankRows:
         got = rank_rows(n, trit_rows(strings))
         assert got.tolist() == [rank(n, s) for s in strings]
         assert got[2] == 3**n
+        # a nested list of trits ranks as its array does
+        assert rank_rows(n, trit_rows(strings).tolist()).tolist() == got.tolist()
 
     def test_block_tables_are_read_only_and_built_once(self, monkeypatch):
         codebook._rank_blocks.cache_clear()
@@ -314,11 +316,13 @@ class TestRankRows:
             rank_rows(3, np.zeros((5, 4), dtype=np.int8))
         with pytest.raises(ValueError):
             rank_rows(40, np.zeros((1, 40), dtype=np.int8))
+        with pytest.raises(ValueError):  # a ragged nested list
+            rank_rows(3, [[0, 1, 2], [0, 1]])
 
     @pytest.mark.parametrize("rows", [
         np.array([[0, 1, 3]]), np.array([[0, 1, -1]]),
         np.array([[2, 2, 2], [0, 255, 1]], dtype=np.uint8),
-        np.array([[0.0, 1.0, 2.0]]), np.empty((0, 3))])
+        np.array([[0.0, 1.0, 2.0]]), np.empty((0, 3)), [[0.0, 1.0, 2.0]]])
     def test_rejects_values_that_are_not_trits(self, rows):
         # as rank(3, "013") rejects its 3
         with pytest.raises(ValueError, match="^trits must be the integers 0, 1 and 2"):
@@ -326,22 +330,24 @@ class TestRankRows:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lane_reads_match_rank_on_every_string(self, n):
-        # read in place, 0xFF bytes after the last row, and from a copy
+        # read in place, 0xFF bytes after the last row, 0-based, and from
+        # a copy, 1-based
         strings = ["".join(t) for t in product("012", repeat=n)]
         rows = trit_rows(strings)
         expected = [rank(n, s) for s in strings]
         got = codebook._rank_bytes(n, slack_data(rows, 0), len(strings))
-        assert got.tolist() == expected
+        assert got.tolist() == [i - 1 for i in expected]
         assert rank_rows(n, rows).tolist() == expected
 
     @pytest.mark.parametrize("n", range(1, 40))
     def test_lane_reads_at_every_byte_offset(self, n):
         # rows that open a buffer at each byte offset mod 8: the 1, 2, 4 and
         # 8 byte reads of every block layout run unaligned, and the last
-        # row's reads run into the 0xFF slack that ends the buffer
+        # row's reads run into the 0xFF slack that ends the buffer; the
+        # kernel's indices are 0-based
         strings = layout_strings(n)
         rows = trit_rows(strings)
-        expected = [rank(n, s) for s in strings]
+        expected = [rank(n, s) - 1 for s in strings]
         for offset in range(8):
             got = codebook._rank_bytes(n, slack_data(rows, offset), len(strings))
             assert got.tolist() == expected, offset

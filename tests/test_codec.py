@@ -912,7 +912,8 @@ class TestTritsForRanking:
     @pytest.mark.parametrize("size", [64, 127, 128, 1000, 4096])
     def test_trits_are_a_view_with_zero_slack(self, size):
         # the trits, then RANK_SLACK_BYTES zero bytes, alone for an empty
-        # window; the kernel ranks its rows as rank_rows ranks their copy
+        # window; the kernel ranks its rows as rank_rows ranks their copy,
+        # 0-based
         empty = codec._scan_trits(np.empty(0, dtype=np.uint8))
         assert empty.dtype == np.int8 and empty.tolist() == [0] * RANK_SLACK_BYTES
         rng = np.random.default_rng(size)
@@ -922,7 +923,7 @@ class TestTritsForRanking:
             assert not data[trits.size:].any()
             for n in (1, 4, 7, 21):
                 k = trits.size // n
-                expected = rank_rows(n, trits[:k * n].reshape(k, n))
+                expected = rank_rows(n, trits[:k * n].reshape(k, n)) - 1
                 assert codebook._rank_bytes(n, data, k).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 11, 12, 13])
@@ -1205,6 +1206,26 @@ class TestDecoderMemory:
             tracemalloc.stop()
         assert letters.size == 1 << 17 and not letters.any()
         assert peak - letters.nbytes <= 2.15 * (1 << 20), peak  # measured: 2.128 MiB
+
+    def test_letters_come_from_the_alphabet_in_place(self):
+        # 2^20 uint32 letters are code set 13, a 4 MiB alphabet; a few
+        # codewords, its first and last letters among them, decode with a
+        # few KiB of scratch (measured: 8 KB), and a copy of the alphabet
+        # would take 4 MiB more
+        m = 1 << 20
+        alphabet = np.arange(m, dtype=np.uint32)
+        ranks0 = [0, m - 1, *np.random.default_rng(13).integers(0, m, 16).tolist()]
+        bits = "".join(trits_to_bits(unrank(13, r + 1)) for r in ranks0)
+        payload = pack01(bits)
+        decode_packed(payload, alphabet, len(ranks0), len(bits))  # builds the rank tables
+        tracemalloc.start()
+        try:
+            letters = decode_packed(payload, alphabet, len(ranks0), len(bits))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert letters.tolist() == ranks0
+        assert peak < alphabet.nbytes / 8, peak
 
 
 class TestEncoderMemory:

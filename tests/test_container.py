@@ -1103,8 +1103,9 @@ class TestDecompressMemory:
     def test_peak_is_bounded_and_flat(self, width):
         # at L = 1 the output is the payload XORed with 0x00 or 0xFF, then
         # its bytes: two per output byte. L = 2, 3, 12 and 24 join one bit
-        # per byte, bounded at the measured peaks
-        bound = {1: 2.05, 2: 20.05, 3: 16.05, 12: 12.05, 24: 13.45}.get(width, 6)
+        # per byte, bounded at the measured peaks, and so is L = 32, whose
+        # alphabet is as large as the output and must not be copied
+        bound = {1: 2.05, 2: 20.05, 3: 16.05, 12: 12.05, 24: 13.45, 32: 4.1}.get(width, 6)
         small = self.peak_per_output_byte(width, 1 << 20)
         large = self.peak_per_output_byte(width, 8 << 20)
         assert small <= bound and large <= bound, (small, large)
