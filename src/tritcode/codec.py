@@ -53,10 +53,11 @@ are found 64 bits at a time by the escape scanner of Langdale and Lemire
 (simdjson), one subtraction per word. A word takes in a carry of one bit,
 set when the word before ends on the first bit of a trit; only an all-ones
 word passes its carry-in on, so every carry follows from a prefix maximum
-over the words, with no loop. The bit that opens each trit and the one
-after it give its value, and the trits are compacted, a byte each, into one
-buffer that ends in a word of zero bytes. Read n at a time they are rows of
-n bytes, and the buffer goes as it is, uncopied, to the kernel of
+over the words, with no loop, and flips the word's second bits up to its
+first 0 bit. The bit that opens each trit and the one after it give its
+value, and the trits are compacted, a byte each, into one buffer that ends
+in a word of zero bytes. Read n at a time they are rows of n bytes, and
+the buffer goes as it is, uncopied, to the kernel of
 :func:`~tritcode.codebook.rank_rows`: for each block of up to six trit
 positions, one strided read of the rows, whose last row's reads run into
 the zero word, and one multiply put the block's base-3 values in byte
@@ -137,8 +138,9 @@ _FIRST_STEP = 1 << 11
 _FEW = 8
 
 # Pass one sorts uint32 letters, and int64 letters below this bound, by uint64
-# keys of value and position, and ranks by keys of count and first occurrence;
-# inputs of this bound or more take numpy's stable argsort and lexsort instead.
+# keys of value and position, and ranks by keys of count and first occurrence,
+# both through _sorted_keys; inputs of this bound or more take numpy's stable
+# argsort and lexsort instead.
 _KEY_LIMIT = 1 << 32
 _HALF = np.uint64(32)
 
@@ -252,10 +254,7 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     del values
     top = counts.max()
     if arr.size < _KEY_LIMIT:
-        keys = _keys(top - counts, first)
-        keys.sort()
-        firsts = keys.astype(np.uint32)  # the low halves
-        keys >>= _HALF
+        keys, firsts = _sorted_keys(top - counts, first)
         ranked = np.subtract(np.uint64(top), keys, out=keys)
     else:
         order = np.lexsort((first, top - counts))
@@ -307,10 +306,7 @@ def _distinct(arr: np.ndarray) -> tuple[
     wide = arr.dtype.itemsize > 2
     if wide and arr.size < _KEY_LIMIT and (
             arr.dtype == np.uint32 or arr.min() >= 0 and arr.max() < _KEY_LIMIT):
-        ordered = _keys(arr, np.arange(arr.size, dtype=np.uint64))
-        ordered.sort()
-        perm = ordered.astype(np.uint32)  # the low halves
-        ordered >>= _HALF
+        ordered, perm = _sorted_keys(arr, np.arange(arr.size, dtype=np.uint64))
     else:
         perm = np.argsort(arr, kind="stable")
         ordered = arr[perm]
@@ -323,12 +319,17 @@ def _distinct(arr: np.ndarray) -> tuple[
             np.diff(starts, append=ordered.size), perm if wide else None)
 
 
-def _keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """uint64 keys ``high << 32 | low``, built in place: no new array per operator."""
+def _sorted_keys(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 keys ``high << 32 | low``, sorted, split into their high
+    halves, uint64, and their low halves, uint32. The keys are built,
+    sorted and shifted in place: no new array per operator."""
     keys = high.astype(np.uint64)
     keys <<= _HALF
     keys |= low.astype(np.uint64, copy=False)
-    return keys
+    keys.sort()
+    lows = keys.astype(np.uint32)
+    keys >>= _HALF
+    return keys, lows
 
 
 def encode_packed(letters, model: Model) -> tuple[bytes, int]:
@@ -625,6 +626,12 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
 
     A trailing run of ones yields its complete ``11`` pairs as trits 2; an
     odd one left over is the unfinished start of the next trit.
+
+    Each 64-bit word, first bit lowest, takes one escape step of Langdale
+    and Lemire's scanner (simdjson) with no carry in, a 1 bit that opens a
+    trit escaping the next bit: ``code ^ words`` marks the second bits, and
+    bit 63 of ``code & words`` is the carry out. A carry in flips the second
+    bits ``words ^ (words + 1)``, up to and including the first 0 bit.
     """
     size = window.size
     if size == 0:
@@ -632,16 +639,16 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
     packed = np.zeros(-(-size // 64) * 8, dtype=np.uint8)
     packed[:(size + 7) >> 3] = np.packbits(window, bitorder="little")
     words = packed.view("<u8")  # bit j of word i is window bit 64 i + j
+    code = (((words << _ONE) | _ODD_BITS) - words) ^ _ODD_BITS
+    second = code ^ words
     # After its first 0 bit a word's trits do not depend on its carry-in, so
     # neither does its carry-out, unless the word is all ones: then it passes
     # its carry-in on unchanged, 64 being even. So each word's carry-in is the
     # carry-out, with carry-in 0, of the last word before it not all ones, or
     # of word 0, whose carry-in is 0.
-    carry = np.zeros_like(words)
-    ends = (_escape_code(words, carry) & words) >> _TOP_BIT
+    ends = (code & words) >> _TOP_BIT
     last = np.maximum.accumulate(np.where(words != _ALL_ONES, np.arange(words.size), 0))
-    carry[1:] = ends[last[:-1]]
-    second = _escape_code(words, carry) ^ (words | carry)
+    second[1:] ^= (words[1:] ^ (words[1:] + _ONE)) * ends[last[:-1]]
     # RANK_SLACK_BYTES zero values past the window, all kept, follow the
     # trits: the rank kernel's reads run into them
     starts = np.unpackbits((~second).astype("<u8", copy=False).view(np.uint8),
@@ -655,19 +662,6 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
     value[:size] += window.view(np.int8)
     # a bool condition: a uint8 one, or value[starts], is slower
     return np.compress(starts, value)
-
-
-def _escape_code(words: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """The escape code of Langdale and Lemire's backslash scanner (simdjson)
-    for the 64-bit ``words`` of a bit stream, first bit lowest, where a 1
-    bit that opens a trit is a backslash that escapes the next bit.
-
-    ``carry`` is 1 for a word whose bit 0 is the second bit of a trit begun
-    in the word before. ``code ^ (words | carry)`` marks the second bits, and
-    bit 63 of ``code & words`` is the carry into the next word.
-    """
-    first = words & ~carry  # 1 bits that may open a trit
-    return (((first << _ONE) | _ODD_BITS) - first) ^ _ODD_BITS
 
 
 def decode(bits: str, alphabet, letter_count: int) -> list[int]:

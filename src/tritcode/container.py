@@ -110,7 +110,10 @@ _WHOLE_BYTES = {8: np.dtype("u1"), 16: np.dtype(">u2"), 32: np.dtype(">u4")}
 
 
 def letter_dtype(letter_bits: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds an L-bit letter."""
+    """The narrowest unsigned dtype that holds an L-bit letter; a width
+    outside 1..32 raises ValueError."""
+    if not 1 <= letter_bits <= 32:
+        raise ValueError(f"letter width {letter_bits} out of range 1..32")
     return np.dtype(np.uint8 if letter_bits <= 8 else
                     np.uint16 if letter_bits <= 16 else np.uint32)
 
@@ -124,8 +127,7 @@ def split_letters(data: bytes, letter_bits: int) -> tuple[np.ndarray, int]:
     read-only big-endian view of ``data`` (of a zero-padded copy when the
     length is not a whole number of letters); ``data`` is never modified.
     """
-    if not 1 <= letter_bits <= 32:
-        raise ValueError(f"letter width {letter_bits} out of range 1..32")
+    dtype = letter_dtype(letter_bits)
     buf = np.frombuffer(data, dtype=np.uint8)
     nbits = buf.size * 8
     whole = _WHOLE_BYTES.get(letter_bits)
@@ -141,7 +143,7 @@ def split_letters(data: bytes, letter_bits: int) -> tuple[np.ndarray, int]:
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
     bits = bits.reshape(-1, letter_bits)
-    letters = bits[:, 0].astype(letter_dtype(letter_bits))
+    letters = bits[:, 0].astype(dtype)
     for j in range(1, letter_bits):
         letters <<= 1
         letters |= bits[:, j]
@@ -154,6 +156,7 @@ def join_letters(letters, letter_bits: int, original_bit_length: int) -> bytes:
     Each letter contributes its low L bits. ``letters`` is any integer
     sequence; it is not modified.
     """
+    dtype = letter_dtype(letter_bits)
     arr = np.asarray(letters)
     if original_bit_length == 0 and arr.size == 0:
         return b""
@@ -169,7 +172,7 @@ def join_letters(letters, letter_bits: int, original_bit_length: int) -> bytes:
     if whole is not None:
         arr = arr.astype(whole, copy=False)
         return arr.view(np.uint8)[:original_bit_length // 8].tobytes()
-    arr = arr.astype(letter_dtype(letter_bits), copy=False)
+    arr = arr.astype(dtype, copy=False)
     bits = np.empty((arr.size, letter_bits), dtype=np.uint8)
     for j in range(letter_bits):
         bits[:, j] = (arr >> (letter_bits - 1 - j)) & 1
@@ -345,7 +348,11 @@ def decompress(blob: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class ContainerInfo:
-    """Structural summary of a container, for inspection and reports."""
+    """Structural summary of a container, for inspection and reports.
+
+    ``alphabet_block_bytes`` counts the 4-byte alphabet power as well as
+    the alphabet block after it: every byte from offset 12 to the payload.
+    """
 
     header: Header
     m: int

@@ -461,7 +461,7 @@ class TestByteCounting:
         arr = np.asarray(arr, dtype=np.uint8)
         assert codec._distinct(arr)[1] is None  # no first occurrences: no sort
         with mock.patch("numpy.argsort", wraps=np.argsort) as argsort, \
-                mock.patch.object(codec, "_keys", wraps=codec._keys) as keys:
+                mock.patch.object(codec, "_sorted_keys", wraps=codec._sorted_keys) as keys:
             model = build_model(arr)
             alphabet, payload, nbits = encoded(arr)
         # nothing is argsorted, and the only keys, sorted in place, rank the

@@ -194,6 +194,9 @@ class TestLetterSegmentation:
             split_letters(b"x", 0)
         with pytest.raises(ValueError):
             split_letters(b"x", 33)
+        for width in (0, 33, 40, 64):
+            with pytest.raises(ValueError, match=f"^letter width {width} out of range 1..32$"):
+                join_letters([1], width, 8)
 
 
 BUFFER_KINDS = {
