@@ -29,7 +29,11 @@ signature word each, ``value << 6 | length``. Byte letters index a table
 of those words by letter value, and 16-bit letters a table of their ranks,
 of the narrowest unsigned type that holds m - 1, which then index the
 words. Wider letters take their ranks through the sorted positions, each
-distinct letter's rank read where its first occurrence took it. One encoder
+distinct letter's rank read where its first occurrence took it. Pass one
+and the rank spread gather by ``take`` and scatter by an intp index,
+casting a narrower index a chunk at a time: fancy indexing by a uint16 or
+uint32 index is about 3 times slower, and a whole cast would add 8 bytes
+an index to the peak. One encoder
 takes its ranks from pass one or from a given model, then spreads and packs
 them alike. The counts and the lengths give the payload's bit count before
 encoding, so the payload is packed into one zeroed buffer of big-endian
@@ -126,7 +130,8 @@ _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 # Pass one counts byte letters this many letters at a time: bincount casts
 # its input to intp, so the chunk bounds that scratch whatever the input size.
-# One- and two-letter alphabets pack their bits as many letters at a time.
+# The encoder's gathers and scatters cast as many indices to intp at a time,
+# and one- and two-letter alphabets pack their bits as many letters at a time.
 _COUNT_CHUNK = 1 << 16
 
 # First occurrences of byte values come from np.minimum.at over a prefix
@@ -192,10 +197,10 @@ def _encode(letters, model: Model | None = None) -> tuple[np.ndarray | None, int
         known, lowest, _, _ = _distinct(known.astype(np.int64, copy=False))
         values, firsts, counts, perm = _distinct(arr)
         pos = np.minimum(np.searchsorted(known, values), known.size - 1)
-        absent = known[pos] != values
+        absent = known.take(pos) != values
         if absent.any():
             raise ValueError(f"letter {int(values[absent][0])} absent from model")
-        rank = lowest[pos].astype(np.min_scalar_type(m - 1))
+        rank = lowest.take(pos).astype(np.min_scalar_type(m - 1))
         del known, lowest, pos, absent
         spread = None if perm is None else (perm, firsts, counts)
     ranks = None  # one or two letters pack the letters themselves
@@ -205,9 +210,9 @@ def _encode(letters, model: Model | None = None) -> tuple[np.ndarray | None, int
         # each value's rank, read where its first occurrence got its rank
         # before the spread overwrites it
         ranks = np.empty(arr.size, dtype=rank.dtype)
-        ranks[firsts] = rank
+        _scatter(ranks, firsts, rank)
         del firsts
-        ranks[perm] = np.repeat(ranks[first], grouped)
+        _scatter(ranks, perm, np.repeat(_gather(ranks, first), grouped))
         del perm, first, grouped
     job = _indexed(arr, top, m, values, counts, rank, ranks)
     return alphabet, job[2], job
@@ -218,7 +223,8 @@ def _letter_array(letters) -> np.ndarray:
     arrays keep their width, in native byte order, and other integer or
     bool input becomes int64. Anything else, letters beyond int64 and input
     of any other shape raise ValueError. Every letter array the codec takes,
-    input, model letters or decoder alphabet, enters through here."""
+    input, model letters or decoder alphabet, enters through here, as do
+    the letters that :func:`~tritcode.container.join_letters` joins."""
     arr = np.asarray(letters)
     if arr.ndim != 1:
         raise ValueError("letters must be a one-dimensional sequence")
@@ -258,10 +264,10 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
         ranked = np.subtract(np.uint64(top), keys, out=keys)
     else:
         order = np.lexsort((first, top - counts))
-        firsts, ranked = first[order], counts[order]
+        firsts, ranked = first.take(order), counts.take(order)
         del order
     spread = None if perm is None else (perm, first, counts)
-    return arr, arr[firsts], ranked, firsts, spread
+    return arr, _gather(arr, firsts), ranked, firsts, spread
 
 
 def _first_seen(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -309,14 +315,17 @@ def _distinct(arr: np.ndarray) -> tuple[
         ordered, perm = _sorted_keys(arr, np.arange(arr.size, dtype=np.uint64))
     else:
         perm = np.argsort(arr, kind="stable")
-        ordered = arr[perm]
+        ordered = arr.take(perm)
     opens = np.empty(ordered.size, dtype=bool)
     opens[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
     starts = np.flatnonzero(opens)
+    counts = np.empty_like(starts)
+    counts[-1] = ordered.size - starts[-1]
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     # the sort is stable, so each value's run opens with its first occurrence
-    return (ordered[starts].astype(arr.dtype, copy=False), perm[starts],
-            np.diff(starts, append=ordered.size), perm if wide else None)
+    return (ordered.take(starts).astype(arr.dtype, copy=False), perm.take(starts),
+            counts, perm if wide else None)
 
 
 def _sorted_keys(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,6 +339,27 @@ def _sorted_keys(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndar
     lows = keys.astype(np.uint32)
     keys >>= _HALF
     return keys, lows
+
+
+def _gather(source: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``source[index]``, by ``take`` into one array, :data:`_COUNT_CHUNK`
+    indices at a time: ``take`` casts an index narrower than intp whole, 8
+    bytes an index on top of the encoder's peak, and ``source[index]`` runs
+    it through a buffered cast some 3 times slower."""
+    out = np.empty(index.size, dtype=source.dtype)
+    for start in range(0, index.size, _COUNT_CHUNK):
+        stop = start + _COUNT_CHUNK
+        source.take(index[start:stop], out=out[start:stop], mode="clip")
+    return out
+
+
+def _scatter(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``out[index] = values``, :data:`_COUNT_CHUNK` indices at a time, each
+    chunk's index cast to intp first: numpy's own buffered cast of a
+    narrower index is slower than that cast and an intp scatter together."""
+    for start in range(0, index.size, _COUNT_CHUNK):
+        stop = start + _COUNT_CHUNK
+        out[index[start:stop].astype(np.intp, copy=False)] = values[start:stop]
 
 
 def encode_packed(letters, model: Model) -> tuple[bytes, int]:
@@ -363,16 +393,16 @@ def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
     if isinstance(cs, Degenerate):
         return arr, (first,), arr.size, 0
     words, lengths = signature_words(cs.n, m)
-    nbits = int(counts @ lengths[rank])
+    nbits = int(counts @ _gather(lengths, rank))
     if ranks is not None:
         return ranks, (words,), nbits, cs.n
     size = int(values.max()) + 1
     if arr.dtype == np.uint8:
         table = np.empty(size, dtype=np.uint64)
-        table[values] = words[rank]
+        _scatter(table, values, _gather(words, rank))
         return arr, (table,), nbits, cs.n
     table = np.empty(size, dtype=rank.dtype)
-    table[values] = rank
+    _scatter(table, values, rank)
     return arr, (table, words), nbits, cs.n
 
 

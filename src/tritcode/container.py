@@ -153,11 +153,13 @@ def split_letters(data: bytes, letter_bits: int) -> tuple[np.ndarray, int]:
 def join_letters(letters, letter_bits: int, original_bit_length: int) -> bytes:
     """Reassemble bytes from L-bit letters, dropping the final padding.
 
-    Each letter contributes its low L bits. ``letters`` is any integer
-    sequence; it is not modified.
+    Each letter contributes its low L bits. ``letters`` is any
+    one-dimensional sequence of integers or bools within int64, taken as
+    the codec takes letters; anything else raises ValueError. It is not
+    modified.
     """
     dtype = letter_dtype(letter_bits)
-    arr = np.asarray(letters)
+    arr = codec._letter_array(letters)
     if original_bit_length == 0 and arr.size == 0:
         return b""
     low = letter_bits * (arr.size - 1)
@@ -185,9 +187,12 @@ def _letter_width_bytes(letter_bits: int) -> int:
 
 
 def _pack_alphabet(letters: np.ndarray, letter_bits: int) -> bytes:
+    """The raw alphabet area of ``letters``: each one's low ceil(L/8) bytes,
+    little-endian, copied out of the letters as ``<u4`` through one
+    ``V{width}`` view with a 4-byte stride, a width of 1 to 4 bytes alike."""
     width = _letter_width_bytes(letter_bits)
-    arr = letters.astype("<u4")
-    return arr.view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
+    return np.ndarray(letters.size, dtype=f"V{width}", buffer=letters.astype("<u4"),
+                      strides=(4,)).tobytes()
 
 
 def _unpack_alphabet(blob: bytes, m: int, letter_bits: int) -> np.ndarray:

@@ -429,6 +429,30 @@ class TestOneSortModel:
         assert set(keyed) == {True, False}
         assert lexsort.called == (limit == 8)
 
+    @pytest.mark.parametrize("width", [24, 32])
+    def test_spread_over_several_chunks(self, width):
+        # the rank spread gathers and scatters a chunk of indices at a time:
+        # over 2 * _COUNT_CHUNK + 5 distinct letters and more, some counted
+        # two and three times, each of its loops runs three times or more,
+        # under pass one and under a model that holds more letters
+        m = 2 * codec._COUNT_CHUNK + 5 + 1000
+        # an odd multiplier is a bijection mod 2^L: m distinct letters
+        spread = (np.arange(m + 500, dtype=np.uint64) * 0x9E37_79B1) % (1 << width)
+        values, unused = spread[:m].astype(np.uint32), spread[m:].astype(np.uint32)
+        rng = np.random.default_rng(width)
+        arr = rng.permutation(np.concatenate([values, values[:40], values[:10], values[90:95]]))
+        model = build_model(arr)
+        assert model == oracle_build_model(arr) and model.m == m
+        assert sorted(set(model.counts)) == [1, 2, 3]
+        alphabet, payload, nbits = encoded(arr)
+        assert alphabet.tolist() == list(model.letters)
+        assert (payload, nbits) == encode_packed(arr, model) == oracle_packed(model, arr)
+        assert np.array_equal(decode_packed(payload, alphabet, arr.size, nbits), arr)
+        larger = model_of(rng.permutation(np.concatenate([values, unused])).tolist())
+        payload, nbits = encode_packed(arr, larger)
+        assert (payload, nbits) == oracle_packed(larger, arr)
+        assert np.array_equal(decode_packed(payload, larger.letters, arr.size, nbits), arr)
+
 
 def sorted_encoded(arr):
     """Oracle: ``codec._encode`` of byte letters by the sort path, with the
@@ -1229,11 +1253,12 @@ class TestDecoderMemory:
 
 
 class TestEncoderMemory:
-    @pytest.mark.parametrize("width, bound", [(16, 9.65), (32, 16.3)])
-    def test_peak_under_its_own_model(self, width, bound):
+    @pytest.mark.parametrize("width", [16, 32])
+    def test_peak_under_its_own_model(self, width):
         # random letters under their own model, as a caller that builds the
         # model first encodes them: bounded at the measured peaks, reached
         # while the letters' distinct values are found
+        bound = {16: 9.18, 32: 15.31}[width]
         peaks = []
         for size in (1 << 20, 8 << 20):
             letters, _ = split_letters(np.random.default_rng(size + width).bytes(size), width)
