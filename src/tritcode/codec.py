@@ -13,14 +13,16 @@ step chosen by letter dtype. Byte letters are counted, with no sort: one
 bincount per chunk gives the 256 counts, and a running minimum of positions
 over a prefix that doubles until at most a few counted values are unseen
 gives the first occurrences; one compare-and-argmax search per value finds
-the rest. uint32 letters, and int64 library input below 2^32, take one sort
-of (value, position) keys, and 16-bit letters and other int64 input numpy's
-stable argsort, radix for 16 bits; the sorted run of each distinct letter
+the rest. 16-bit and uint32 letters, and int64 library input below 2^32,
+take one sort of (value, position) keys, ``value << b | position`` with b
+the bit length of the last position, uint32 where the largest value fits
+the 32 - b bits left and uint64 with b = 32 where it does not; other int64
+input takes numpy's stable argsort. The sorted run of each distinct letter
 gives its count and, as its first member, its first occurrence. The first
 occurrence breaks count ties in one in-place sort of (count, first) keys,
-which are distinct: the sorted low halves are where the ranked letters
-first occur, so they give the ranked alphabet with no permutation. A model
-needs no more: pass one gives no letter its rank.
+as narrow by the same rule, which are distinct: their sorted low bits are
+where the ranked letters first occur, so they give the ranked alphabet with
+no permutation. A model needs no more: pass one gives no letter its rank.
 
 Encoding needs no stored code table either, and never looks at a trit.
 Each codeword is an integer and a bit length, and
@@ -47,7 +49,7 @@ word before spills its high bits into the word where the field before it
 ends, so they join that field's bits; as a field has at most 64 bits, every
 word from the chunk's first field end to its last receives one, and one
 reduceat ORs the fields that end in each word into one slice of words.
-Chunks of whole fields, about a fixed number of trits each, bound the
+Chunks of whole fields, a fixed number of codewords each, bound the
 scratch memory.
 
 Decoding needs no code tree and no codeword table search. A trit is 0, 10
@@ -114,10 +116,10 @@ from .errors import CorruptedDataError, TruncatedDataError
 # codewords sets the peak (the trit scan peaks at 1.5 MiB).
 _WINDOW_BITS = 1 << 17
 
-# Trits the encoder packs at a time (n per codeword), in whole fields of g
-# codewords. The chunk caps the encoder's scratch arrays whatever the input
-# size, as _WINDOW_BITS does for the decoder.
-_CHUNK_TRITS = 1 << 16
+# Codewords the encoder packs at a time, in whole fields of g codewords. The
+# chunk caps the encoder's scratch arrays whatever the input size, as
+# _WINDOW_BITS does for the decoder: one uint64 word a codeword, 128 KiB.
+_CHUNK_CODEWORDS = 1 << 14
 
 # Word constants of the packer and the trit scan, as numpy scalars: numpy 1.x
 # promotes a uint64 array combined with a Python int to float64.
@@ -142,12 +144,11 @@ _COUNT_CHUNK = 1 << 16
 _FIRST_STEP = 1 << 11
 _FEW = 8
 
-# Pass one sorts uint32 letters, and int64 letters below this bound, by uint64
-# keys of value and position, and ranks by keys of count and first occurrence,
-# both through _sorted_keys; inputs of this bound or more take numpy's stable
-# argsort and lexsort instead.
+# Pass one sorts 16-bit and uint32 letters, and int64 letters below this
+# bound, by uint32 or uint64 keys of value and position, and ranks by keys of
+# count and first occurrence, both through _sorted_keys; inputs of this bound
+# or more take numpy's stable argsort and lexsort instead.
 _KEY_LIMIT = 1 << 32
-_HALF = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,7 @@ def _encode(letters, model: Model | None = None) -> tuple[np.ndarray | None, int
     build_model(letters))`` packs."""
     if model is None:
         arr, alphabet, counts, firsts, spread = _ranked(letters)
-        values, m, top = alphabet, alphabet.size, alphabet[0]
-        rank = np.arange(m, dtype=np.min_scalar_type(m - 1))
+        values, m, top, rank = alphabet, alphabet.size, alphabet[0], None
     else:  # the model holds the alphabet: none is returned, nor held while ranking
         arr, alphabet, known = _letter_array(letters), None, _letter_array(model.letters)
         if known.size == 0:
@@ -209,8 +209,8 @@ def _encode(letters, model: Model | None = None) -> tuple[np.ndarray | None, int
         del spread  # each m-sized array goes once spent: the packer needs none
         # each value's rank, read where its first occurrence got its rank
         # before the spread overwrites it
-        ranks = np.empty(arr.size, dtype=rank.dtype)
-        _scatter(ranks, firsts, rank)
+        ranks = np.empty(arr.size, dtype=np.min_scalar_type(m - 1))
+        _scatter(ranks, firsts, np.arange(m, dtype=ranks.dtype) if rank is None else rank)
         del firsts
         _scatter(ranks, perm, np.repeat(_gather(ranks, first), grouped))
         del perm, first, grouped
@@ -244,10 +244,11 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     in sorted order with each distinct value's first occurrence and count,
     by ascending value (else None).
 
-    The keys ``(max count - count) << 32 | first occurrence`` are distinct,
-    so one sort of them in place ranks the alphabet with no permutation:
-    their low halves are where the ranked letters first occur, and their
-    high halves give the counts.
+    The keys ``(max count - count) << b | first occurrence`` of
+    :func:`_sorted_keys` are distinct, so one sort of them in place ranks
+    the alphabet with no permutation: their low b bits are where the ranked
+    letters first occur, and their high bits give the counts, in the keys'
+    dtype, uint32 or uint64.
     """
     arr = _letter_array(letters)
     if arr.size == 0:
@@ -259,9 +260,11 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
         first = _first_seen(arr, values)
     del values
     top = counts.max()
-    if arr.size < _KEY_LIMIT:
-        keys, firsts = _sorted_keys(top - counts, first)
-        ranked = np.subtract(np.uint64(top), keys, out=keys)
+    if arr.size < _KEY_LIMIT:  # bounds in plain ints: a count is 1 or more
+        keys, b = _sorted_keys(top - counts, int(top) - 1, first, arr.size - 1)
+        firsts = _low_bits(keys, b)
+        keys >>= keys.dtype.type(b)
+        ranked = np.subtract(keys.dtype.type(top), keys, out=keys)
     else:
         order = np.lexsort((first, top - counts))
         firsts, ranked = first.take(order), counts.take(order)
@@ -298,10 +301,13 @@ def _distinct(arr: np.ndarray) -> tuple[
     letters wider than 16 bits, their positions in sorted order (else None).
 
     Byte letters are counted by one bincount per chunk, with no sort, and
-    return no first occurrences: :func:`_first_seen` finds them. uint32
-    letters, and int64 letters once two scans find them below 2^32, sort as
-    distinct keys ``letter << 32 | position``, stable in any sort. The rest
-    take numpy's stable argsort, a radix sort for 16-bit letters.
+    return no first occurrences: :func:`_first_seen` finds them. 16-bit and
+    uint32 letters, and int64 letters once two scans find them below 2^32,
+    sort as distinct keys ``letter << b | position`` (:func:`_sorted_keys`),
+    stable in any sort; each run's first key gives its value and first
+    occurrence, and only wider letters split every key for their positions.
+    Inputs of :data:`_KEY_LIMIT` letters or more, and other int64 letters,
+    take numpy's stable argsort.
     """
     if arr.dtype == np.uint8:
         counts = np.zeros(256, dtype=np.intp)
@@ -310,35 +316,77 @@ def _distinct(arr: np.ndarray) -> tuple[
         values = np.flatnonzero(counts)
         return values.astype(np.uint8), None, counts[values], None
     wide = arr.dtype.itemsize > 2
-    if wide and arr.size < _KEY_LIMIT and (
-            arr.dtype == np.uint32 or arr.min() >= 0 and arr.max() < _KEY_LIMIT):
-        ordered, perm = _sorted_keys(arr, np.arange(arr.size, dtype=np.uint64))
+    top = int(arr.max())
+    if arr.size < _KEY_LIMIT and (
+            arr.dtype.kind == "u" or arr.min() >= 0 and top < _KEY_LIMIT):
+        keys, b = _sorted_keys(arr, top)
+        starts, counts = _runs(keys, b)
+        # the sort is stable, so each run opens with its first occurrence
+        heads = keys.take(starts)
+        del starts  # each m-sized array goes once spent
+        firsts = _low_bits(heads, b)
+        heads >>= heads.dtype.type(b)
+        values = heads.astype(arr.dtype)
+        del heads
+        return values, firsts, counts, _low_bits(keys, b) if wide else None
+    perm = np.argsort(arr, kind="stable")
+    ordered = arr.take(perm)
+    starts, counts = _runs(ordered.view(f"u{ordered.itemsize}"), 0)
+    return ordered.take(starts), perm.take(starts), counts, perm if wide else None
+
+
+def _sorted_keys(high: np.ndarray, high_max: int, low: np.ndarray | None = None,
+                 low_max: int = 0) -> tuple[np.ndarray, int]:
+    """The keys ``high << b | low``, sorted, and b, the bit length of
+    ``low_max``: uint32 keys if ``high_max`` fits in the 32 - b bits left,
+    else uint64 keys with b = 32. ``high_max`` and ``low_max`` bound the
+    nonnegative ``high`` and ``low``. ``low`` None stands for the positions
+    0, 1, ..., up to ``high.size - 1``, which are ORed in a chunk at a time,
+    so no position array of the keys' size is held. The keys are built and
+    sorted in place: no new array per operator."""
+    if low is None:
+        low_max = high.size - 1
+    b = low_max.bit_length()
+    if b < 32 and not high_max >> 32 - b:
+        dtype = np.uint32
     else:
-        perm = np.argsort(arr, kind="stable")
-        ordered = arr.take(perm)
-    opens = np.empty(ordered.size, dtype=bool)
+        dtype, b = np.uint64, 32
+    keys = high.astype(dtype)
+    keys <<= dtype(b)
+    if low is None:
+        for start in range(0, keys.size, _COUNT_CHUNK):
+            chunk = keys[start:start + _COUNT_CHUNK]
+            chunk |= np.arange(start, start + chunk.size, dtype=dtype)
+    else:
+        keys |= low.astype(dtype, copy=False)
+    keys.sort()
+    return keys, b
+
+
+def _low_bits(keys: np.ndarray, b: int) -> np.ndarray:
+    """The low ``b`` bits of the keys of :func:`_sorted_keys`, as uint32."""
+    if b == 32:
+        return keys.astype(np.uint32)
+    return keys & keys.dtype.type((1 << b) - 1)
+
+
+def _runs(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start and the length of each run of sorted unsigned ``keys``
+    whose high bits, ``keys >> b``, are equal. Adjacent keys differ above
+    bit b - 1 where their XOR is 2^b or more; the XORs are taken a chunk at
+    a time, so no scratch of the keys' size is held beside the run marks."""
+    opens = np.empty(keys.size, dtype=bool)
     opens[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
+    edge = keys.dtype.type(1 << b)
+    for start in range(1, keys.size, _COUNT_CHUNK):
+        stop = min(start + _COUNT_CHUNK, keys.size)
+        np.greater_equal(keys[start:stop] ^ keys[start - 1:stop - 1], edge,
+                         out=opens[start:stop])
     starts = np.flatnonzero(opens)
     counts = np.empty_like(starts)
-    counts[-1] = ordered.size - starts[-1]
+    counts[-1] = keys.size - starts[-1]
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    # the sort is stable, so each value's run opens with its first occurrence
-    return (ordered.take(starts).astype(arr.dtype, copy=False), perm.take(starts),
-            counts, perm if wide else None)
-
-
-def _sorted_keys(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The uint64 keys ``high << 32 | low``, sorted, split into their high
-    halves, uint64, and their low halves, uint32. The keys are built,
-    sorted and shifted in place: no new array per operator."""
-    keys = high.astype(np.uint64)
-    keys <<= _HALF
-    keys |= low.astype(np.uint64, copy=False)
-    keys.sort()
-    lows = keys.astype(np.uint32)
-    keys >>= _HALF
-    return keys, lows
+    return starts, counts
 
 
 def _gather(source: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -374,7 +422,7 @@ def encode_packed(letters, model: Model) -> tuple[bytes, int]:
 
 
 def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
-             counts: np.ndarray, rank: np.ndarray, ranks: np.ndarray | None
+             counts: np.ndarray, rank: np.ndarray | None, ranks: np.ndarray | None
              ) -> tuple[np.ndarray, tuple[np.ndarray, ...], int, int]:
     """What :func:`_pack` takes for the letters ``arr`` under an alphabet of
     ``m`` letters, ``first`` the one of rank 0: an index array, the tables
@@ -382,25 +430,32 @@ def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
     code set number.
 
     ``values`` are distinct letters, each with its count and its 0-based
-    ``rank``. Byte letters index a table of words by letter value. 16-bit
-    letters index a table of ranks by value, a quarter the size, and the
-    ranks index the words. Letters wider than 16 bits come with ``ranks``,
-    each letter's rank, which index the words, and need no ``values``;
-    narrower ones with None. One- and two-letter alphabets get no table and
-    set 0: the letters are the index, and ``first`` stands in the tables.
+    ``rank``; ``rank`` None stands for 0, 1, ..., m - 1, values in rank
+    order, as pass one gives them. Byte letters index a table of words by
+    letter value. 16-bit letters index a table of ranks by value, a quarter
+    the size, and the ranks index the words. Letters wider than 16 bits come
+    with ``ranks``, each letter's rank, which index the words, and need no
+    ``values``; narrower ones with None. One- and two-letter alphabets get
+    no table and set 0: the letters are the index, and ``first`` stands in
+    the tables.
     """
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
         return arr, (first,), arr.size, 0
     words, lengths = signature_words(cs.n, m)
-    nbits = int(counts @ _gather(lengths, rank))
+    if rank is not None:
+        lengths = _gather(lengths, rank)
+    # in 64-bit ints: a product of narrower ones may wrap, and is slower
+    nbits = int(np.dot(counts.astype(np.int64, copy=False), lengths.astype(np.int64)))
     if ranks is not None:
         return ranks, (words,), nbits, cs.n
     size = int(values.max()) + 1
     if arr.dtype == np.uint8:
         table = np.empty(size, dtype=np.uint64)
-        _scatter(table, values, _gather(words, rank))
+        _scatter(table, values, words if rank is None else _gather(words, rank))
         return arr, (table,), nbits, cs.n
+    if rank is None:
+        rank = np.arange(m, dtype=np.min_scalar_type(m - 1))
     table = np.empty(size, dtype=rank.dtype)
     _scatter(table, values, rank)
     return arr, (table, words), nbits, cs.n
@@ -431,7 +486,7 @@ def _pack(index: np.ndarray, tables: tuple[np.ndarray, ...], nbits: int,
         return payload.tobytes(), nbits
     *through, signatures = tables
     g = 1 << (32 // n).bit_length() - 1  # codewords per field: 2^floor(log2(64 / 2n))
-    step = g * max(1, _CHUNK_TRITS // (n * g))
+    step = g * max(1, _CHUNK_CODEWORDS // g)
     words = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
     buf = np.empty(min(step, -(-index.size // g) * g), dtype=np.uint64)
     end = 0

@@ -396,13 +396,17 @@ class TestOneSortModel:
     def test_key_limit_branches_agree(self, limit):
         """int64 letters of _KEY_LIMIT or more, or inputs of as many letters,
         sort by numpy's stable argsort, and the latter order their groups by
-        lexsort, instead of by uint64 keys; patched down, the bound moves small
+        lexsort, instead of by sort keys; patched down, the bound moves small
         inputs to the other side of each branch, and every result stays."""
         edge = [0, 1, 6, 7, 8, 9, 2**32 - 2, 2**32 - 1]
+        edge16 = [0, 1, 6, 7, 8, 9, 2**16 - 2, 2**16 - 1]
         # counts that rank letters against their first occurrences
         cases = [np.array(letters, dtype=np.uint32) for letters in (
             [0, 7, 7], [5, 3, 6, 1, 6, 1, 3], [5, 1, 6, 1, 6, 0, 3, 0, 6], [2, 8, 8],
             edge, edge[::-1] * 2, [2**32 - 2] + edge * 2)]
+        cases += [np.array(letters, dtype=np.uint16) for letters in (
+            [0, 7, 7], [5, 1, 6, 1, 6, 0, 3, 0, 6], edge16, edge16[::-1] * 2,
+            [2**16 - 2] + edge16 * 2)]
         cases += [np.array(letters, dtype=np.int64) for letters in (
             [7, 2**32 - 1, 2**32 - 1], [9, 2**32, 0, 2**32], [7, 2**32 - 1, 2**32, 2**32] * 3)]
         probes = [np.array(probe, dtype=np.int64) for probe in (
@@ -418,13 +422,23 @@ class TestOneSortModel:
                 for probe in probes:
                     assert (outcome(encode_packed, probe, model)
                             == outcome(oracle_packed, model, probe))
-            # the key sort's positions are uint32, the argsort's intp
-            keyed = [codec._distinct(arr)[3].dtype == np.uint32 for arr in cases]
+            keyed = []
+            for arr in cases:
+                with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+                    perm = codec._distinct(arr)[3]
+                keyed.append(not argsort.called)
+                # the key sort's positions are uint32, the argsort's intp;
+                # 16-bit letters return none
+                if arr.dtype == np.uint16:
+                    assert perm is None
+                else:
+                    assert perm.dtype == (np.uint32 if keyed[-1] else np.intp)
             with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
                 for arr in cases:
                     codec._ranked(arr)
-        # uint32 letters are keyed unscanned, int64 ones below the limit
-        assert keyed == [arr.size < limit and (arr.dtype == np.uint32 or arr.max() < limit)
+        # unsigned letters are keyed whatever their values, int64 ones below
+        # the limit
+        assert keyed == [arr.size < limit and (arr.dtype.kind == "u" or arr.max() < limit)
                          for arr in cases]
         assert set(keyed) == {True, False}
         assert lexsort.called == (limit == 8)
@@ -452,6 +466,76 @@ class TestOneSortModel:
         payload, nbits = encode_packed(arr, larger)
         assert (payload, nbits) == oracle_packed(larger, arr)
         assert np.array_equal(decode_packed(payload, larger.letters, arr.size, nbits), arr)
+
+
+def key_dtypes(fn, *args):
+    """``fn(*args)``, and the dtype of the keys of each :func:`codec._sorted_keys`
+    call it makes, in call order."""
+    dtypes = []
+    sorted_keys = codec._sorted_keys
+
+    def recorded(*call_args):
+        keys, b = sorted_keys(*call_args)
+        dtypes.append(keys.dtype)
+        return keys, b
+
+    with mock.patch.object(codec, "_sorted_keys", recorded):
+        return fn(*args), dtypes
+
+
+class TestSortKeys:
+    """Pass one's keys are uint32 where value and position, or count gap
+    and first occurrence, fit 32 bits, else uint64: both widths give the
+    oracle's model and payload, and 16-bit letters never take an argsort."""
+
+    @staticmethod
+    def assert_matches_oracle(arr):
+        model = oracle_build_model(arr)
+        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+            (alphabet, payload, nbits), dtypes = key_dtypes(encoded, arr)
+            assert build_model(arr) == model
+            assert encode_packed(arr, model) == (payload, nbits)
+        assert not argsort.called
+        assert alphabet.dtype == arr.dtype and alphabet.tolist() == list(model.letters)
+        assert (payload, nbits) == oracle_packed(model, arr)
+        return dtypes
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_16_bit_letters_at_the_key_edge(self, extra):
+        # 2^16 positions take 16 bits and leave 16 for every 16-bit value;
+        # one letter more takes 17, and then the value 2^16 - 1 does not fit
+        rng = np.random.default_rng(extra)
+        arr = rng.permutation(np.concatenate([
+            np.arange(1 << 16), rng.integers(0, 1 << 16, extra)])).astype(np.uint16)
+        letters, ranking = self.assert_matches_oracle(arr)
+        assert letters == (np.uint64 if extra else np.uint32)
+        assert ranking == np.uint32  # gaps of at most 1 and 17-bit positions
+        # below 2^15 every value still fits beside 17-bit positions
+        assert self.assert_matches_oracle(arr >> 1)[0] == np.uint32
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_wide_letters_at_the_key_edge(self, dtype):
+        # 1000 positions take 10 bits, so values below 2^22 fit a uint32 key
+        rng = np.random.default_rng(22)
+        arr = rng.integers(0, 1 << 22, 1000).astype(dtype)
+        for top, width in [((1 << 22) - 1, np.uint32), (1 << 22, np.uint64)]:
+            arr[rng.integers(0, arr.size)] = top
+            assert self.assert_matches_oracle(arr)[0] == width
+
+    def test_ranking_keys_past_32_bits(self):
+        # 2^17 letters, one of them 2^16 + 1 times: a count gap of 2^16
+        # beside 17-bit first occurrences takes 33 bits
+        rng = np.random.default_rng(33)
+        arr = np.concatenate([np.full((1 << 16) + 1, 7), rng.integers(0, 5000, (1 << 16) - 1)])
+        arr = rng.permutation(arr).astype(np.uint16)
+        assert self.assert_matches_oracle(arr) == [np.uint32, np.uint64]
+        # the same letters as bytes are counted, and only ranked by keys
+        assert self.assert_matches_oracle(arr.astype(np.uint8) >> 1) == [np.uint64]
+
+    @given(st.integers(9, 16).flatmap(_narrow))
+    @settings(max_examples=100, deadline=None)
+    def test_16_bit_letters_take_no_argsort(self, arr):
+        assert self.assert_matches_oracle(arr)[0] == np.uint32
 
 
 def sorted_encoded(arr):
@@ -689,12 +773,12 @@ class TestArrayEncoder:
     """The chunked array encoder against the string-concatenation oracle."""
 
     @given(st.binary(min_size=1, max_size=600), st.integers(min_value=1, max_value=32),
-           st.sampled_from([1, 7, 64, 1 << 16]))
+           st.sampled_from([1, 7, 64, 1 << 14]))
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_oracle(self, data, width, chunk):
         letters, _ = split_letters(data, width)
         model = build_model(letters)
-        with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
+        with mock.patch.object(codec, "_CHUNK_CODEWORDS", chunk):
             packed = encode_packed(letters, model)
             alphabet, *ours = encoded(letters)
         expected = naive_encode(letters.tolist(), model)
@@ -714,21 +798,21 @@ class TestArrayEncoder:
             model = build_model(letters)
             assert model.code_set.n == n and letters.size % 2
             expected = table_encode(letters.tolist(), model)
-            chunks = [7, 1 << 16] if n <= 6 else [1 << 16]
+            chunks = [7, 1 << 14] if n <= 6 else [1 << 14]
             for chunk in chunks:
-                with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
+                with mock.patch.object(codec, "_CHUNK_CODEWORDS", chunk):
                     _, *ours = encoded(letters)
                     packed = encode_packed(letters, model)
                 assert packed == tuple(ours) == (pack01(expected), len(expected))
 
-    @pytest.mark.parametrize("chunk", [1000, 1 << 16])
+    @pytest.mark.parametrize("chunk", [1000, 1 << 14])
     def test_multi_chunk_input(self, chunk):
         rng = random.Random(17)
-        data = bytes(rng.getrandbits(8) for _ in range(24_000))
-        letters, _ = split_letters(data, 16)  # about 1.2e4 letters, n = 9
+        data = bytes(rng.getrandbits(8) for _ in range(40_000))
+        letters, _ = split_letters(data, 16)  # 2e4 letters, n = 9
         model = build_model(letters)
-        assert letters.size * model.code_set.n > 1 << 16
-        with mock.patch.object(codec, "_CHUNK_TRITS", chunk):
+        assert model.code_set.n == 9 and letters.size > 1 << 14  # codewords
+        with mock.patch.object(codec, "_CHUNK_CODEWORDS", chunk):
             payload, nbits = encode_packed(letters, model)
         expected = naive_encode(letters.tolist(), model)
         assert (payload, nbits) == (pack01(expected), len(expected))
@@ -1258,7 +1342,7 @@ class TestEncoderMemory:
         # random letters under their own model, as a caller that builds the
         # model first encodes them: bounded at the measured peaks, reached
         # while the letters' distinct values are found
-        bound = {16: 9.18, 32: 15.31}[width]
+        bound = {16: 7.55, 32: 14.37}[width]
         peaks = []
         for size in (1 << 20, 8 << 20):
             letters, _ = split_letters(np.random.default_rng(size + width).bytes(size), width)
