@@ -19,13 +19,16 @@ compare it against:
   codewords as one uint64 word each, ``value << 6 | length``, built group
   by group in n array passes with no sort; its reference is :func:`unrank`
   followed by :func:`trits_to_bits`;
-- :func:`rank_rows` ranks many codewords at once, a block of up to six
-  trit positions at a time: one strided read of the trits' bytes and one
-  multiply give the block's base-3 values in byte lanes that never carry,
-  and one numpy lookup turns them into partial ranks, from tables whose
-  size depends on n alone; its reference is :func:`rank`. It checks and
-  copies its rows; the decoder hands its trit scan's buffer, which ends in
-  the slack the reads need, to the same kernel as it is.
+- the decoder's ``_rank_bytes`` ranks many codewords at once, a block of up
+  to six trit positions at a time: one strided read of the trits' bytes and
+  one multiply give the block's base-3 values in byte lanes that never
+  carry, and one numpy lookup turns them into partial ranks, from tables
+  whose size depends on n alone; its reference is :func:`rank`. It reads
+  the trit scan's buffer as it is, which ends in the slack the reads need.
+
+A codeword's length depends on its group alone, so :func:`code_bits` gives
+the exact bit count of any number of codewords of each rank from one sum of
+the counts per group, before a codeword is built.
 
 The decoder's trit scan (``codec._scan_trits``) has :func:`read_trits` as
 its reference. :func:`iter_codes` and :func:`generate_codes` list codewords
@@ -156,6 +159,26 @@ def group_counts(n: int, m: int) -> tuple[int, ...]:
                  for z in range(n, -1, -1) if before[z] < m)
 
 
+def code_bits(n: int, counts: np.ndarray) -> int:
+    """The exact bit count of ``counts[i]`` codewords of list index i + 1 of
+    set ``n``, for every i, as a Python int.
+
+    A codeword of group k, the one with n - k zeros, has n + k bits, so the
+    count is the sum over the groups of n + k times the group's summed
+    counts: one int64 ``reduceat`` at the groups' starts, then Python ints,
+    which cannot wrap. ``counts`` is a nonempty one-dimensional array of at
+    most 3^n nonnegative integers whose group sums fit an int64.
+    """
+    m = counts.size
+    _check_set_number(n)
+    if not 1 <= m <= 3**n:
+        raise ValueError(f"code count must be in 1..3^{n}, got {m}")
+    _, _, before = _ntables(n)
+    starts = [b for b in reversed(before) if b < m]  # plain ints: no array to build
+    sums = np.add.reduceat(counts, starts, dtype=np.int64).tolist()
+    return sum((n + k) * s for k, s in enumerate(sums))
+
+
 def trits_to_bits(trits: str) -> str:
     """Bit signature of a trit string: 0 -> '0', 1 -> '10', 2 -> '11'."""
     try:
@@ -254,22 +277,22 @@ def _rank_steps(n: int) -> np.ndarray:
     return steps
 
 
-# Trits that rank_rows reads as one block, by one table lookup. A block's
+# Trits that _rank_bytes reads as one block, by one table lookup. A block's
 # value stays below 3^6 = 729, and one multiply of the block's bytes gives
-# it for blocks of up to six trits (see rank_rows). Read a trit at a time,
+# it for blocks of up to six trits (see _rank_bytes). Read a trit at a time,
 # blocks of 7 or 8 trits ranked n = 5 to 21 within 10% of this and blocks
 # of 4 or 5 up to 60% slower; each added trit triples the tables.
 RANK_BLOCK_TRITS = 6
 
 # The rank kernel reads a block as the 1, 2, 4 or 8 bytes from its first
 # trit on, so its reads run up to 3 bytes past the last row: the rows it
-# ranks are followed by this many readable bytes, one word. rank_rows copies
-# its rows into such a buffer, and the decoder's trit scan returns one.
+# ranks are followed by this many readable bytes, one word. The decoder's
+# trit scan returns such a buffer.
 RANK_SLACK_BYTES = 8
 
 
 def _block_read(h: int) -> tuple[np.dtype, np.unsignedinteger]:
-    """How rank_rows reads a block of ``h`` trits: the little-endian dtype
+    """How _rank_bytes reads a block of ``h`` trits: the little-endian dtype
     of the fewest bytes that hold it, and the multiplier, in that dtype,
     that turns its bytes into byte lanes, ``sum(3^i << 8 i)`` over i < h,
     or i < 3 for a six-trit block."""
@@ -320,16 +343,17 @@ def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
     return tuple(blocks)
 
 
-def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
-    """1-based list positions of the codewords held in the rows of ``trits``.
+def _rank_bytes(n: int, data: np.ndarray, k: int) -> np.ndarray:
+    """The 0-based list indices, :func:`rank` minus 1, of the codewords of
+    set ``n`` held in the ``k`` rows of ``n`` trits, one byte each, that open
+    the one-dimensional byte array ``data``, which holds at least
+    :data:`RANK_SLACK_BYTES` more bytes after them, of any value. Nothing is
+    checked: a byte other than 0, 1 or 2 in the rows gives a wrong index.
 
-    ``trits`` is a (k, n) integer array, or nested list, of trit values 0,
-    1 and 2, one codeword per row; another shape, dtype or value raises
-    ValueError, as :func:`rank` rejects a character other than a trit. This
-    is :func:`rank` run over whole blocks of :data:`RANK_BLOCK_TRITS` trits:
-    one vector lookup per block in a fixed table, ceil(n / RANK_BLOCK_TRITS)
-    in all, with no search and no per-codeword Python work. Results are
-    exact int64 values for every set.
+    This is :func:`rank` run over whole blocks of :data:`RANK_BLOCK_TRITS`
+    trits: one vector lookup per block in a fixed table, ceil(n /
+    RANK_BLOCK_TRITS) in all, with no search and no per-codeword Python
+    work. Results are exact int64 values for every set.
 
     Each block's values come from one strided read of the rows' bytes,
     one trit per byte: the fewest of 1, 2, 4 or 8 bytes that hold the
@@ -340,32 +364,13 @@ def rank_rows(n: int, trits: np.ndarray) -> np.ndarray:
     byte h - 1 of the product, and the bytes after the block reach only
     higher lanes. A six-trit block is read as 8 bytes times ``1 | 3 << 8 |
     9 << 16``: bytes 2 and 5 hold the values of its halves, and its own is
-    27 * byte 2 + byte 5. The reads run up to 3 bytes past a row, so the
-    rows are copied once, a byte per trit, into a buffer with
-    :data:`RANK_SLACK_BYTES` more bytes after them. The decoder's trit scan
-    (``codec._scan_trits``) returns such a buffer, which the kernel
-    ``_rank_bytes`` ranks as it is, with no check and no copy, 0-based.
+    27 * byte 2 + byte 5. The reads run up to 3 bytes past the last row,
+    into the slack.
 
     The blocks are read from the last to the first, since each lookup needs
     the zeros that follow its block; the first block's zeros are never
     counted, so a set of one block counts none.
     """
-    _check_set_number(n)
-    trits = np.asarray(trits)
-    if trits.ndim != 2 or trits.shape[1] != n:
-        raise ValueError(f"expected rows of {n} trits, got shape {trits.shape}")
-    if trits.dtype.kind not in "iu" or (
-            trits.size and not 0 <= trits.min() <= trits.max() <= 2):
-        raise ValueError(f"trits must be the integers 0, 1 and 2, got {trits.dtype} rows")
-    return _rank_bytes(n, _row_bytes(trits), trits.shape[0]) + 1
-
-
-def _rank_bytes(n: int, data: np.ndarray, k: int) -> np.ndarray:
-    """:func:`rank_rows` minus 1, the 0-based indices, of the ``k`` rows of
-    ``n`` trits, one byte each, that open the one-dimensional byte array
-    ``data``, which holds at least :data:`RANK_SLACK_BYTES` more bytes after
-    them, of any value. Nothing is checked: a byte other than 0, 1 or 2 in
-    the rows gives a wrong index."""
     idx = zeros = None
     for s, h, share, block_zeros in reversed(_rank_blocks(n)):
         dtype, multiplier = _BLOCK_READS[h]
@@ -386,15 +391,6 @@ def _rank_bytes(n: int, data: np.ndarray, k: int) -> np.ndarray:
             ahead = block_zeros.take(value)
             zeros = ahead if zeros is None else zeros + ahead
     return idx
-
-
-def _row_bytes(trits: np.ndarray) -> np.ndarray:
-    """A copy of the rows of the (k, n) trit array ``trits`` one after
-    another, one trit per byte, then :data:`RANK_SLACK_BYTES` bytes of any
-    value, as :func:`_rank_bytes` reads them."""
-    data = np.empty(trits.size + RANK_SLACK_BYTES, dtype=np.uint8)
-    data[:trits.size] = trits.ravel()
-    return data
 
 
 def unrank(n: int, index: int) -> str:
@@ -428,12 +424,12 @@ def unrank(n: int, index: int) -> str:
     return "".join(out)
 
 
-# Per-n signature words and lengths for signature_words, built once and
-# reused; each holds the groups up to the furthest one any caller has
-# reached. A table of more than _SIGNATURES_KEPT entries (9 bytes each) is
-# built per call instead: it serves an input so large that the build costs
-# little beside encoding it, and keeping it would pin its memory for good.
-_signatures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Per-n signature words for signature_words, built once and reused; each
+# holds the groups up to the furthest one any caller has reached. A table of
+# more than _SIGNATURES_KEPT entries (8 bytes each) is built per call
+# instead: it serves an input so large that the build costs little beside
+# encoding it, and keeping it would pin its memory for good.
+_signatures: dict[int, np.ndarray] = {}
 _SIGNATURES_KEPT = 1 << 20
 
 # A signature word holds a codeword's length in its low SIGNATURE_LENGTH_BITS
@@ -444,35 +440,35 @@ MAX_WORD_SET_NUMBER = (64 - SIGNATURE_LENGTH_BITS) // 2
 _LENGTH_BITS = np.uint64(SIGNATURE_LENGTH_BITS)
 
 
-def signature_words(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def signature_words(n: int, m: int) -> np.ndarray:
     """The bit signatures of the first ``m`` codewords of set ``n`` as one
-    uint64 word each, ``value << 6 | length``, and their uint8 lengths.
+    uint64 word each, ``value << 6 | length``.
 
     Entry i - 1 is list index i; its value is the signature read as a binary
-    number, first bit most significant. A codeword has at most 2n bits, so
-    a word holds it up to set 29; the encoder needs no more than 21, 42 bits.
-    A group does not depend on how many follow it, so the words of each n
-    are kept, up to a size limit, and every shorter request is served from
-    their prefix. The returned arrays are read-only.
+    number, first bit most significant, and ``word & 63`` its length. A
+    codeword has at most 2n bits, so a word holds it up to set 29; the
+    encoder needs no more than 21, 42 bits. A group does not depend on how
+    many follow it, so the words of each n are kept, up to a size limit, and
+    every shorter request is served from their prefix. The returned array
+    is read-only.
     """
     if not 1 <= n <= MAX_WORD_SET_NUMBER:
         raise ValueError(f"code set number must be in 1..{MAX_WORD_SET_NUMBER}, got {n}")
     if not 1 <= m <= 3**n:
         raise ValueError(f"code count must be in 1..3^{n}, got {m}")
-    table = _signatures.get(n)
-    if table is None or table[0].size < m:
+    words = _signatures.get(n)
+    if words is None or words.size < m:
         # the last group the first m codewords reach has n - k zeros, so k
         # nonzero trits
-        table = _build_signatures(n, len(group_counts(n, m)) - 1)
-        if table[0].size <= _SIGNATURES_KEPT:
-            _signatures[n] = table
-    words, lengths = table
-    return words[:m], lengths[:m]
+        words = _build_signatures(n, len(group_counts(n, m)) - 1)
+        if words.size <= _SIGNATURES_KEPT:
+            _signatures[n] = words
+    return words[:m]
 
 
-def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only signature words and lengths of the groups of set ``n``
-    with n down to n - k zeros, as :func:`signature_words` gives them.
+def _build_signatures(n: int, k: int) -> np.ndarray:
+    """The read-only signature words of the groups of set ``n`` with n down
+    to n - k zeros, as :func:`signature_words` gives them.
 
     The signatures are grown from the last trit position to the first, kept
     in buckets by their count j of nonzero trits, lexicographically ordered
@@ -483,7 +479,9 @@ def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     buckets j = 0, 1, ..., k are the groups in list order, so no sort is
     needed, and buckets past k are never built: for the set that covers an
     alphabet of m letters, the groups its first m codewords reach hold fewer
-    than 3m entries.
+    than 3m entries. Each finished bucket becomes its words in place, its
+    values shifted above the length n + j that it ORs in, and one
+    concatenate joins them.
     """
     buckets = [np.zeros(1, dtype=np.uint64)]  # the empty string
     for p in range(n):
@@ -494,11 +492,9 @@ def _build_signatures(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
                 buckets[j:j + 1] + [shorter | np.uint64(2 << (p + j - 1)),
                                     shorter | np.uint64(3 << (p + j - 1))]))
         buckets = grown
-    lengths = np.repeat(np.arange(n, n + k + 1, dtype=np.uint8),
-                        [b.size for b in buckets])
+    for j, bucket in enumerate(buckets):
+        bucket <<= _LENGTH_BITS
+        bucket |= np.uint64(n + j)
     words = np.concatenate(buckets)
-    words <<= _LENGTH_BITS  # in place: the values become the words
-    words |= lengths
     words.setflags(write=False)
-    lengths.setflags(write=False)
-    return words, lengths
+    return words

@@ -37,10 +37,12 @@ casting a narrower index a chunk at a time: fancy indexing by a uint16 or
 uint32 index is about 3 times slower, and a whole cast would add 8 bytes
 an index to the peak. One encoder
 takes its ranks from pass one or from a given model, then spreads and packs
-them alike. The counts and the lengths give the payload's bit count before
-encoding, so the payload is packed into one zeroed buffer of big-endian
-64-bit words. Each chunk of letters gathers its words into one reused
-buffer, which one mask and one shift split into values and lengths.
+them alike. A codeword's length depends on its code group alone, so the
+counts by rank, summed per group, give the payload's bit count before
+encoding (:func:`~tritcode.codebook.code_bits`), and the payload is packed
+into one zeroed buffer of big-endian 64-bit words. Each chunk of letters
+gathers its words into one reused buffer, which one mask and one shift
+split into values and lengths.
 A codeword of set n has at most 2n bits, so g = 2^floor(log2(64 / 2n))
 consecutive codewords fit one field of at most 64 bits: adjacent pairs fuse
 log2 g times, the left one shifted by the right one's length. The running
@@ -63,17 +65,17 @@ over the words, with no loop, and flips the word's second bits up to its
 first 0 bit. The bit that opens each trit and the one after it give its
 value, and the trits are compacted, a byte each, into one buffer that ends
 in a word of zero bytes. Read n at a time they are rows of n bytes, and
-the buffer goes as it is, uncopied, to the kernel of
-:func:`~tritcode.codebook.rank_rows`: for each block of up to six trit
-positions, one strided read of the rows, whose last row's reads run into
-the zero word, and one multiply put the block's base-3 values in byte
-lanes, as eight decimal digits are parsed with one multiply (Lemire,
-"Number Parsing at a Gigabyte per Second", 2021), and one table lookup
-gives the block's share of each codeword's list index, 0-based as the
-tables are built. One maximum per window checks the indices against the
-alphabet, and each index picks its letter from the alphabet itself, with
-no copy. A 0 trit is one bit and a 1 or 2 trit two, so k codewords take
-k n bits plus one for each nonzero trit among them.
+the buffer goes as it is, uncopied, to the rank kernel
+``codebook._rank_bytes``: for each block of up to six trit positions, one
+strided read of the rows, whose last row's reads run into the zero word,
+and one multiply put the block's base-3 values in byte lanes, as eight
+decimal digits are parsed with one multiply (Lemire, "Number Parsing at a
+Gigabyte per Second", 2021), and one table lookup gives the block's share
+of each codeword's list index, 0-based as the tables are built. One maximum
+per window checks the indices against the alphabet, and each index picks
+its letter from the alphabet itself, with no copy. A 0 trit is one bit
+and a 1 or 2 trit two, so k codewords take k n bits plus one for each
+nonzero trit among them.
 Windows of a fixed number of bits, each starting on a codeword boundary and
 unpacking only the payload bytes it covers, bound the scratch memory.
 
@@ -102,8 +104,8 @@ from .codebook import (
     RANK_SLACK_BYTES,
     SIGNATURE_LENGTH_BITS,
     _rank_bytes,
+    code_bits,
     code_set_for_alphabet,
-    group_counts,
     signature_words,
 )
 from .errors import CorruptedDataError, TruncatedDataError
@@ -214,6 +216,10 @@ def _encode(letters, model: Model | None = None) -> tuple[np.ndarray | None, int
         del firsts
         _scatter(ranks, perm, np.repeat(_gather(ranks, first), grouped))
         del perm, first, grouped
+    if rank is not None:  # counts by rank, as pass one gives them; unused ranks count 0
+        counts, by_value = np.zeros(m, dtype=counts.dtype), counts
+        _scatter(counts, rank, by_value)
+        del by_value
     job = _indexed(arr, top, m, values, counts, rank, ranks)
     return alphabet, job[2], job
 
@@ -429,24 +435,22 @@ def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
     it goes through to its signature words, the payload's bit count and the
     code set number.
 
-    ``values`` are distinct letters, each with its count and its 0-based
-    ``rank``; ``rank`` None stands for 0, 1, ..., m - 1, values in rank
-    order, as pass one gives them. Byte letters index a table of words by
-    letter value. 16-bit letters index a table of ranks by value, a quarter
-    the size, and the ranks index the words. Letters wider than 16 bits come
-    with ``ranks``, each letter's rank, which index the words, and need no
-    ``values``; narrower ones with None. One- and two-letter alphabets get
+    ``values`` are distinct letters, each with its 0-based ``rank``, and
+    ``counts[r]`` counts the letters of rank r; ``rank`` None stands for 0,
+    1, ..., m - 1, values in rank order, as pass one gives them. Byte
+    letters index a table of words by letter value. 16-bit letters index a
+    table of ranks by value, a quarter the size, and the ranks index the
+    words. Letters wider than 16 bits come with ``ranks``, each letter's
+    rank, which index the words, and need no ``values``; narrower ones with
+    None. One- and two-letter alphabets get
     no table and set 0: the letters are the index, and ``first`` stands in
     the tables.
     """
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
         return arr, (first,), arr.size, 0
-    words, lengths = signature_words(cs.n, m)
-    if rank is not None:
-        lengths = _gather(lengths, rank)
-    # in 64-bit ints: a product of narrower ones may wrap, and is slower
-    nbits = int(np.dot(counts.astype(np.int64, copy=False), lengths.astype(np.int64)))
+    words = signature_words(cs.n, m)
+    nbits = code_bits(cs.n, counts)
     if ranks is not None:
         return ranks, (words,), nbits, cs.n
     size = int(values.max()) + 1
@@ -575,9 +579,7 @@ def payload_size(model: Model) -> int:
     cs = code_set_for_alphabet(counts.size)
     if isinstance(cs, Degenerate):
         return int(counts.sum())
-    groups = group_counts(cs.n, counts.size)
-    lengths = np.repeat(np.arange(cs.n, cs.n + len(groups), dtype=np.int64), groups)
-    return int(np.dot(counts, lengths))
+    return code_bits(cs.n, counts)
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,21 @@ from tritcode.codebook import (
     RANK_BLOCK_TRITS,
     RANK_SLACK_BYTES,
     Degenerate,
+    code_bits,
     code_set_for_alphabet,
     generate_codes,
     group_counts,
     group_params,
     iter_codes,
     rank,
-    rank_rows,
     read_trits,
     signature_words,
     trits_to_bits,
     unrank,
 )
 from tritcode.errors import TruncatedDataError
+
+from reference import rank_rows, row_bytes
 
 # Reference codebooks, frozen: full set 2 and the opening of set 3.
 SET2_BITS = ["00", "010", "011", "100", "110", "1010", "1011", "1110", "1111"]
@@ -362,7 +364,7 @@ class TestRankRows:
         for rows in (buf[:20].reshape(5, 4), buf[:12].reshape(4, 3),
                      buf[:21].reshape(7, 3), buf[1:21].reshape(5, 4),
                      buf[:20].reshape(5, 4).astype(np.int64), wide[:, :4], wide):
-            data = codebook._row_bytes(rows)
+            data = row_bytes(rows)
             assert data is not buf and data.base is None
             assert data.size == rows.size + RANK_SLACK_BYTES
             assert data[:rows.size].tolist() == rows.ravel().tolist()
@@ -397,36 +399,39 @@ class TestSignatureTable:
     :func:`unrank` followed by :func:`trits_to_bits`."""
 
     @staticmethod
-    def signatures(words, lengths):
-        """The bit strings that signature words hold, after checking that
-        each word's low 6 bits equal its entry in ``lengths``."""
-        assert words.dtype == np.uint64 and lengths.dtype == np.uint8
-        assert (words & np.uint64(63)).tolist() == lengths.tolist()
-        return [format(int(v), "b").zfill(int(w))
-                for v, w in zip(words >> np.uint64(6), lengths)]
+    def lengths(words):
+        """The codeword lengths that signature words hold in their low 6 bits."""
+        return words & np.uint64(63)
+
+    @staticmethod
+    def signatures(words):
+        """The bit strings that signature words hold, each ``word >> 6``
+        written in ``word & 63`` bits."""
+        assert words.dtype == np.uint64
+        return [format(int(word) >> 6, "b").zfill(int(word) & 63) for word in words]
 
     def test_matches_unrank_exhaustive_small(self):
         for n in range(1, 9):
-            words, lengths = signature_words(n, 3**n)
-            assert self.signatures(words, lengths) == [
+            words = signature_words(n, 3**n)
+            assert self.signatures(words) == [
                 trits_to_bits(unrank(n, i)) for i in range(1, 3**n + 1)]
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_matches_unrank_at_group_boundaries(self, n):
-        words, lengths = signature_words(n, 3**n)
+        words = signature_words(n, 3**n)
         idx = group_boundaries(n)
-        assert self.signatures(words[idx - 1], lengths[idx - 1]) == [
+        assert self.signatures(words[idx - 1]) == [
             trits_to_bits(unrank(n, int(i))) for i in idx]
 
     def test_short_tables_are_prefixes(self):
         # a shorter table stops growing at the last group it reaches
         for n in range(1, 9):
-            full_words, full_lengths = signature_words(n, 3**n)
+            full_words = signature_words(n, 3**n)
             for m in group_boundaries(n).tolist():
-                words, lengths = signature_words(n, m)
+                words = signature_words(n, m)
                 assert words.tolist() == full_words[:m].tolist()
-                assert lengths.tolist() == full_lengths[:m].tolist()
-                assert int(lengths.sum(dtype=np.int64)) == sum(
+                assert self.lengths(words).tolist() == self.lengths(full_words[:m]).tolist()
+                assert int(self.lengths(words).sum(dtype=np.int64)) == sum(
                     (n + k) * c for k, c in enumerate(group_counts(n, m)))
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -437,31 +442,29 @@ class TestSignatureTable:
         ends = np.cumsum([group_params(n, z).size for z in range(n, -1, -1)])
         counts = range(1, 3**n + 1)
         for m in [*counts, *reversed(counts)]:
-            words, lengths = signature_words(n, m)
+            words = signature_words(n, m)
             fresh = {}
             with monkeypatch.context() as patch:
                 patch.setattr(codebook, "_signatures", fresh)
-                fresh_words, fresh_lengths = signature_words(n, m)
-            assert fresh[n][0].size == ends[np.searchsorted(ends, m)]
+                fresh_words = signature_words(n, m)
+            assert fresh[n].size == ends[np.searchsorted(ends, m)]
             assert words.tolist() == fresh_words.tolist()
-            assert lengths.tolist() == fresh_lengths.tolist()
-            for table in (words, lengths):
-                with pytest.raises(ValueError):
-                    table[0] = 1
+            assert self.lengths(words).tolist() == self.lengths(fresh_words).tolist()
+            with pytest.raises(ValueError):
+                words[0] = 1
 
     def test_tables_past_the_limit_are_not_kept(self, monkeypatch):
         monkeypatch.setattr(codebook, "_signatures", {})
         monkeypatch.setattr(codebook, "_SIGNATURES_KEPT", 7)
-        short, _ = signature_words(3, 7)  # groups z = 3, 2: 7 entries
-        assert codebook._signatures[3][0].size == 7
-        words, lengths = signature_words(3, 8)
-        assert codebook._signatures[3][0].size == 7
+        short = signature_words(3, 7)  # groups z = 3, 2: 7 entries
+        assert codebook._signatures[3].size == 7
+        words = signature_words(3, 8)
+        assert codebook._signatures[3].size == 7
         assert words[:7].tolist() == short.tolist()
-        assert self.signatures(words, lengths) == [
+        assert self.signatures(words) == [
             trits_to_bits(unrank(3, i)) for i in range(1, 9)]
-        for table in (words, lengths):
-            with pytest.raises(ValueError):
-                table[0] = 1
+        with pytest.raises(ValueError):
+            words[0] = 1
 
     @pytest.mark.parametrize("n", [21, 29])
     def test_large_sets_build_only_the_groups_reached(self, n, monkeypatch):
@@ -469,19 +472,18 @@ class TestSignatureTable:
         # largest whose signatures fit a word beside their 6-bit length.
         # Two groups are 2n + 1 entries, and no more are built.
         monkeypatch.setattr(codebook, "_signatures", {})
-        words, lengths = signature_words(n, 2 * n + 1)
-        assert codebook._signatures[n][0].size == 2 * n + 1
-        assert self.signatures(words, lengths) == [
+        words = signature_words(n, 2 * n + 1)
+        assert codebook._signatures[n].size == 2 * n + 1
+        assert self.signatures(words) == [
             trits_to_bits(unrank(n, i)) for i in range(1, 2 * n + 2)]
 
     @pytest.mark.parametrize("n", [1, 5, 21, 29])
     def test_words_hold_the_value_above_the_length(self, n):
         m = 3**n if n <= 5 else 2 * n + 1
-        words, lengths = signature_words(n, m)
+        words = signature_words(n, m)
         bits = [trits_to_bits(unrank(n, i)) for i in range(1, m + 1)]
         assert (words >> np.uint64(6)).tolist() == [int(b, 2) for b in bits]
-        assert (words & np.uint64(63)).tolist() == [len(b) for b in bits]
-        assert lengths.tolist() == [len(b) for b in bits]
+        assert self.lengths(words).tolist() == [len(b) for b in bits]
 
     def test_rejects_bad_set_and_count(self):
         for n in (0, 30):
@@ -525,7 +527,7 @@ class TestStructuralInvariants:
 class TestDerivedLengths:
     def test_code_length_matches_generation(self):
         for n in range(1, 7):
-            _, lengths = signature_words(n, 3**n)
+            lengths = signature_words(n, 3**n) & np.uint64(63)
             for cw in generate_codes(n, 3**n):
                 assert int(lengths[cw.index - 1]) == len(cw.bits)
 
@@ -537,7 +539,7 @@ class TestDerivedLengths:
                 expected = sum(len(cw.bits) for cw in generate_codes(n, m))
                 counts = group_counts(n, m)
                 assert sum((n + k) * c for k, c in enumerate(counts)) == expected
-                _, lengths = signature_words(n, m)
+                lengths = signature_words(n, m) & np.uint64(63)
                 assert int(lengths.sum(dtype=np.int64)) == expected
 
 
@@ -556,3 +558,38 @@ class TestGroupCounts:
         for n, m in ((0, 1), (40, 1), (3, 0), (3, 28)):
             with pytest.raises(ValueError):
                 group_counts(n, m)
+
+
+class TestCodeBits:
+    """:func:`code_bits`, the exact bit count from the counts summed per
+    group, against the lengths of the generated codewords."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_generation(self, n):
+        # random counts, zeros among them, in each dtype pass one hands over
+        rng = np.random.default_rng(n)
+        codes = generate_codes(n, 3**n)
+        for m in sorted({1, 2, 3**n, *rng.integers(1, 3**n + 1, 12).tolist()}):
+            counts = rng.integers(0, 4, m)
+            expected = sum(len(cw.bits) * int(c) for cw, c in zip(codes, counts))
+            for dtype in (np.intp, np.uint32, np.uint64):
+                got = code_bits(n, counts.astype(dtype))
+                assert type(got) is int and got == expected, (m, dtype)
+
+    @pytest.mark.parametrize("n", [1, 5, 11])
+    def test_large_counts_are_exact(self, n):
+        # counts of 2^40 each, and group sums that fit an int64 whose bit
+        # count does not: the result is the exact Python int
+        m = 3**n if n <= 5 else 3 ** (n - 1) + 1
+        groups = group_counts(n, m)
+        for dtype in (np.intp, np.uint64):
+            counts = np.full(m, 1 << 40, dtype=dtype)
+            assert code_bits(n, counts) == sum(
+                (n + k) * c << 40 for k, c in enumerate(groups))
+        # set 1's codewords of 1, 2 and 2 bits: 5 * 2^61 bits, past 2^63
+        assert code_bits(1, np.full(3, 1 << 61, dtype=np.int64)) == 5 << 61
+
+    def test_rejects_bad_set_and_count(self):
+        for n, m in ((0, 1), (40, 1), (3, 0), (3, 28)):
+            with pytest.raises(ValueError):
+                code_bits(n, np.ones(m, dtype=np.intp))

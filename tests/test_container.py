@@ -1222,7 +1222,7 @@ class TestCompressMemory:
         # keys sets the peak, and at L = 32 the rank spread: bounded at the
         # measured peaks
         bound = {1: 2.05, 2: 12.05, 3: 16.05, 8: 2.5, 12: 16.05, 16: 6.55, 24: 16.25,
-                 32: 10.74}[width]
+                 32: 10.55}[width]
         small = self.peak_per_input_byte(width, 1 << 20)
         large = self.peak_per_input_byte(width, 8 << 20)
         assert small <= bound and large <= bound, (small, large)
