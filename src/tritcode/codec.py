@@ -10,14 +10,15 @@ letter for the codeword whose list index equals the letter's rank.
 
 Pass one needs each distinct letter's count and first occurrence, from one
 step chosen by letter dtype. Byte letters are counted, with no sort: one
-bincount per chunk gives the 256 counts, and a running minimum of positions
-over a prefix that doubles until at most a few counted values are unseen
-gives the first occurrences; one compare-and-argmax search per value finds
-the rest. 16-bit and uint32 letters, and int64 library input below 2^32,
-take one sort of (value, position) keys, ``value << b | position`` with b
-the bit length of the last position, uint32 where the largest value fits
-the 32 - b bits left and uint64 with b = 32 where it does not; other int64
-input takes numpy's stable argsort. The sorted run of each distinct letter
+bincount per chunk gives the 256 counts. A running minimum of positions
+over a short prefix gives the first occurrences there, and each value
+first counted in a later chunk, or in the rest of the first, takes its
+position from one ``bytes.find`` (memchr) over that chunk alone. 16-bit
+and uint32 letters, and int64 library input below 2^32, take one sort of
+(value, position) keys, ``value << b | position`` with b the bit length of
+the last position, uint32 where the largest value fits the 32 - b bits
+left and uint64 with b = 32 where it does not; other int64 input takes
+numpy's stable argsort. The sorted run of each distinct letter
 gives its count and, as its first member, its first occurrence. The first
 occurrence breaks count ties in one in-place sort of (count, first) keys,
 as narrow by the same rule, which are distinct: their sorted low bits are
@@ -138,13 +139,12 @@ _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # and one- and two-letter alphabets pack their bits as many letters at a time.
 _COUNT_CHUNK = 1 << 16
 
-# First occurrences of byte values come from np.minimum.at over a prefix
-# that doubles from _FIRST_STEP letters until at most _FEW counted values
-# are unseen; a compare-and-argmax search then finds each of those, some 40
-# times cheaper per letter than minimum.at but a few numpy calls per value.
-# Smaller first steps cost more calls than they save on 8-32 KiB inputs.
+# First occurrences of byte values come from np.minimum.at over the first
+# _FIRST_STEP letters, and for any value not seen there from one bytes.find
+# in the chunk of _COUNT_CHUNK letters where it is first counted. Each value
+# is searched for once, in one chunk, so pass one scans at most
+# 256 x _COUNT_CHUNK bytes for them, whatever the input size.
 _FIRST_STEP = 1 << 11
-_FEW = 8
 
 # Pass one sorts 16-bit and uint32 letters, and int64 letters below this
 # bound, by uint32 or uint64 keys of value and position, and ranks by keys of
@@ -196,7 +196,7 @@ def _encode(letters, model: Model | None = None) -> tuple[np.ndarray | None, int
             raise ValueError("model has no letters")
         m, top = known.size, known[0]
         # a letter the model repeats takes its lowest rank, the first in a stable sort
-        known, lowest, _, _ = _distinct(known.astype(np.int64, copy=False))
+        known, lowest, _, _ = _distinct(known)
         values, firsts, counts, perm = _distinct(arr)
         pos = np.minimum(np.searchsorted(known, values), known.size - 1)
         absent = known.take(pos) != values
@@ -261,10 +261,7 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
         raise ValueError("cannot build a model from empty input")
     if arr.dtype.kind == "i" and arr.min() < 0:
         raise ValueError("letters must be unsigned integers")
-    values, first, counts, perm = _distinct(arr)
-    if first is None:
-        first = _first_seen(arr, values)
-    del values
+    first, counts, perm = _distinct(arr)[1:]
     top = counts.max()
     if arr.size < _KEY_LIMIT:  # bounds in plain ints: a count is 1 or more
         keys, b = _sorted_keys(top - counts, int(top) - 1, first, arr.size - 1)
@@ -279,35 +276,17 @@ def _ranked(letters) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     return arr, _gather(arr, firsts), ranked, firsts, spread
 
 
-def _first_seen(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The position of the first occurrence in the uint8 letter array
-    ``arr`` of each of ``values``, every one of which occurs in it."""
-    first = np.full(256, arr.size, dtype=np.intp)
-    unseen, stop = values, 0
-    while unseen.size > _FEW:  # stops by the end: every value occurs
-        start = stop
-        stop = min(arr.size, start + min(max(start, _FIRST_STEP), _COUNT_CHUNK))
-        np.minimum.at(first, arr[start:stop], np.arange(start, stop))
-        unseen = values[first[values] == arr.size]
-    for value in unseen:
-        for start in range(stop, arr.size, _COUNT_CHUNK):
-            hit = arr[start:start + _COUNT_CHUNK] == value
-            at = int(hit.argmax())
-            if hit[at]:
-                first[value] = start + at
-                break
-    return first[values]
-
-
 def _distinct(arr: np.ndarray) -> tuple[
-        np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """The distinct values of a nonempty letter array, for pass one or for
     a lookup in a model, in ascending order and in the letters' dtype, the
     position of each one's first occurrence, each one's count, and, for
     letters wider than 16 bits, their positions in sorted order (else None).
 
-    Byte letters are counted by one bincount per chunk, with no sort, and
-    return no first occurrences: :func:`_first_seen` finds them. 16-bit and
+    Byte letters are counted by one bincount per chunk, with no sort. Their
+    first occurrences come from a running minimum over the first
+    :data:`_FIRST_STEP` letters, then from one ``bytes.find`` per value
+    unseen there, in the chunk where it is first counted. 16-bit and
     uint32 letters, and int64 letters once two scans find them below 2^32,
     sort as distinct keys ``letter << b | position`` (:func:`_sorted_keys`),
     stable in any sort; each run's first key gives its value and first
@@ -316,11 +295,21 @@ def _distinct(arr: np.ndarray) -> tuple[
     take numpy's stable argsort.
     """
     if arr.dtype == np.uint8:
+        first = np.full(256, arr.size, dtype=np.intp)
+        head = arr[:_FIRST_STEP]
+        np.minimum.at(first, head, np.arange(head.size))
         counts = np.zeros(256, dtype=np.intp)
         for start in range(0, arr.size, _COUNT_CHUNK):
-            counts += np.bincount(arr[start:start + _COUNT_CHUNK], minlength=256)
+            chunk = arr[start:start + _COUNT_CHUNK]
+            found = np.bincount(chunk, minlength=256)
+            counts += found
+            unseen = np.flatnonzero((found > 0) & (first == arr.size))
+            if unseen.size:  # a value found here is seen: none is searched for twice
+                data = chunk.tobytes()
+                for value in unseen.tolist():
+                    first[value] = start + data.find(value)
         values = np.flatnonzero(counts)
-        return values.astype(np.uint8), None, counts[values], None
+        return values.astype(np.uint8), first[values], counts[values], None
     wide = arr.dtype.itemsize > 2
     top = int(arr.max())
     if arr.size < _KEY_LIMIT and (

@@ -138,11 +138,8 @@ def split_letters(data: bytes, letter_bits: int) -> tuple[np.ndarray, int]:
         letters = buf.view(whole)
         letters.setflags(write=False)
         return letters, nbits
-    bits = np.unpackbits(buf)
-    pad = -nbits % letter_bits
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    bits = bits.reshape(-1, letter_bits)
+    # a count past the input's bits pads the last letter with zero bits
+    bits = np.unpackbits(buf, count=nbits + -nbits % letter_bits).reshape(-1, letter_bits)
     letters = bits[:, 0].astype(dtype)
     for j in range(1, letter_bits):
         letters <<= 1
@@ -177,7 +174,7 @@ def join_letters(letters, letter_bits: int, original_bit_length: int) -> bytes:
     arr = arr.astype(dtype, copy=False)
     bits = np.empty((arr.size, letter_bits), dtype=np.uint8)
     for j in range(letter_bits):
-        bits[:, j] = (arr >> (letter_bits - 1 - j)) & 1
+        np.bitwise_and(arr >> (letter_bits - 1 - j), 1, out=bits[:, j], casting="unsafe")
     flat = bits.reshape(-1)[:original_bit_length]
     return np.packbits(flat).tobytes()
 

@@ -553,7 +553,7 @@ def shuffled(rng, values, copies):
 
 byte_letters = st.one_of(
     st.binary(min_size=1, max_size=3000).map(lambda b: np.frombuffer(b, dtype=np.uint8)),
-    # skewed: rare letters first seen late, past several doubling steps
+    # skewed: rare letters first seen late, past the first-occurrence prefix
     st.tuples(st.integers(1, 20_000), st.integers(1, 256), st.floats(0, 3),
               st.integers(0, 2**32)).map(
         lambda t: (np.random.default_rng(t[3]).zipf(1 + t[2] + 0.01, t[0]) % t[1]).astype(
@@ -568,7 +568,8 @@ class TestByteCounting:
     @staticmethod
     def assert_matches_sort(arr):
         arr = np.asarray(arr, dtype=np.uint8)
-        assert codec._distinct(arr)[1] is None  # no first occurrences: no sort
+        values, first = codec._distinct(arr)[:2]
+        assert first.tolist() == [np.flatnonzero(arr == v)[0] for v in values.tolist()]
         with mock.patch("numpy.argsort", wraps=np.argsort) as argsort, \
                 mock.patch.object(codec, "_sorted_keys", wraps=codec._sorted_keys) as keys:
             model = build_model(arr)
@@ -583,25 +584,40 @@ class TestByteCounting:
         assert alphabet.dtype == np.uint8 and np.array_equal(alphabet, expected[0])
         assert (payload, nbits) == expected[1:]
 
-    def test_ties_across_doubling_steps_and_chunks(self):
+    def test_ties_across_the_prefix_and_chunks(self):
         step, chunk = codec._FIRST_STEP, codec._COUNT_CHUNK
-        copies = step // 16
         rng = np.random.default_rng(19)
-        # letters first seen in each of the first three prefix steps, of
-        # step, step and 2 step letters, all with one count
-        head = np.concatenate([shuffled(rng, range(lo, hi), copies)
-                               for lo, hi in ((0, 16), (16, 32), (32, 64))])
-        assert head.size == 4 * step
-        filler = np.full(chunk + 100, 90, dtype=np.uint8)
-        # then, a chunk past the prefix, more than _FEW letters of that count
-        # and three letters seen once, the last at the very end
-        late = shuffled(rng, range(100, 100 + codec._FEW + 4), copies)
-        self.assert_matches_sort(np.concatenate([head, filler, late, [200, 201, 250]]))
-        # only a few unseen after the prefix, each found by its own search:
-        # a tie of two letters seen in one order in the first chunk searched
-        # and in the other in the next
-        filler[[1000, 5000]] = 101, 100
-        self.assert_matches_sort(np.concatenate([head, filler, [100, 101, 250]]))
+        arr = rng.integers(90, 93, 3 * chunk + 100, dtype=np.uint8)
+        # each value once, a count tie: the last of the prefix and the first
+        # after it, the first and last byte of chunks 1 and 2, the last byte
+        planted = {10: step - 1, 11: step, 20: chunk, 21: 2 * chunk - 1,
+                   22: 2 * chunk, 23: 3 * chunk - 1, 30: arr.size - 1}
+        # and three times each, a tie of a higher value first seen in chunk
+        # 1 and a lower one first seen in chunk 2
+        planted.update({150: chunk + 7, 50: 2 * chunk + 7})
+        for value, at in planted.items():
+            arr[at] = value
+        arr[[2 * chunk + 9, 3 * chunk + 5, 3 * chunk + 6, 3 * chunk + 8]] = 150, 150, 50, 50
+        self.assert_matches_sort(arr)
+        values, first = codec._distinct(arr)[:2]
+        assert {v: first[values.tolist().index(v)] for v in planted} == planted
+        letters = build_model(arr).letters
+        assert letters[-9:] == (150, 50, 10, 11, 20, 21, 22, 23, 30)
+
+    def test_every_value_first_seen_at_the_end_of_its_own_chunk(self, monkeypatch):
+        # the search's worst case: the filler alone in chunk 0, then one new
+        # value a chunk, each past the prefix searched for over its chunk
+        monkeypatch.setattr(codec, "_COUNT_CHUNK", 1024)
+        rng = np.random.default_rng(23)
+        order = rng.permutation(np.arange(1, 256, dtype=np.uint8))
+        arr = np.zeros(256 * 1024, dtype=np.uint8)
+        for k, value in enumerate(order, 1):
+            # filler from the values seen before this chunk, then the new one
+            arr[k * 1024:(k + 1) * 1024 - 1] = rng.choice(order[:k - 1], 1023) if k > 1 else 0
+            arr[(k + 1) * 1024 - 1] = value
+        self.assert_matches_sort(arr)
+        first = codec._distinct(arr)[1]
+        assert first[0] == 0 and np.array_equal(first[order], np.arange(2, 257) * 1024 - 1)
 
     @pytest.mark.parametrize("m", [1, 2, 256])
     def test_sizes_at_the_chunk_edges(self, m):
@@ -623,12 +639,10 @@ class TestByteCounting:
     @settings(max_examples=100, deadline=None)
     def test_encoding_seeks_no_first_occurrences(self, arr):
         """encode_packed ranks by the model, so it counts byte letters and
-        never searches for where each value is first seen."""
+        sorts no more than the model's letters."""
         model = build_model(arr[::-1])
-        with mock.patch.object(codec, "_first_seen", wraps=codec._first_seen) as seen, \
-                mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
             payload = encode_packed(arr, model)
-        assert not seen.called
         assert all(call.args[0].size <= model.m for call in argsort.call_args_list)
         assert payload == oracle_packed(model, arr)
 

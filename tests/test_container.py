@@ -1139,7 +1139,7 @@ class TestDecompressMemory:
         # its bytes: two per output byte. L = 2, 3, 12 and 24 join one bit
         # per byte, bounded at the measured peaks, and so is L = 32, whose
         # alphabet is as large as the output and must not be copied
-        bound = {1: 2.05, 2: 20.05, 3: 16.05, 12: 12.05, 24: 13.45, 32: 4.1}.get(width, 6)
+        bound = {1: 2.05, 2: 16.06, 3: 13.39, 12: 11.42, 24: 12.77, 32: 4.1}.get(width, 6)
         small = self.peak_per_output_byte(width, 1 << 20)
         large = self.peak_per_output_byte(width, 8 << 20)
         assert small <= bound and large <= bound, (small, large)
@@ -1217,11 +1217,11 @@ class TestCompressMemory:
         # from a table of signature words by letter value: at L = 8 the
         # words buffer, the returned bytes and a fixed scratch; at L = 1 the
         # payload, the input XORed with 0x00 or 0xFF, and the container.
-        # L = 2, 3, 12 and 24 split one bit per byte, and at L = 24 pass one
-        # peaks as high; at L = 16 pass one's search for runs in its uint64
-        # keys sets the peak, and at L = 32 the rank spread: bounded at the
-        # measured peaks
-        bound = {1: 2.05, 2: 12.05, 3: 16.05, 8: 2.5, 12: 16.05, 16: 6.55, 24: 16.25,
+        # L = 2, 3, 12 and 24 split one bit per byte, 8x the input, beside
+        # the letters, and at L = 24 pass one's uint64 keys peak higher; at
+        # L = 16 pass one's search for runs in its uint64 keys sets the peak,
+        # and at L = 32 the rank spread: bounded at the measured peaks
+        bound = {1: 2.05, 2: 12.05, 3: 10.72, 8: 2.5, 12: 9.41, 16: 6.55, 24: 13.79,
                  32: 10.55}[width]
         small = self.peak_per_input_byte(width, 1 << 20)
         large = self.peak_per_input_byte(width, 8 << 20)
