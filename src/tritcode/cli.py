@@ -11,7 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bench, codebook, container, numeral
+# bench and numeral, with csv and fractions, load in the verbs that use them:
+# a compress or decompress call does not import them
+from . import codebook, container
 from .errors import CorruptedDataError, FormatError
 
 EXIT_OK = 0
@@ -147,6 +149,8 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench
+
     if args.mode == "corpus":
         reports, totals, missing = bench.run_corpus(
             args.directory, tuple(args.bits), compress_alphabet=args.compress_alphabet)
@@ -165,6 +169,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import bench, numeral
+
     if args.mode == "compactness":
         sys.stdout.write(bench.write_table(["b", "c_b", "c_2", "e_bar"], [
             [p.b, p.c_b, p.c_2, f"{p.e_bar:.3f}"]
@@ -179,6 +185,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_tabular(args) -> int:
+    from . import numeral
+
     form = numeral.tabular_form(args.value, args.base)
     print(f"{args.value} in base {args.base}: "
           + "".join(str(d) for d in form.digits))

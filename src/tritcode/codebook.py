@@ -18,7 +18,9 @@ compare it against:
 - the encoder's :func:`signature_words` gives the signatures of the first m
   codewords as one uint64 word each, ``value << 6 | length``, built group
   by group in n array passes with no sort; its reference is :func:`unrank`
-  followed by :func:`trits_to_bits`;
+  followed by :func:`trits_to_bits`. For sets 1 to 5, whose list indices
+  fit a byte, :func:`pair_words` fuses every two of them into one word,
+  keyed by the two indices' bytes read as one uint16;
 - the decoder's ``_rank_bytes`` ranks many codewords at once, a block of up
   to six trit positions at a time: one strided read of the trits' bytes and
   one multiply give the block's base-3 values in byte lanes that never
@@ -498,3 +500,51 @@ def _build_signatures(n: int, k: int) -> np.ndarray:
     words = np.concatenate(buckets)
     words.setflags(write=False)
     return words
+
+
+# Sets whose 3^n list indices fit a byte have pair words: two 0-based list
+# indices, as bytes, read as one uint16 key. Their tables take 0.73 MiB in
+# all. Set 6 fits a byte only up to m = 256, and the 512 KiB table of those
+# pairs would raise the peak of a cold 1 MiB compress by half the input.
+MAX_PAIR_SET_NUMBER = 5
+
+# Per-n pair words for pair_words, built once and reused.
+_pairs: dict[int, np.ndarray] = {}
+
+
+def pair_words(n: int) -> np.ndarray:
+    """The signatures of every ordered pair of codewords of set ``n``, fused
+    into one uint64 word each, ``(v0 << l1 | v1) << 6 | (l0 + l1)``, where
+    the first codeword has value v0 and length l0 and the second v1 and l1.
+
+    The word of the codewords of 0-based list indices r0 and r1 sits at the
+    key that the bytes r0, r1, in that order, read as one native uint16, so
+    a packer looks up a pair of byte ranks through a uint16 view of them,
+    on a host of either byte order. A key's high byte is a list index,
+    below 3^n, so the table has 3^n x 256 entries; those whose low byte is
+    3^n or more are zero. Every key of two list indices below m is at most
+    that of (m - 1, m - 1), 257 (m - 1), so that entry, the longest pair of
+    the first m codewords, ends the prefix they need. Sets 1 to
+    :data:`MAX_PAIR_SET_NUMBER` have pair words; the returned array is
+    read-only.
+    """
+    if not 1 <= n <= MAX_PAIR_SET_NUMBER:
+        raise ValueError(f"code set number must be in 1..{MAX_PAIR_SET_NUMBER}, got {n}")
+    table = _pairs.get(n)
+    if table is None:
+        words = signature_words(n, 3**n)
+        size = words.size
+        table = np.zeros(size << 8, dtype=np.uint64)
+        # the keys of the byte pairs (1, 0) and (0, 1): the strides of r0 and r1
+        keys = np.array([1, 0, 0, 1], dtype=np.uint8).view(np.uint16).tolist()
+        grid = np.ndarray((size, size), dtype=np.uint64, buffer=table,
+                          strides=tuple(8 * key for key in keys))  # grid[r0, r1]
+        # v0 << (l1 + 6), plus the second word, v1 << 6 | l1, plus l0: the
+        # terms share no bit, as v1 < 2^l1 and l0 + l1 <= 2n < 64
+        length = words & np.uint64((1 << SIGNATURE_LENGTH_BITS) - 1)
+        np.left_shift((words >> _LENGTH_BITS)[:, None], length + _LENGTH_BITS, out=grid)
+        grid += words
+        grid += length[:, None]
+        table.setflags(write=False)
+        _pairs[n] = table
+    return table

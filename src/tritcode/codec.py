@@ -28,12 +28,11 @@ no permutation. A model needs no more: pass one gives no letter its rank.
 Encoding needs no stored code table either, and never looks at a trit.
 Each codeword is an integer and a bit length, and
 :func:`~tritcode.codebook.signature_words` gives both for ranks 1..m as one
-signature word each, ``value << 6 | length``. Byte letters index a table
-of those words by letter value, and 16-bit letters a table of their ranks,
-of the narrowest unsigned type that holds m - 1, which then index the
-words. Wider letters take their ranks through the sorted positions, each
-distinct letter's rank read where its first occurrence took it. Pass one
-and the rank spread gather by ``take`` and scatter by an intp index,
+signature word each, ``value << 6 | length``. Letters of 16 bits or fewer
+index a table of their ranks by value, of the narrowest unsigned type that
+holds m - 1. Wider letters take their ranks through the sorted positions,
+each distinct letter's rank read where its first occurrence took it. Pass
+one and the rank spread gather by ``take`` and scatter by an intp index,
 casting a narrower index a chunk at a time: fancy indexing by a uint16 or
 uint32 index is about 3 times slower, and a whole cast would add 8 bytes
 an index to the peak. One encoder
@@ -41,19 +40,26 @@ takes its ranks from pass one or from a given model, then spreads and packs
 them alike. A codeword's length depends on its code group alone, so the
 counts by rank, summed per group, give the payload's bit count before
 encoding (:func:`~tritcode.codebook.code_bits`), and the payload is packed
-into one zeroed buffer of big-endian 64-bit words. Each chunk of letters
-gathers its words into one reused buffer, which one mask and one shift
-split into values and lengths.
-A codeword of set n has at most 2n bits, so g = 2^floor(log2(64 / 2n))
-consecutive codewords fit one field of at most 64 bits: adjacent pairs fuse
-log2 g times, the left one shifted by the right one's length. The running
+into one zeroed buffer of big-endian 64-bit words.
+Alphabets of 3 to 243 letters, code sets 1 to 5, have byte ranks, which
+the packer reads two at a time through their uint16 view: each key picks
+one pair word, ``(v0 << l1 | v1) << 6 | (l0 + l1)``, the two codewords
+already fused, from a table of 3^n x 256 words that
+:func:`~tritcode.codebook.pair_words` builds once per set; an odd last
+letter takes its signature word alone. Larger alphabets take one
+signature word a rank. Each chunk of letters gathers its words into one
+reused buffer, which one mask and one shift split into values and
+lengths. The groups come in length order, so the word of rank m - 1, or
+its pair with itself, is the longest, and g = 2^floor(log2(64 / its
+length)) consecutive words fit one field of at most 64 bits: adjacent pairs
+fuse log2 g times, the left one shifted by the right one's length. The running
 sum of field lengths gives each field's last bit. A field that began in the
 word before spills its high bits into the word where the field before it
 ends, so they join that field's bits; as a field has at most 64 bits, every
 word from the chunk's first field end to its last receives one, and one
 reduceat ORs the fields that end in each word into one slice of words.
-Chunks of whole fields, a fixed number of codewords each, bound the
-scratch memory.
+Chunks of whole fields, a fixed number of words each, bound the scratch
+memory.
 
 Decoding needs no code tree and no codeword table search. A trit is 0, 10
 or 11: a 1 that opens a trit takes the next bit as its second, as a
@@ -101,12 +107,14 @@ from .bitio import pack01, unpack01
 from .codebook import (
     CodeSet,
     Degenerate,
+    MAX_PAIR_SET_NUMBER,
     RANK_BLOCK_TRITS,
     RANK_SLACK_BYTES,
     SIGNATURE_LENGTH_BITS,
     _rank_bytes,
     code_bits,
     code_set_for_alphabet,
+    pair_words,
     signature_words,
 )
 from .errors import CorruptedDataError, TruncatedDataError
@@ -119,9 +127,10 @@ from .errors import CorruptedDataError, TruncatedDataError
 # codewords sets the peak (the trit scan peaks at 1.5 MiB).
 _WINDOW_BITS = 1 << 17
 
-# Codewords the encoder packs at a time, in whole fields of g codewords. The
-# chunk caps the encoder's scratch arrays whatever the input size, as
-# _WINDOW_BITS does for the decoder: one uint64 word a codeword, 128 KiB.
+# Words the encoder packs at a time, in whole fields of g words: codewords,
+# or pairs of them, an even number of letters. The chunk caps the encoder's
+# scratch arrays whatever the input size, as _WINDOW_BITS does for the
+# decoder: one uint64 word each, 128 KiB.
 _CHUNK_CODEWORDS = 1 << 14
 
 # Word constants of the packer and the trit scan, as numpy scalars: numpy 1.x
@@ -426,30 +435,32 @@ def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
 
     ``values`` are distinct letters, each with its 0-based ``rank``, and
     ``counts[r]`` counts the letters of rank r; ``rank`` None stands for 0,
-    1, ..., m - 1, values in rank order, as pass one gives them. Byte
-    letters index a table of words by letter value. 16-bit letters index a
-    table of ranks by value, a quarter the size, and the ranks index the
-    words. Letters wider than 16 bits come with ``ranks``, each letter's
-    rank, which index the words, and need no ``values``; narrower ones with
-    None. One- and two-letter alphabets get
-    no table and set 0: the letters are the index, and ``first`` stands in
-    the tables.
+    1, ..., m - 1, values in rank order, as pass one gives them. Letters of
+    16 bits or fewer index a table of ranks by value, of the narrowest
+    unsigned type that holds m - 1, and the ranks index the words. Letters
+    wider than 16 bits come with ``ranks``, each letter's rank, which index
+    the words, and need no ``values``; narrower ones with None. Sets 1 to
+    :data:`~tritcode.codebook.MAX_PAIR_SET_NUMBER` (m <= 243) have byte
+    ranks, and their words are the prefix of
+    :func:`~tritcode.codebook.pair_words` that pairs of ranks below m
+    reach; other sets have the first m signature words. Either way the
+    last word is the longest. One- and two-letter alphabets get no table
+    and set 0: the letters are the index, and ``first`` stands in the
+    tables.
     """
     cs = code_set_for_alphabet(m)
     if isinstance(cs, Degenerate):
         return arr, (first,), arr.size, 0
-    words = signature_words(cs.n, m)
+    if cs.n <= MAX_PAIR_SET_NUMBER:  # up to the key of (m - 1, m - 1)
+        words = pair_words(cs.n)[:257 * (m - 1) + 1]
+    else:
+        words = signature_words(cs.n, m)
     nbits = code_bits(cs.n, counts)
     if ranks is not None:
         return ranks, (words,), nbits, cs.n
-    size = int(values.max()) + 1
-    if arr.dtype == np.uint8:
-        table = np.empty(size, dtype=np.uint64)
-        _scatter(table, values, words if rank is None else _gather(words, rank))
-        return arr, (table,), nbits, cs.n
     if rank is None:
         rank = np.arange(m, dtype=np.min_scalar_type(m - 1))
-    table = np.empty(size, dtype=rank.dtype)
+    table = np.empty(int(values.max()) + 1, dtype=rank.dtype)
     _scatter(table, values, rank)
     return arr, (table, words), nbits, cs.n
 
@@ -457,18 +468,24 @@ def _indexed(arr: np.ndarray, first, m: int, values: np.ndarray,
 def _pack(index: np.ndarray, tables: tuple[np.ndarray, ...], nbits: int,
           n: int) -> tuple[bytes, int]:
     """The packed payload of the codewords that ``index`` reaches through
-    ``tables``, first to last, the last of them signature words
-    ``value << 6 | length`` of set ``n``, and its bit count ``nbits``. At
-    n = 0, an alphabet of one or two letters, ``tables`` holds the letter of
-    rank 0 alone, and each letter of ``index`` packs to one bit that says
-    whether it differs from that letter, a chunk of letters at a time.
+    ``tables``, first to last, and its bit count ``nbits``. The last table
+    holds words ``value << 6 | length`` of set ``n``, its last word the
+    longest: signature words, or, up to set
+    :data:`~tritcode.codebook.MAX_PAIR_SET_NUMBER`, pair words, which byte
+    ranks reach two at a time. At n = 0, an alphabet of one or two
+    letters, ``tables`` holds the letter of rank 0 alone, and each letter of
+    ``index`` packs to one bit that says whether it differs from that
+    letter, a chunk of letters at a time.
 
-    Each chunk of g-codeword fields gathers its words into one buffer,
-    reused from chunk to chunk, :func:`_fuse` fuses them into fields, and
-    :func:`_place` ORs those into one zeroed buffer of ``nbits`` bits in one
-    pass. Codewords that do not end at bit ``nbits``, the counts
-    disagreeing with the ranks, raise ValueError, before any word past the
-    buffer is written.
+    Each chunk of fields of g words, 2^floor(log2(64 / the longest)),
+    gathers its words into one buffer, reused from chunk to chunk,
+    :func:`_fuse` fuses them into fields, and :func:`_place` ORs those into
+    one zeroed buffer of ``nbits`` bits in one pass. Pairs gather by the
+    uint16 view of a chunk's ranks, whose letters are even in number but
+    for the last chunk's: an odd last letter takes its signature word alone
+    as the last entry. Codewords that do not end at bit ``nbits``, the
+    counts disagreeing with the ranks, raise ValueError, before any word
+    past the buffer is written.
     """
     if not n:
         (first,) = tables
@@ -478,18 +495,27 @@ def _pack(index: np.ndarray, tables: tuple[np.ndarray, ...], nbits: int,
             payload[start >> 3:(start + chunk.size + 7) >> 3] = np.packbits(chunk != first)
         return payload.tobytes(), nbits
     *through, signatures = tables
-    g = 1 << (32 // n).bit_length() - 1  # codewords per field: 2^floor(log2(64 / 2n))
-    step = g * max(1, _CHUNK_CODEWORDS // g)
+    paired = n <= MAX_PAIR_SET_NUMBER
+    g = 1 << (64 // int(signatures[-1] & _LENGTH_MASK)).bit_length() - 1  # words per field
+    step = g * max(1, _CHUNK_CODEWORDS // g)  # words per chunk, twice as many letters paired
     words = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
-    buf = np.empty(min(step, -(-index.size // g) * g), dtype=np.uint64)
+    entries = -(-index.size >> paired)
+    buf = np.empty(min(step, -(-entries // g) * g), dtype=np.uint64)
     end = 0
-    for start in range(0, index.size, step):
-        chunk = index[start:start + step]
-        for table in through:  # 16-bit letters: their ranks by value first
+    for start in range(0, index.size, step << paired):
+        chunk = index[start:start + (step << paired)]
+        for table in through:  # letters of 16 bits or fewer: their ranks by value first
             chunk = table.take(chunk)
-        fields = buf[:-(-chunk.size // g) * g]
+        lone = 0
+        if paired:
+            if chunk.size & 1:  # an odd last letter: its signature word alone
+                lone, word = 1, signature_words(n, int(chunk[-1]) + 1)[-1]
+            chunk = chunk[:chunk.size - lone].view(np.uint16)
+        fields = buf[:-(-(chunk.size + lone) // g) * g]
         np.take(signatures, chunk, out=fields[:chunk.size], mode="clip")
         fields[chunk.size:] = 0  # the last chunk: empty codewords pad its last field
+        if lone:
+            fields[chunk.size] = word
         end = _place(words, end, *_fuse(fields, g))
     if end != nbits:
         raise ValueError(f"codewords end at bit {end}, not at the {nbits} of the counts")
@@ -499,9 +525,9 @@ def _pack(index: np.ndarray, tables: tuple[np.ndarray, ...], nbits: int,
 
 
 def _fuse(words: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fields of ``g`` codewords each, a power of two, from the uint64
-    signature words ``value << 6 | length`` of their codewords, first to
-    last; returns each field's value and bit length, both uint64.
+    """Fields of ``g`` words each, a power of two, from uint64 words
+    ``value << 6 | length`` of one codeword or of a pair, first to last;
+    returns each field's value and bit length, both uint64.
 
     ``words`` is split in place into its values. Then adjacent pairs fuse
     log2 g times, the left one shifted by the right one's length, so the

@@ -3,13 +3,16 @@
 :func:`rank_rows` is the checked array twin of :func:`tritcode.codebook.rank`:
 it copies its rows into a buffer with the slack that the decoder's rank
 kernel ``codebook._rank_bytes`` reads, and ranks that copy 1-based, as the
-kernel ranks the trit scan's buffer in place.
+kernel ranks the trit scan's buffer in place. :func:`pack_words` packs
+codewords one signature word at a time, as bit strings, for the packer's
+pair words to be checked against.
 """
 
 import numpy as np
 
 from tritcode import codebook
-from tritcode.codebook import RANK_SLACK_BYTES
+from tritcode.bitio import pack01
+from tritcode.codebook import RANK_SLACK_BYTES, signature_words
 
 
 def rank_rows(n: int, trits) -> np.ndarray:
@@ -38,3 +41,15 @@ def row_bytes(trits: np.ndarray) -> np.ndarray:
     data = np.empty(trits.size + RANK_SLACK_BYTES, dtype=np.uint8)
     data[:trits.size] = trits.ravel()
     return data
+
+
+def pack_words(n: int, ranks) -> tuple[bytes, int]:
+    """The payload and bit count of the codewords of set ``n`` whose 0-based
+    list indices are ``ranks``, first to last: each one's signature word,
+    ``word >> 6`` written in ``word & 63`` bits, one codeword at a time,
+    joined as strings and packed MSB-first, zero-padded to a byte."""
+    ranks = np.asarray(ranks).tolist()
+    codes = [format(int(word) >> 6, "b").zfill(int(word) & 63)
+             for word in signature_words(n, max(ranks) + 1)]
+    bits = "".join(codes[r] for r in ranks)
+    return pack01(bits), len(bits)

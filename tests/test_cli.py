@@ -403,3 +403,15 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env, cwd=tmp_path)
     assert out.stdout.strip() == "False False"
+
+
+def test_cli_import_leaves_the_table_verbs_unloaded(tmp_path):
+    # bench and numeral, with the csv, fractions and decimal modules they
+    # bring, load only in the verbs that print tables
+    names = ("tritcode.bench", "tritcode.numeral", "csv", "fractions", "decimal")
+    code = f"import sys, tritcode.cli; print([n for n in {names!r} if n in sys.modules])"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, cwd=tmp_path)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from tritcode import codebook
 from tritcode.bitio import BitReader, pack01
 from tritcode.codebook import (
+    MAX_PAIR_SET_NUMBER,
     RANK_BLOCK_TRITS,
     RANK_SLACK_BYTES,
     Degenerate,
@@ -21,6 +23,7 @@ from tritcode.codebook import (
     group_counts,
     group_params,
     iter_codes,
+    pair_words,
     rank,
     read_trits,
     signature_words,
@@ -493,6 +496,37 @@ class TestSignatureTable:
             for m in (0, -1, 3**n + 1):
                 with pytest.raises(ValueError, match="code count"):
                     signature_words(n, m)
+
+
+class TestPairTable:
+    """The packer's pair words, :func:`pair_words`, against two signature
+    words joined as bit strings."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_PAIR_SET_NUMBER + 1))
+    def test_every_entry_is_two_signature_words_fused(self, n):
+        # the pair of list indices r0, r1 sits at the key that the bytes
+        # r0, r1 read as one native uint16; other entries are zero
+        bits = TestSignatureTable.signatures(signature_words(n, 3**n))
+        expected = [0] * (3**n << 8)
+        for (r0, first), (r1, second) in product(enumerate(bits), repeat=2):
+            joined = first + second
+            expected[int.from_bytes(bytes([r0, r1]), sys.byteorder)] = (
+                int(joined, 2) << 6 | len(joined))
+        table = pair_words(n)
+        assert table.dtype == np.uint64
+        assert table.tolist() == expected
+
+    def test_tables_are_cached_and_read_only(self):
+        for n in range(1, MAX_PAIR_SET_NUMBER + 1):
+            table = pair_words(n)
+            assert pair_words(n) is table is codebook._pairs[n]
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    def test_rejects_sets_without_byte_ranks(self):
+        for n in (0, MAX_PAIR_SET_NUMBER + 1, 21):
+            with pytest.raises(ValueError, match="code set number"):
+                pair_words(n)
 
 
 class TestStructuralInvariants:

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from tritcode import codebook, codec
 from tritcode.bitio import BitReader, pack01
 from tritcode.codebook import (
+    MAX_PAIR_SET_NUMBER,
     RANK_SLACK_BYTES,
     Degenerate,
     code_set_for_alphabet,
     generate_codes,
     group_counts,
+    pair_words,
     rank,
     read_trits,
     signature_words,
@@ -34,7 +36,7 @@ from tritcode.codec import (
 from tritcode.container import split_letters
 from tritcode.errors import CorruptedDataError, TritcodeError, TruncatedDataError
 
-from reference import rank_rows
+from reference import pack_words, rank_rows
 
 SAMPLE = "ABCDEEFFGGHHHIII"
 SAMPLE_LETTERS = [ord(c) for c in SAMPLE]
@@ -317,10 +319,10 @@ class TestOneSortModel:
     @given(narrow_letters)
     @settings(max_examples=400, deadline=None)
     def test_rank_table_matches_unique_oracle(self, arr):
-        # letters of 16 bits or fewer index a table by letter value: of
-        # signature words for bytes, of ranks for 16-bit letters. No rank
-        # array of every letter exists, and the payload, which a prefix-free
-        # code makes fix every rank, equals the oracle's
+        # letters of 16 bits or fewer index a table of ranks by letter
+        # value, and the ranks index pair words up to set 5, else signature
+        # words. No rank array of every letter exists, and the payload,
+        # which a prefix-free code makes fix every rank, equals the oracle's
         model = oracle_build_model(arr)
         with pytest.MonkeyPatch.context() as patch:
             calls = pack_calls(patch)
@@ -331,13 +333,16 @@ class TestOneSortModel:
         assert build_model(arr) == model
         if not isinstance(model.code_set, Degenerate):
             assert len(calls) == 2
-            for index, tables in calls:
-                assert index is arr and tables[0].size == int(arr.max()) + 1
-                if arr.dtype == np.uint8:
-                    assert [table.dtype for table in tables] == [np.uint64]
+            n = model.code_set.n
+            for index, (rank_table, words) in calls:
+                assert index is arr and rank_table.size == int(arr.max()) + 1
+                assert rank_table.dtype == np.min_scalar_type(model.m - 1)
+                assert words.dtype == np.uint64
+                if n <= MAX_PAIR_SET_NUMBER:
+                    assert words.base is pair_words(n)
+                    assert words.size == 257 * (model.m - 1) + 1
                 else:
-                    assert tables[0].dtype == np.min_scalar_type(model.m - 1)
-                    assert tables[1].dtype == np.uint64 and tables[1].size == model.m
+                    assert words.size == model.m
 
     @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
     def test_rank_table_width(self, m, dtype, monkeypatch):
@@ -979,6 +984,60 @@ class TestArrayEncoder:
             # word: _place raises before it writes there
             with pytest.raises(ValueError, match="^codewords end at bit "):
                 pack(wrong)
+
+
+class TestPairPacking:
+    """Byte ranks packed two at a time through pair words, against the
+    single-word packing oracle of reference.py."""
+
+    # around one chunk of 2^14 pair words, 2^15 letters
+    COUNTS = [1, 2, 3, 2 * (1 << 14) - 1, 2 * (1 << 14), 2 * (1 << 14) + 1]
+    # both ends of sets 1 to 5, each set's longest codeword last
+    SIZES = [3, 9, 10, 27, 28, 81, 82, 243]
+
+    @staticmethod
+    def packed(letters, monkeypatch, model=None):
+        """encode_packed under ``model``, or pass one's job packed, with
+        the ranked alphabet, once the pack is seen to go through pairs."""
+        calls = pack_calls(monkeypatch)
+        if model is None:
+            alphabet, payload, nbits = encoded(letters)
+        else:
+            alphabet, (payload, nbits) = None, encode_packed(letters, model)
+        (_, tables), = calls
+        n = code_set_for_alphabet(len(model.letters) if model else alphabet.size).n
+        assert tables[-1].base is pair_words(n)
+        return alphabet, (payload, nbits)
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_under_a_model(self, m, monkeypatch):
+        rng = np.random.default_rng(m)
+        values = rng.permutation(256)[:m]  # the letter of each rank
+        model = codec.Model(letters=tuple(values.tolist()), counts=(1,) * m,
+                            code_set=code_set_for_alphabet(m))
+        for count in self.COUNTS:
+            ranks = rng.integers(0, m, count)
+            ranks[-1] = m - 1  # a lone last letter, at an odd count, of the longest codeword
+            expected = pack_words(model.code_set.n, ranks)
+            for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+                letters = values[ranks].astype(dtype)
+                with monkeypatch.context() as patch:
+                    assert self.packed(letters, patch, model)[1] == expected, (count, dtype)
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_under_pass_one(self, m, monkeypatch):
+        rng = np.random.default_rng(m + 1)
+        values = rng.permutation(256)[:m]
+        for count in [c for c in self.COUNTS if c >= m]:
+            ranks = np.concatenate([rng.permutation(m), rng.integers(0, m, count - m)])
+            for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+                letters = values[ranks].astype(dtype)
+                with monkeypatch.context() as patch:
+                    alphabet, packed = self.packed(letters, patch)
+                assert alphabet.size == m
+                order = np.argsort(alphabet)
+                own = order[np.searchsorted(alphabet, letters, sorter=order)]
+                assert packed == pack_words(code_set_for_alphabet(m).n, own), (count, dtype)
 
 
 def reference_trits(window):
