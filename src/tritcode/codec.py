@@ -69,13 +69,15 @@ are found 64 bits at a time by the escape scanner of Langdale and Lemire
 set when the word before ends on the first bit of a trit; only an all-ones
 word passes its carry-in on, so every carry follows from a prefix maximum
 over the words, with no loop, and flips the word's second bits up to its
-first 0 bit. The bit that opens each trit and the one after it give its
-value, and the trits are compacted, a byte each, into one buffer that ends
-in a word of zero bytes. Read n at a time they are rows of n bytes, and
-the buffer goes as it is, uncopied, to the rank kernel
-``codebook._rank_bytes``: for each block of up to six trit positions, one
-strided read of the rows, whose last row's reads run into the zero word,
-and one multiply put the block's base-3 values in byte lanes, as eight
+first 0 bit. The step runs in place: one buffer takes the escape code,
+then the second bits, then the bits that open a trit. The bit that opens
+each trit and the one after it give its value, and the trits are
+compacted, a byte each, into one buffer that ends in a word of zero
+bytes. Read n at a time they are rows of n bytes, and the buffer goes as
+it is, uncopied, to the rank kernel ``codebook._rank_bytes``: for each
+block of up to six trit positions, one strided read of the rows, whose
+last row's reads run into the zero word, and one multiply put the
+block's base-3 values in byte lanes, as eight
 decimal digits are parsed with one multiply (Lemire, "Number Parsing at a
 Gigabyte per Second", 2021), and one table lookup gives the block's share
 of each codeword's list index, 0-based as the tables are built. One maximum
@@ -93,8 +95,12 @@ way a letter's bit says whether it differs from the letter of rank 0. Such a
 payload takes exactly one bit per letter, so :func:`_check_end`, which ends
 every decode, checks its packed bytes before any letter is taken: enough
 bits for the letters, no 1 bit under one letter, and fewer than eight
-trailing bits, all zero. A reader of plain bits needs no more than that
-check, and none of the decoder.
+trailing bits, all zero. It reads whole bytes, with no bit unpacked: a
+count of nonzero bytes under one letter, and the one or two bytes that
+hold the bits after the codewords' last whole byte as one Python int. A
+reader of plain bits needs no more than that check, and none of the
+decoder. :func:`decode_packed` returns the letters alone, and
+:func:`decode_with_stats` the decoder's counts with them, as Python ints.
 """
 
 from __future__ import annotations
@@ -616,13 +622,16 @@ def decode_packed(payload: bytes, alphabet, letter_count: int,
     bits left after the last codeword are treated as byte padding: there may
     be at most seven and they must all be zero. The letters come back in the
     alphabet's dtype if it is a uint8, uint16 or uint32 array, else as int64.
+    Errors and bounds are those of :func:`decode_with_stats`, whose counts
+    this form never builds.
     """
-    return decode_with_stats(payload, alphabet, letter_count, bit_length)[0]
+    return _decode(payload, alphabet, letter_count, bit_length)[0]
 
 
 def decode_with_stats(payload: bytes, alphabet, letter_count: int,
                       bit_length: int | None = None) -> tuple[np.ndarray, DecodeStats]:
-    """:func:`decode_packed`, also returning the decoder's own counts.
+    """:func:`decode_packed`, also returning the decoder's own counts, each
+    a Python int.
 
     Errors come in stream order: an index beyond the alphabet (reported with
     its 1-based letter position), the stream ending before the last
@@ -632,6 +641,17 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
     scratch memory by the window size: each window unpacks only the payload
     bytes it covers.
     """
+    letters, used, padding, passes, windows = _decode(payload, alphabet, letter_count,
+                                                      bit_length)
+    return letters, DecodeStats(codewords=len(letters), bits_consumed=used,
+                                padding_bits=padding, rank_passes=passes,
+                                windows=windows)
+
+
+def _decode(payload: bytes, alphabet, letter_count: int,
+            bit_length: int | None) -> tuple[np.ndarray, int, int, int, int]:
+    """The letters of :func:`decode_with_stats` and its counts but the
+    first: bits used, padding bits, rank passes and windows."""
     if bit_length is None:
         bit_length = len(payload) * 8
     elif bit_length < 0:
@@ -657,9 +677,7 @@ def decode_with_stats(payload: bytes, alphabet, letter_count: int,
         letters, used, passes, windows = _decode_letters(
             buf, bit_length, cs.n, alphabet, letter_count)
         padding = _check_end(buf, bit_length, used, m)
-    return letters, DecodeStats(codewords=len(letters), bits_consumed=used,
-                                padding_bits=padding, rank_passes=passes,
-                                windows=windows)
+    return letters, used, padding, passes, windows
 
 
 def _check_end(buf: np.ndarray, nbits: int, used: int, m: int) -> int:
@@ -668,17 +686,22 @@ def _check_end(buf: np.ndarray, nbits: int, used: int, m: int) -> int:
     first ``used``; raises in stream order if the codewords end past the
     stream, a one-letter alphabet's bits hold a 1, or eight or more bits,
     or a nonzero one, follow the codewords. Nothing payload-sized is
-    allocated: the one-letter check counts nonzero whole bytes in place."""
+    allocated: the one-letter check counts nonzero whole bytes in place,
+    and the bits past the last whole byte of codewords, fewer than 16,
+    are read as one Python int, from the one or two bytes that hold them."""
     if used > nbits:
         raise TruncatedDataError("bit stream exhausted")
-    if m == 1 and (np.count_nonzero(buf[:used >> 3])
-                   or used & 7 and _bits(buf, used & -8, used).any()):
+    head, low = used >> 3, used & 7  # bits under the codewords in byte head
+    if m == 1 and (np.count_nonzero(buf[:head]) or low and int(buf[head]) >> 8 - low):
         raise CorruptedDataError("single-letter stream contains a 1 bit")
     padding = nbits - used
     if padding >= 8:
         raise CorruptedDataError(f"{padding} bits of trailing data after the last codeword")
-    if padding and _bits(buf, used, nbits).any():
-        raise CorruptedDataError("nonzero padding bit after the last codeword")
+    if padding:
+        end = low + padding  # bits from byte head on to bit nbits, 1 to 14
+        tail = int.from_bytes(buf[head:head + (end + 7 >> 3)], "big")
+        if tail >> (-end & 7) & (1 << padding) - 1:
+            raise CorruptedDataError("nonzero padding bit after the last codeword")
     return padding
 
 
@@ -715,9 +738,9 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
         if k < left and end == nbits:  # the stream ends before the last codeword
             pos = nbits + 1
             break
-        np.take(alphabet, idx, out=letters[done:done + k], mode="clip")
+        alphabet.take(idx, out=letters[done:done + k], mode="clip")
         done += k
-        pos += k * n + np.count_nonzero(data[:k * n])
+        pos += k * n + int(np.count_nonzero(data[:k * n]))
     return letters, pos, -(-n // RANK_BLOCK_TRITS) * windows, windows
 
 
@@ -733,7 +756,10 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
     and Lemire's scanner (simdjson) with no carry in, a 1 bit that opens a
     trit escaping the next bit: ``code ^ words`` marks the second bits, and
     bit 63 of ``code & words`` is the carry out. A carry in flips the second
-    bits ``words ^ (words + 1)``, up to and including the first 0 bit.
+    bits ``words ^ (words + 1)``, up to and including the first 0 bit. One
+    buffer takes the code, its second bits and, inverted, the trit starts,
+    each step in place; the carry index is one ``arange`` zeroed at the
+    all-ones words and maximized in place.
     """
     size = window.size
     if size == 0:
@@ -741,29 +767,39 @@ def _scan_trits(window: np.ndarray) -> np.ndarray:
     packed = np.zeros(-(-size // 64) * 8, dtype=np.uint8)
     packed[:(size + 7) >> 3] = np.packbits(window, bitorder="little")
     words = packed.view("<u8")  # bit j of word i is window bit 64 i + j
-    code = (((words << _ONE) | _ODD_BITS) - words) ^ _ODD_BITS
-    second = code ^ words
+    code = words << _ONE  # the escape code, built in place
+    code |= _ODD_BITS
+    code -= words
+    code ^= _ODD_BITS
+    ends = code & words
+    ends >>= _TOP_BIT
+    second = code
+    second ^= words
     # After its first 0 bit a word's trits do not depend on its carry-in, so
     # neither does its carry-out, unless the word is all ones: then it passes
     # its carry-in on unchanged, 64 being even. So each word's carry-in is the
     # carry-out, with carry-in 0, of the last word before it not all ones, or
     # of word 0, whose carry-in is 0.
-    ends = (code & words) >> _TOP_BIT
-    last = np.maximum.accumulate(np.where(words != _ALL_ONES, np.arange(words.size), 0))
-    second[1:] ^= (words[1:] ^ (words[1:] + _ONE)) * ends[last[:-1]]
+    last = np.arange(words.size - 1)
+    last *= words[:-1] != _ALL_ONES
+    np.maximum.accumulate(last, out=last)
+    carried = words[1:] + _ONE
+    carried ^= words[1:]
+    carried *= ends.take(last)
+    second[1:] ^= carried
+    np.invert(second, out=second)  # the bits that open a trit
     # RANK_SLACK_BYTES zero values past the window, all kept, follow the
     # trits: the rank kernel's reads run into them
-    starts = np.unpackbits((~second).astype("<u8", copy=False).view(np.uint8),
+    starts = np.unpackbits(second.astype("<u8", copy=False).view(np.uint8),
                            count=size + RANK_SLACK_BYTES, bitorder="little").view(bool)
     if window[-1]:
         starts[size - 1] = False  # an unfinished trit
     starts[size:] = True
-    value = np.empty(starts.size, dtype=np.int8)  # of the trit each bit would open
+    value = np.zeros(starts.size, dtype=np.int8)  # of the trit each bit would open
     np.bitwise_and(window[:-1], window[1:], out=value[:size - 1].view(np.uint8))
-    value[size - 1:] = 0
     value[:size] += window.view(np.int8)
     # a bool condition: a uint8 one, or value[starts], is slower
-    return np.compress(starts, value)
+    return value.compress(starts)
 
 
 def decode(bits: str, alphabet, letter_count: int) -> list[int]:

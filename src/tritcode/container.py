@@ -45,7 +45,9 @@ uint16 or uint32) from the split to the join; they never widen to int64.
 At L = 8, 16 and 32 a letter is a whole big-endian byte group of the
 input, so :func:`split_letters` returns a read-only view of the input
 (``u1``, ``>u2`` or ``>u4``) and :func:`join_letters` is one byte-order
-cast; other widths go through one bit per byte.
+cast; other widths go through one bit per byte. A raw alphabet of 1, 2 or
+4 bytes a letter is read as a view of the container, little-endian, so
+the parser copies none of its bytes on a little-endian host.
 
 Files conventionally use the ".btn" extension.
 """
@@ -193,10 +195,16 @@ def _pack_alphabet(letters: np.ndarray, letter_bits: int) -> bytes:
 
 
 def _unpack_alphabet(blob: bytes, m: int, letter_bits: int) -> np.ndarray:
-    """The m letters of a raw alphabet area, in the letter dtype."""
+    """The m letters of a raw alphabet area, in the letter dtype. Where a
+    letter's ceil(L/8) bytes fill its dtype, every L but 17..24, they are a
+    view of the area, read-only if the area is, and on a little-endian host
+    no byte is copied; 3-byte letters are copied into zero-filled uint32."""
     width = _letter_width_bytes(letter_bits)
-    raw = np.frombuffer(blob, dtype=np.uint8).reshape(m, width)
     dtype = letter_dtype(letter_bits)
+    if width == dtype.itemsize:
+        return np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=m).astype(
+            dtype, copy=False)
+    raw = np.frombuffer(blob, dtype=np.uint8).reshape(m, width)
     letters = np.zeros(m, dtype=dtype.newbyteorder("<"))
     letters.view(np.uint8).reshape(m, -1)[:, :width] = raw
     return letters.astype(dtype, copy=False)
@@ -300,7 +308,8 @@ def _parse(blob: bytes) -> tuple[Header, np.ndarray, int]:
         area = memoryview(blob)[offset:offset + size]
         offset += size
     letters = _unpack_alphabet(area, m, L)
-    if L < 32 and int(letters.max()) >> L:
+    # at L = 8, 16 and 32 the letter bytes hold exactly L bits
+    if L % 8 and int(letters.max()) >> L:
         raise FormatError(f"alphabet letter wider than {L} bits", offset=offset)
     ordered = np.sort(letters)
     if (ordered[1:] == ordered[:-1]).any():

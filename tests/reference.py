@@ -5,7 +5,8 @@ it copies its rows into a buffer with the slack that the decoder's rank
 kernel ``codebook._rank_bytes`` reads, and ranks that copy 1-based, as the
 kernel ranks the trit scan's buffer in place. :func:`pack_words` packs
 codewords one signature word at a time, as bit strings, for the packer's
-pair words to be checked against.
+pair words to be checked against. :func:`check_end` is the decoder's end
+check ``codec._check_end`` read one bit at a time.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from tritcode import codebook
 from tritcode.bitio import pack01
 from tritcode.codebook import RANK_SLACK_BYTES, signature_words
+from tritcode.errors import CorruptedDataError, TruncatedDataError
 
 
 def rank_rows(n: int, trits) -> np.ndarray:
@@ -53,3 +55,23 @@ def pack_words(n: int, ranks) -> tuple[bytes, int]:
              for word in signature_words(n, max(ranks) + 1)]
     bits = "".join(codes[r] for r in ranks)
     return pack01(bits), len(bits)
+
+
+def check_end(buf, nbits: int, used: int, m: int) -> int:
+    """The padding bits after codewords that take the first ``used`` of the
+    first ``nbits`` bits of the bytes ``buf``, for an alphabet of ``m``
+    letters, from the bits as a string: raises, in this order, if the
+    codewords end past bit ``nbits``, if a one-letter alphabet's bits hold
+    a 1, if eight or more bits follow the codewords, or if one of them is
+    a 1."""
+    bits = "".join(f"{byte:08b}" for byte in bytes(buf))[:nbits]
+    if used > nbits:
+        raise TruncatedDataError("bit stream exhausted")
+    if m == 1 and "1" in bits[:used]:
+        raise CorruptedDataError("single-letter stream contains a 1 bit")
+    padding = nbits - used
+    if padding >= 8:
+        raise CorruptedDataError(f"{padding} bits of trailing data after the last codeword")
+    if "1" in bits[used:]:
+        raise CorruptedDataError("nonzero padding bit after the last codeword")
+    return padding

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from math import ceil
@@ -36,7 +37,7 @@ from tritcode.codec import (
 from tritcode.container import split_letters
 from tritcode.errors import CorruptedDataError, TritcodeError, TruncatedDataError
 
-from reference import pack_words, rank_rows
+from reference import check_end, pack_words, rank_rows
 
 SAMPLE = "ABCDEEFFGGHHHIII"
 SAMPLE_LETTERS = [ord(c) for c in SAMPLE]
@@ -1353,6 +1354,34 @@ class TestInstrumentation:
         assert stats == codec.DecodeStats(codewords=4, bits_consumed=4,
                                           padding_bits=4, rank_passes=0,
                                           windows=0)
+
+    @pytest.mark.parametrize("alphabet", [[3, 5], list(range(9))])
+    def test_counts_are_python_ints(self, alphabet):
+        # plain bits and a ternary payload alike: the counts go to JSON as they are
+        model = build_model([alphabet[i % len(alphabet)] for i in range(40)])
+        payload, nbits = encode_packed(alphabet * 5, model)
+        _, stats = decode_with_stats(payload, model.letters, len(alphabet) * 5)
+        assert stats.bits_consumed == nbits
+        for count in dataclasses.astuple(stats):
+            assert type(count) is int
+
+
+class TestEndCheck:
+    def test_matches_the_bit_by_bit_oracle(self):
+        # padding that straddles a byte boundary too, as an explicit bit
+        # length that is not a multiple of 8 lets it (used 13, nbits 19)
+        patterns = [bytes(3), b"\xff" * 3] + [(1 << bit).to_bytes(3, "big") for bit in range(24)]
+        for raw in patterns:
+            buf = np.frombuffer(raw, dtype=np.uint8)
+            for nbits in range(25):
+                for used in range(nbits + 2):
+                    for m in (1, 2, 3):
+                        expected = outcome(check_end, buf, nbits, used, m)
+                        assert outcome(codec._check_end, buf, nbits, used, m) == expected, (
+                            raw.hex(), nbits, used, m)
+        assert outcome(codec._check_end, np.frombuffer(b"\x00\x00\x40", dtype=np.uint8),
+                       19, 13, 3) == (CorruptedDataError,
+                                      "nonzero padding bit after the last codeword")
 
 
 class TestDecoderMemory:

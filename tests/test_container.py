@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 import struct
 import tracemalloc
@@ -656,6 +657,44 @@ class TestGoldenContainers:
         assert decompress(blob) == data
 
 
+class TestAlphabetView:
+    @pytest.mark.parametrize("width", [8, 16, 24, 32])
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_decode_and_describe_from_the_parsed_letters(self, width, packed):
+        # at L = 8, 16 and 32 the parsed letters are a read-only view of the
+        # alphabet area, of the blob or of the nested container's output;
+        # 3-byte letters are a copy
+        rng = random.Random(7)
+        data = bytes(rng.choice(b"etaoin shrdlu") for _ in range(6000))
+        blob = compress(data, width, compress_alphabet=packed)
+        assert parse_header(blob).alphabet_packed == (packed and width > 8)
+        header, letters, offset = container._parse(blob)
+        in_place = width != 24 and (width == 8 or np.little_endian)
+        assert letters.dtype == letter_dtype(width)
+        assert letters.flags.writeable is not in_place
+        assert letters.flags.owndata is not in_place
+        count = container._letter_count(header)
+        decoded, stats = codec.decode_with_stats(memoryview(blob)[offset:], letters, count)
+        assert join_letters(decoded, width, header.original_bit_length) == data
+        assert decompress(blob) == data
+        info = describe(blob)
+        assert info.letters == tuple(letters.tolist())
+        assert (info.payload_bits, info.padding_bits) == (stats.bits_consumed,
+                                                          stats.padding_bits)
+
+
+class TestDescribe:
+    @pytest.mark.parametrize("data, width", [
+        (SAMPLE, 8), (SAMPLE * 30, 16), (SAMPLE, 1), (b"\x00\xff" * 50, 8), (b"\x77" * 30, 8)],
+        ids=["ternary-l8", "ternary-l16", "plain-l1", "two-letters", "one-letter"])
+    def test_payload_counts_are_python_ints(self, data, width):
+        info = describe(compress(data, width))
+        assert type(info.payload_bits) is int and type(info.padding_bits) is int
+        fields = json.loads(json.dumps(dataclasses.asdict(info)))
+        assert (fields["payload_bits"], fields["padding_bits"]) == (info.payload_bits,
+                                                                    info.padding_bits)
+
+
 class TestAlphabetCompression:
     def test_flag_set_only_when_smaller(self):
         rng = random.Random(8)
@@ -818,11 +857,30 @@ class TestDecompressErrors:
             decompress(bytes(blob))
 
     def test_letter_wider_than_declared(self):
-        blob = bytearray(compress(bytes([0, 1, 2, 3, 3, 3]), 2))
-        letter_offset = HEADER_SIZE + 4
-        blob[letter_offset] = 0xFF
-        with pytest.raises(FormatError):
-            decompress(bytes(blob))
+        # only where L is not a multiple of 8 can a letter's bytes hold more
+        # than L bits: set all of the top byte of letter 0
+        for width in [w for w in range(1, 32) if w % 8]:
+            blob = bytearray(compress(bytes([0, 1, 2, 3, 3, 3]), width))
+            (m,) = struct.unpack_from("<I", blob, HEADER_SIZE)
+            size = (width + 7) // 8
+            blob[HEADER_SIZE + 4 + size - 1] = 0xFF
+            for check in (decompress, describe):
+                with pytest.raises(FormatError, match=f"^alphabet letter wider than {width} "
+                                   "bits") as exc:
+                    check(bytes(blob))
+                assert exc.value.offset == HEADER_SIZE + 4 + m * size, width
+
+    @pytest.mark.parametrize("width", [8, 16, 24, 32])
+    def test_alphabet_at_the_last_byte_is_truncation(self, width):
+        # a raw alphabet read in place up to the blob's end, with no payload
+        data = bytes(range(60)) * 4
+        blob = compress(data, width)
+        info = describe(blob)
+        cut = blob[:len(blob) - info.payload_bytes]
+        assert describe(cut, decode_payload=False).letters == info.letters
+        for check in (decompress, describe):
+            with pytest.raises(TruncatedDataError, match="^bit stream exhausted$"):
+                check(cut)
 
     def test_corrupt_payload_never_silently_wrong(self):
         rng = random.Random(31337)
@@ -1081,7 +1139,7 @@ class TestHostileGolden:
 
     CLASSES = {"FormatError": 3432, "CorruptedDataError": 1006,
                "TruncatedDataError": 1200, "accepted": 362}
-    DIGEST = "ed8d01571808855e9e6e993c81f35fc40e4e20fc8cdcab879a0db21cdbf5f540"
+    DIGEST = "43879434fe0bce16dd897e1e1deaa9f25a8bd2a57595370f90cd747fccb440b8"
 
     def test_outcomes_are_pinned(self):
         outcomes = [hostile_outcome(check, blob) for blob in hostile_cases(300)
