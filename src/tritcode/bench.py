@@ -157,7 +157,6 @@ def _check_widths(widths: tuple[int, ...]) -> None:
 
 def run_corpus(directory: str | Path,
                letter_bits_values: tuple[int, ...] = (8, 16), *,
-               files: tuple[str, ...] = CANTERBURY_FILES,
                compress_alphabet: bool = False,
                ) -> tuple[list[FileReport], list[FileReport], list[str]]:
     """Benchmark every corpus file at every letter width.
@@ -169,8 +168,8 @@ def run_corpus(directory: str | Path,
     """
     _check_widths(letter_bits_values)
     directory = Path(directory)
-    present = [f for f in files if (directory / f).is_file()]
-    missing = [f for f in files if f not in present]
+    present = [f for f in CANTERBURY_FILES if (directory / f).is_file()]
+    missing = [f for f in CANTERBURY_FILES if f not in present]
     reports = [bench_file(directory / f, bits, compress_alphabet=compress_alphabet)
                for bits in letter_bits_values for f in present]
     totals = [_totals_row(reports, bits) for bits in letter_bits_values]
@@ -178,8 +177,7 @@ def run_corpus(directory: str | Path,
 
 
 def run_recompress(directory: str | Path, first_bits: int = 8,
-                   second_bits: tuple[int, ...] = (3, 6, 9), *,
-                   files: tuple[str, ...] = CANTERBURY_FILES,
+                   second_bits: tuple[int, ...] = (3, 6, 9),
                    ) -> tuple[list[RecompressReport], RecompressReport, list[str]]:
     """Compress at one width, then compress each result again at others.
 
@@ -191,8 +189,8 @@ def run_recompress(directory: str | Path, first_bits: int = 8,
     _check_widths((first_bits,))
     _check_widths(second_bits)
     directory = Path(directory)
-    present = [f for f in files if (directory / f).is_file()]
-    missing = [f for f in files if f not in present]
+    present = [f for f in CANTERBURY_FILES if (directory / f).is_file()]
+    missing = [f for f in CANTERBURY_FILES if f not in present]
     rows = []
     for name in present:
         data = (directory / name).read_bytes()

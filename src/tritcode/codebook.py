@@ -196,8 +196,7 @@ def read_trits(reader: BitReader, n: int) -> str:
     is left positioned on the next codeword boundary. An exhausted stream
     raises :class:`TruncatedDataError`.
     """
-    if not 1 <= n <= MAX_SET_NUMBER:
-        _check_set_number(n)
+    _check_set_number(n)
     read_bit = reader.read_bit
     out = []
     push = out.append
@@ -302,24 +301,25 @@ def _block_read(h: int) -> tuple[np.dtype, np.unsignedinteger]:
     return dtype, dtype.type(sum(3**i << 8 * i for i in range(h if h < 6 else 3)))
 
 
-_BLOCK_READS = {h: _block_read(h) for h in range(1, RANK_BLOCK_TRITS + 1)}
-
-
 @functools.cache
-def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
-    """The trit blocks of set ``n`` with their lookup tables, first to last.
+def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray,
+                                        np.dtype, np.unsignedinteger], ...]:
+    """The trit blocks of set ``n`` with their lookup tables and reads,
+    first to last.
 
     Positions split into blocks of :data:`RANK_BLOCK_TRITS` trits, the last
-    one possibly shorter. Block (s, h, share, zeros) covers positions s to
-    s + h - 1; a block value v is its trits read as a base-3 number, first
-    trit most significant. ``share[z * 3^h + v]`` is what :func:`rank` adds
-    to the index over the block's positions when z zeros follow the block,
-    the sum of the :func:`_rank_steps` entries those positions select, and
-    ``zeros[v]`` counts the 0-trits of v. The first block's share also holds
-    the start of the codeword's group, which the zeros after it and its own
-    give, so the shares sum to the 0-based index, the alphabet's own. The
-    tables hold partial ranks, not codewords: their size depends on n
-    alone. All arrays are read-only.
+    one possibly shorter. Block (s, h, share, zeros, dtype, multiplier)
+    covers positions s to s + h - 1; a block value v is its trits read as a
+    base-3 number, first trit most significant. ``share[z * 3^h + v]`` is
+    what :func:`rank` adds to the index over the block's positions when z
+    zeros follow the block, the sum of the :func:`_rank_steps` entries those
+    positions select, and ``zeros[v]`` counts the 0-trits of v. The first
+    block's share also holds the start of the codeword's group, which the
+    zeros after it and its own give, so the shares sum to the 0-based index,
+    the alphabet's own. The tables hold partial ranks, not codewords: their
+    size depends on n alone. ``dtype`` and ``multiplier`` are how
+    :func:`_rank_bytes` reads the block, from :func:`_block_read`. All
+    arrays are read-only.
     """
     steps = _rank_steps(n)
     _, _, before = _ntables(n)
@@ -341,7 +341,7 @@ def _rank_blocks(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
         zeros = (digits == 0).sum(axis=0).astype(np.intp)
         share.setflags(write=False)
         zeros.setflags(write=False)
-        blocks.append((s, h, share, zeros))
+        blocks.append((s, h, share, zeros, *_block_read(h)))
     return tuple(blocks)
 
 
@@ -374,8 +374,7 @@ def _rank_bytes(n: int, data: np.ndarray, k: int) -> np.ndarray:
     counted, so a set of one block counts none.
     """
     idx = zeros = None
-    for s, h, share, block_zeros in reversed(_rank_blocks(n)):
-        dtype, multiplier = _BLOCK_READS[h]
+    for s, h, share, block_zeros, dtype, multiplier in reversed(_rank_blocks(n)):
         word = np.ndarray((k,), dtype=dtype, buffer=data[s:], strides=(n,))
         lanes = (word * multiplier).astype(dtype, copy=False).view(np.uint8)
         value = lanes[2 if h == 6 else h - 1::dtype.itemsize].astype(np.intp)
@@ -427,19 +426,23 @@ def unrank(n: int, index: int) -> str:
 
 
 # Per-n signature words for signature_words, built once and reused; each
-# holds the groups up to the furthest one any caller has reached. A table of
-# more than _SIGNATURES_KEPT entries (8 bytes each) is built per call
-# instead: it serves an input so large that the build costs little beside
-# encoding it, and keeping it would pin its memory for good.
+# holds the groups up to the furthest one any caller has reached, and serves
+# every shorter request from its prefix. A table of more than
+# _SIGNATURES_KEPT entries (8 bytes each) is built per call instead: it
+# serves an input so large that the build costs little beside encoding it,
+# and keeping it would pin its memory for good. Neither a prefix nor a size
+# limit fits functools.cache, so this dict is kept by hand.
 _signatures: dict[int, np.ndarray] = {}
 _SIGNATURES_KEPT = 1 << 20
 
 # A signature word holds a codeword's length in its low SIGNATURE_LENGTH_BITS
 # bits and the codeword above them, so it holds codewords of up to 2n bits
-# up to set MAX_WORD_SET_NUMBER.
+# up to set MAX_WORD_SET_NUMBER. The shift and the mask are numpy scalars:
+# numpy 1.x promotes a uint64 array combined with a Python int to float64.
 SIGNATURE_LENGTH_BITS = 6
 MAX_WORD_SET_NUMBER = (64 - SIGNATURE_LENGTH_BITS) // 2
 _LENGTH_BITS = np.uint64(SIGNATURE_LENGTH_BITS)
+_LENGTH_MASK = np.uint64((1 << SIGNATURE_LENGTH_BITS) - 1)
 
 
 def signature_words(n: int, m: int) -> np.ndarray:
@@ -508,10 +511,8 @@ def _build_signatures(n: int, k: int) -> np.ndarray:
 # pairs would raise the peak of a cold 1 MiB compress by half the input.
 MAX_PAIR_SET_NUMBER = 5
 
-# Per-n pair words for pair_words, built once and reused.
-_pairs: dict[int, np.ndarray] = {}
 
-
+@functools.cache
 def pair_words(n: int) -> np.ndarray:
     """The signatures of every ordered pair of codewords of set ``n``, fused
     into one uint64 word each, ``(v0 << l1 | v1) << 6 | (l0 + l1)``, where
@@ -525,26 +526,23 @@ def pair_words(n: int) -> np.ndarray:
     3^n or more are zero. Every key of two list indices below m is at most
     that of (m - 1, m - 1), 257 (m - 1), so that entry, the longest pair of
     the first m codewords, ends the prefix they need. Sets 1 to
-    :data:`MAX_PAIR_SET_NUMBER` have pair words; the returned array is
-    read-only.
+    :data:`MAX_PAIR_SET_NUMBER` have pair words; each table is built once
+    and kept, and is read-only.
     """
     if not 1 <= n <= MAX_PAIR_SET_NUMBER:
         raise ValueError(f"code set number must be in 1..{MAX_PAIR_SET_NUMBER}, got {n}")
-    table = _pairs.get(n)
-    if table is None:
-        words = signature_words(n, 3**n)
-        size = words.size
-        table = np.zeros(size << 8, dtype=np.uint64)
-        # the keys of the byte pairs (1, 0) and (0, 1): the strides of r0 and r1
-        keys = np.array([1, 0, 0, 1], dtype=np.uint8).view(np.uint16).tolist()
-        grid = np.ndarray((size, size), dtype=np.uint64, buffer=table,
-                          strides=tuple(8 * key for key in keys))  # grid[r0, r1]
-        # v0 << (l1 + 6), plus the second word, v1 << 6 | l1, plus l0: the
-        # terms share no bit, as v1 < 2^l1 and l0 + l1 <= 2n < 64
-        length = words & np.uint64((1 << SIGNATURE_LENGTH_BITS) - 1)
-        np.left_shift((words >> _LENGTH_BITS)[:, None], length + _LENGTH_BITS, out=grid)
-        grid += words
-        grid += length[:, None]
-        table.setflags(write=False)
-        _pairs[n] = table
+    words = signature_words(n, 3**n)
+    size = words.size
+    table = np.zeros(size << 8, dtype=np.uint64)
+    # the keys of the byte pairs (1, 0) and (0, 1): the strides of r0 and r1
+    keys = np.array([1, 0, 0, 1], dtype=np.uint8).view(np.uint16).tolist()
+    grid = np.ndarray((size, size), dtype=np.uint64, buffer=table,
+                      strides=tuple(8 * key for key in keys))  # grid[r0, r1]
+    # v0 << (l1 + 6), plus the second word, v1 << 6 | l1, plus l0: the
+    # terms share no bit, as v1 < 2^l1 and l0 + l1 <= 2n < 64
+    length = words & _LENGTH_MASK
+    np.left_shift((words >> _LENGTH_BITS)[:, None], length + _LENGTH_BITS, out=grid)
+    grid += words
+    grid += length[:, None]
+    table.setflags(write=False)
     return table

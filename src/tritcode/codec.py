@@ -116,7 +116,8 @@ from .codebook import (
     MAX_PAIR_SET_NUMBER,
     RANK_BLOCK_TRITS,
     RANK_SLACK_BYTES,
-    SIGNATURE_LENGTH_BITS,
+    _LENGTH_BITS,
+    _LENGTH_MASK,
     _rank_bytes,
     code_bits,
     code_set_for_alphabet,
@@ -140,9 +141,9 @@ _WINDOW_BITS = 1 << 17
 _CHUNK_CODEWORDS = 1 << 14
 
 # Word constants of the packer and the trit scan, as numpy scalars: numpy 1.x
-# promotes a uint64 array combined with a Python int to float64.
-_LENGTH_BITS = np.uint64(SIGNATURE_LENGTH_BITS)
-_LENGTH_MASK = np.uint64((1 << SIGNATURE_LENGTH_BITS) - 1)
+# promotes a uint64 array combined with a Python int to float64. The shift
+# and mask of a signature word's length, _LENGTH_BITS and _LENGTH_MASK, come
+# from codebook, which lays the words out.
 _ONE = np.uint64(1)
 _TOP_BIT = np.uint64(63)
 _ODD_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
@@ -685,8 +686,10 @@ def _check_end(buf: np.ndarray, nbits: int, used: int, m: int) -> int:
     ``buf``, whose codewords, for an alphabet of ``m`` letters, take the
     first ``used``; raises in stream order if the codewords end past the
     stream, a one-letter alphabet's bits hold a 1, or eight or more bits,
-    or a nonzero one, follow the codewords. Nothing payload-sized is
-    allocated: the one-letter check counts nonzero whole bytes in place,
+    or a nonzero one, follow the codewords. Codewords end past the stream
+    only for plain bits, whose callers pass the letter count as ``used``;
+    the ternary decoder raises a short stream itself. Nothing payload-sized
+    is allocated: the one-letter check counts nonzero whole bytes in place,
     and the bits past the last whole byte of codewords, fewer than 16,
     are read as one Python int, from the one or two bytes that hold them."""
     if used > nbits:
@@ -715,8 +718,8 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
                     count: int) -> tuple[np.ndarray, int, int, int]:
     """The ``count`` letters whose codewords of set ``n`` open the first
     ``nbits`` bits of ``buf``; returns them with the bits used, rank table
-    lookups and windows. A stream that ends first returns ``nbits + 1``
-    bits used, one more than it has, for :func:`_check_end` to raise."""
+    lookups and windows. A stream that ends first raises
+    :class:`TruncatedDataError`, after the index check of its last window."""
     m = alphabet.size
     # every codeword takes at least n bits, so a count the payload cannot
     # carry never reaches the allocation
@@ -736,8 +739,7 @@ def _decode_letters(buf: np.ndarray, nbits: int, n: int, alphabet: np.ndarray,
                 f"(letter {done + i + 1} of {count})"
             )
         if k < left and end == nbits:  # the stream ends before the last codeword
-            pos = nbits + 1
-            break
+            raise TruncatedDataError("bit stream exhausted")
         alphabet.take(idx, out=letters[done:done + k], mode="clip")
         done += k
         pos += k * n + int(np.count_nonzero(data[:k * n]))

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .codebook import Degenerate, code_set_for_alphabet
+from .codebook import code_set_for_alphabet
 from .errors import CorruptedDataError, FormatError
 
 MAGIC = b"\x42\x33"
@@ -389,8 +389,7 @@ def describe(blob: bytes, *, decode_payload: bool = True) -> ContainerInfo:
     m = letters.size
     letter_count = _letter_count(header)  # 0 for the empty container
     payload = np.frombuffer(blob, dtype=np.uint8, offset=offset)
-    cs = code_set_for_alphabet(m) if m else Degenerate(0)
-    n = 0 if isinstance(cs, Degenerate) else cs.n
+    n = code_set_for_alphabet(m).n if m > 2 else 0
     payload_bits = padding = None
     if decode_payload and n:
         _, stats = codec.decode_with_stats(payload, letters, letter_count)

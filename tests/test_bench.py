@@ -28,13 +28,14 @@ from tritcode.codebook import code_set_for_alphabet, generate_codes
 
 @pytest.fixture
 def mini_corpus(tmp_path):
+    # three of the corpus' files, under their names; the others are missing
     rng = random.Random(600)
     files = {
-        "story.txt": "".join(rng.choice("the quick brown fox \n")
-                             for _ in range(4000)).encode(),
-        "table.bin": bytes(rng.choice(b"\x00\x01\x02\xff")
-                           for _ in range(2500)),
-        "tiny.dat": b"abcabc",
+        "alice29.txt": "".join(rng.choice("the quick brown fox \n")
+                               for _ in range(4000)).encode(),
+        "kennedy.xls": bytes(rng.choice(b"\x00\x01\x02\xff")
+                             for _ in range(2500)),
+        "xargs.1": b"abcabc",
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -55,8 +56,8 @@ class TestPriceOfEconomy:
 class TestBenchFile:
     def test_metrics_follow_sizes(self, mini_corpus):
         directory, files = mini_corpus
-        report = bench_file(directory / "story.txt", 8)
-        data = files["story.txt"]
+        report = bench_file(directory / "alice29.txt", 8)
+        data = files["alice29.txt"]
         assert report.original_bytes == len(data)
         assert report.compressed_bytes == len(container.compress(data, 8))
         assert report.bits_per_byte == pytest.approx(
@@ -68,8 +69,8 @@ class TestBenchFile:
 
     def test_alphabet_bytes_reports_block_size(self, mini_corpus):
         directory, files = mini_corpus
-        report = bench_file(directory / "table.bin", 8)
-        info = container.describe(container.compress(files["table.bin"], 8),
+        report = bench_file(directory / "kennedy.xls", 8)
+        info = container.describe(container.compress(files["kennedy.xls"], 8),
                                   decode_payload=False)
         assert report.alphabet_bytes == info.alphabet_block_bytes
 
@@ -78,8 +79,8 @@ class TestRunCorpus:
     def test_reports_and_totals(self, mini_corpus):
         directory, files = mini_corpus
         names = tuple(sorted(files))
-        reports, totals, missing = run_corpus(directory, (8, 16), files=names)
-        assert not missing
+        reports, totals, missing = run_corpus(directory, (8, 16))
+        assert missing == [f for f in CANTERBURY_FILES if f not in files]
         assert [(r.letter_bits, r.name) for r in reports] == \
                [(bits, name) for bits in (8, 16) for name in names]
         assert all(r.roundtrip_ok for r in reports)
@@ -94,15 +95,16 @@ class TestRunCorpus:
 
     def test_missing_files_reported_run_continues(self, mini_corpus):
         directory, files = mini_corpus
-        names = tuple(sorted(files)) + ("absent.xyz",)
-        reports, totals, missing = run_corpus(directory, (8,), files=names)
-        assert missing == ["absent.xyz"]
+        (directory / "ptt5").mkdir()  # not a file: missing too
+        reports, totals, missing = run_corpus(directory, (8,))
+        assert missing == [f for f in CANTERBURY_FILES if f not in files]
+        assert "ptt5" in missing
         assert len(reports) == len(files)
 
     def test_repeated_widths_rejected(self, mini_corpus):
         directory, files = mini_corpus
         with pytest.raises(ValueError, match=r"^letter widths must be distinct, got \(8, 16, 8\)$"):
-            run_corpus(directory, (8, 16, 8), files=tuple(files))
+            run_corpus(directory, (8, 16, 8))
 
     @pytest.mark.parametrize("bits", [0, 33, 40, -8])
     def test_width_out_of_range_rejected_without_files(self, tmp_path, bits):
@@ -115,9 +117,9 @@ class TestRunRecompress:
     def test_chained_sizes(self, mini_corpus):
         directory, files = mini_corpus
         names = tuple(sorted(files))
-        rows, totals, missing = run_recompress(directory, 8, (3, 6),
-                                               files=names)
-        assert not missing
+        rows, totals, missing = run_recompress(directory, 8, (3, 6))
+        assert missing == [f for f in CANTERBURY_FILES if f not in files]
+        assert [row.name for row in rows] == list(names)
         for row in rows:
             data = files[row.name]
             first = container.compress(data, 8)
@@ -135,24 +137,24 @@ class TestRunRecompress:
         # one first-pass container (L = 8) or one chained one (L = 6) of one
         # file decompresses wrong: that row fails, and so does the total
         directory, files = mini_corpus
-        first = container.compress(files["story.txt"], 8)
+        first = container.compress(files["alice29.txt"], 8)
         decompress = container.decompress
 
         def corrupt(blob):
             data = decompress(blob)
-            hit = blob[3] == broken_bits and data in (files["story.txt"], first)
+            hit = blob[3] == broken_bits and data in (files["alice29.txt"], first)
             return data[:-1] if hit else data
 
         monkeypatch.setattr(container, "decompress", corrupt)
-        rows, totals, _ = run_recompress(directory, 8, (3, 6), files=tuple(sorted(files)))
+        rows, totals, _ = run_recompress(directory, 8, (3, 6))
         assert {r.name: r.roundtrip_ok for r in rows} == {
-            "story.txt": False, "table.bin": True, "tiny.dat": True}
+            "alice29.txt": False, "kennedy.xls": True, "xargs.1": True}
         assert not totals.roundtrip_ok
 
     def test_repeated_second_widths_rejected(self, mini_corpus):
         directory, files = mini_corpus
         with pytest.raises(ValueError, match=r"^letter widths must be distinct, got \(3, 3\)$"):
-            run_recompress(directory, 8, (3, 3), files=tuple(files))
+            run_recompress(directory, 8, (3, 3))
 
     @pytest.mark.parametrize("first, second, bad", [
         (0, (3, 6), 0), (33, (3,), 33), (8, (3, 99), 99), (0, (99,), 0)])
@@ -201,8 +203,7 @@ class TestRedundancyTable:
 class TestReports:
     def test_csv_schema(self, mini_corpus):
         directory, files = mini_corpus
-        reports, totals, _ = run_corpus(directory, (8,),
-                                        files=tuple(sorted(files)))
+        reports, totals, _ = run_corpus(directory, (8,))
         text = format_corpus(reports + totals, "csv")
         rows = list(csv.reader(io.StringIO(text)))
         assert tuple(rows[0]) == CSV_COLUMNS
@@ -213,8 +214,7 @@ class TestReports:
 
     def test_text_report_aligned(self, mini_corpus):
         directory, files = mini_corpus
-        reports, totals, _ = run_corpus(directory, (8,),
-                                        files=tuple(sorted(files)))
+        reports, totals, _ = run_corpus(directory, (8,))
         text = format_corpus(reports + totals)
         lines = text.splitlines()
         assert lines[0].split() == list(CSV_COLUMNS)
@@ -222,19 +222,18 @@ class TestReports:
         assert len({len(line) for line in lines}) == 1
 
     def test_undefined_price_serializes_empty(self, tmp_path):
-        (tmp_path / "same.bin").write_bytes(b"")
-        reports, _, _ = run_corpus(tmp_path, (8,), files=("same.bin",))
+        (tmp_path / "sum").write_bytes(b"")
+        reports, _, _ = run_corpus(tmp_path, (8,))
         text = format_corpus(reports, "csv")
         row = list(csv.reader(io.StringIO(text)))[1]
         # empty file: 0 -> 16 bytes, negative savings, price defined;
         # craft the undefined case directly instead
         assert price_of_economy(1.0, 16, 16) is None
-        assert row[0] == "same.bin"
+        assert row[0] == "sum"
 
     def test_recompress_csv(self, mini_corpus):
         directory, files = mini_corpus
-        rows, totals, _ = run_recompress(directory, 8, (3,),
-                                         files=tuple(sorted(files)))
+        rows, totals, _ = run_recompress(directory, 8, (3,))
         text = format_recompress(rows + [totals], (3,), "csv")
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == ["file", "original_bytes", "first_bytes",

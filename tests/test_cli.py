@@ -85,6 +85,15 @@ class TestInspect:
         assert "original bits:  0" in out
         assert "alphabet power: 0" in out
 
+    @pytest.mark.parametrize("data, code_set", [
+        (b"", "degenerate"), (b"aaa", "degenerate"), (b"abba", "degenerate"),
+        (b"abc", "1")])
+    def test_plain_bits_code_set(self, tmp_path, capsys, data, code_set):
+        path = tmp_path / "plain.btn"
+        path.write_bytes(container.compress(data, 8))
+        assert dispatch(["inspect", str(path)]) == EXIT_OK
+        assert f"code set:       {code_set}\n" in capsys.readouterr().out
+
     def test_non_container_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "junk"
         path.write_bytes(b"hello world, not a container")

@@ -306,12 +306,24 @@ class TestRankRows:
         for n in (5, 6, 7, 21):
             blocks = codebook._rank_blocks(n)
             assert len(blocks) == -(-n // RANK_BLOCK_TRITS)
-            for s, h, share, zeros in blocks:
+            for s, h, share, zeros, dtype, multiplier in blocks:
                 # one row of 3^h partial ranks per count of zeros after it
                 assert share.shape == ((n - s - h + 1) * 3**h,)
                 assert zeros.shape == (3**h,)
                 assert not share.flags.writeable and not zeros.flags.writeable
         assert built == [5, 6, 7, 21]
+
+    def test_blocks_carry_their_reads(self):
+        # a block of h trits, one byte each, is read as the fewest of 1, 2,
+        # 4 or 8 little-endian bytes that hold it, times sum(3^i << 8 i)
+        # over i < h, or over i < 3 for a six-trit block
+        for n in range(1, 22):
+            for s, h, share, zeros, dtype, multiplier in codebook._rank_blocks(n):
+                width = min(w for w in (1, 2, 4, 8) if w >= h)
+                assert dtype == np.dtype(f"<u{width}")
+                assert type(multiplier) is dtype.type
+                lanes = 3 if h == 6 else h
+                assert int(multiplier) == sum(3**i << 8 * i for i in range(lanes))
 
     def test_empty_block(self):
         assert rank_rows(4, np.empty((0, 4), dtype=np.int8)).size == 0
@@ -519,7 +531,9 @@ class TestPairTable:
     def test_tables_are_cached_and_read_only(self):
         for n in range(1, MAX_PAIR_SET_NUMBER + 1):
             table = pair_words(n)
-            assert pair_words(n) is table is codebook._pairs[n]
+            hits = pair_words.cache_info().hits
+            assert pair_words(n) is table
+            assert pair_words.cache_info().hits == hits + 1
             with pytest.raises(ValueError):
                 table[0] = 1
 

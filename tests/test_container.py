@@ -304,6 +304,14 @@ class TestCompress:
         assert info.payload_bits == 49
         assert info.padding_bits == 7
 
+    def test_plain_bits_report_code_set_zero(self):
+        # the empty input and one or two distinct letters take plain bits,
+        # reported as set 0; three distinct letters take set 1
+        for data, m, n in [(b"", 0, 0), (b"aaa", 1, 0), (b"abba", 2, 0), (b"abc", 3, 1)]:
+            info = describe(compress(data, 8))
+            assert (info.m, info.n) == (m, n), data
+        assert describe(compress(b"\x0f\xf0", 1)).n == 0
+
     def test_total_size_formula_raw_alphabet(self):
         rng = random.Random(17)
         for _ in range(60):
